@@ -220,6 +220,14 @@ def validate_config(text: str) -> ExperimentConfig:
         _fail("a", "must be in [0, 1/2]")
     if not (isinstance(merged["K"], int) and 1 <= merged["K"] <= 16):
         _fail("K", "must be an integer in 1..16")
+    grid_sizes = merged["grid_sizes"]
+    if not isinstance(grid_sizes, list) or not grid_sizes:
+        _fail("grid_sizes", "must be a non-empty list")
+    for g in grid_sizes:
+        if not isinstance(g, int) or isinstance(g, bool) or g < 2:
+            _fail("grid_sizes", f"entries must be integers >= 2, got {g!r}")
+    if not isinstance(merged["profiles"], list) or not merged["profiles"]:
+        _fail("profiles", "must be a non-empty list")
     try:
         make_profile(merged["profile"])
         for p in merged["profiles"]:
@@ -235,7 +243,7 @@ def validate_config(text: str) -> ExperimentConfig:
         beta_list=[float(b) for b in beta_list], A=float(merged["A"]),
         profile=merged["profile"], n_samples=merged["n_samples"],
         dt=float(merged["dt"]), sweeps=merged["sweeps"], a=float(merged["a"]),
-        K=merged["K"], grid_sizes=list(merged["grid_sizes"]),
+        K=merged["K"], grid_sizes=list(grid_sizes),
         profiles=list(merged["profiles"]),
         divergence_profile=merged["divergence_profile"],
         kinds=list(merged["kinds"]), t_grid=merged["t_grid"],
@@ -540,14 +548,14 @@ def _run_theorem2(cfg: ExperimentConfig, threads: int):
 
     div = make_profile(cfg.divergence_profile)
     g_lo, g_hi = grids[0], grids[-1]
-    h_lo = eval_h1(div, g_lo).value
-    h_hi = eval_h1(div, g_hi).value
+    res_lo = eval_h1(div, g_lo)
+    res_hi = eval_h1(div, g_hi)
     label = json.dumps(cfg.divergence_profile, sort_keys=True)
-    for g, h in ((g_lo, h_lo), (g_hi, h_hi)):
+    for g, res in ((g_lo, res_lo), (g_hi, res_hi)):
         rows.append({"profile": label, "admissible": div.admissible, "grid": g,
-                     "h1": h, "c0": div.c0, "c2": div.c2, "ratio": math.nan,
-                     "min_denominator": eval_h1(div, g).min_denominator})
-    growth = h_hi / h_lo
+                     "h1": res.value, "c0": div.c0, "c2": div.c2, "ratio": math.nan,
+                     "min_denominator": res.min_denominator})
+    growth = res_hi.value / res_lo.value
     checks.append((f"divergence for g'(0) != 0: h1({g_hi})/h1({g_lo}) = {growth:.2f} "
                    f">= {THRESHOLDS['h1_divergence']}",
                    growth >= THRESHOLDS["h1_divergence"]))

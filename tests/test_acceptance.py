@@ -17,6 +17,8 @@ from fpu_packets.packet import bracket_norm_check
 from fpu_packets.profiles import DEFAULT_PROFILE_SPEC, make_profile
 from fpu_packets.spectral import actions, frequencies, sine_transform
 
+pytestmark = pytest.mark.acceptance
+
 SEED = 20260808
 
 

@@ -49,6 +49,20 @@ def test_validate_unknown_experiment():
         validate_config(json.dumps(dict(MINIMAL, experiment="everything")))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("grid_sizes", []), ("grid_sizes", [1]), ("grid_sizes", "abc"),
+    ("grid_sizes", [True, 256]), ("grid_sizes", [256.0]),
+    ("profiles", []), ("profiles", "abc"), ("profiles", [5]),
+])
+def test_validate_theorem2_rejects_bad_grids_and_profiles(tmp_path, field, value):
+    body = {"experiment": "theorem2-h1", "seed": 1, field: value}
+    with pytest.raises(ConfigError, match=field if field == "grid_sizes" else "profile"):
+        validate_config(json.dumps(body))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(body))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
 def test_validate_bad_json_reports_position():
     with pytest.raises(ConfigError, match="line"):
         validate_config("{\n  broken\n}")

@@ -1,9 +1,66 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fpu_packets.profiles import (DEFAULT_PROFILE_SPEC, PROFILE_KINDS, check_thm2_bound,
-                                  disjoint_profiles, eval_h1, eval_h2, make_profile,
-                                  omega_of, z_fold)
+from fpu_packets.profiles import (DEFAULT_PROFILE_SPEC, PROFILE_KINDS, NuProfile,
+                                  check_thm2_bound, disjoint_profiles, eval_h1, eval_h2,
+                                  make_profile, omega_of, z_fold)
+
+_ALL_SIGN_PATTERNS = [(t1, t2, t3) for t1 in (1, -1) for t2 in (1, -1) for t3 in (1, -1)]
+
+
+def _eval_h1_reference(profile, grid_size):
+    """(value, min_denominator) of h1 from all 8 sign patterns on the full square.
+
+    The plain sweep eval_h1 must reproduce bit for bit.
+    """
+    block = 256
+    pts = np.linspace(0.0, 1.0, grid_size + 1)
+    nu_pts = profile.nu(pts)
+    om_pts = omega_of(pts)
+    best = -np.inf
+    min_den = np.inf
+    for start in range(0, grid_size + 1, block):
+        x, y = np.meshgrid(pts[start:start + block], pts, indexing="ij")
+        z = z_fold(x, y)
+        nux = nu_pts[start:start + block][:, None]
+        omx = om_pts[start:start + block][:, None]
+        nuz = profile.nu(z)
+        omz = omega_of(z)
+        interior = ~((x == 0.0) & (y == 0.0))
+        for tau in _ALL_SIGN_PATTERNS:
+            num = tau[0] * nux + tau[1] * nu_pts[None, :] + tau[2] * nuz
+            den = tau[0] * omx + tau[1] * om_pts[None, :] + tau[2] * omz
+            ok = interior & (den != 0.0)
+            if not ok.any():
+                continue
+            absden = np.abs(den[ok])
+            min_den = min(min_den, float(absden.min()))
+            best = max(best, float((np.abs(num[ok]) / absden).max()))
+    return best, min_den
+
+
+def _h1_term(profile, grid_size, x, y, tau):
+    """|tau.nu| / |tau.omega| at one grid point, in eval_h1's order of operations."""
+    pts = np.linspace(0.0, 1.0, grid_size + 1)
+    i, j = round(x * grid_size), round(y * grid_size)
+    assert (pts[i], pts[j]) == (x, y)
+    z = z_fold(np.array([x]), np.array([y]))
+    nu_pts, om_pts = profile.nu(pts), omega_of(pts)
+    num = tau[0] * nu_pts[i] + tau[1] * nu_pts[j] + tau[2] * profile.nu(z)[0]
+    den = tau[0] * om_pts[i] + tau[1] * om_pts[j] + tau[2] * omega_of(z)[0]
+    return abs(num) / abs(den)
+
+
+def _assert_h1_matches_reference(profile, grid_size, blocks):
+    value, min_den = _eval_h1_reference(profile, grid_size)
+    for block in blocks:
+        res = eval_h1(profile, grid_size, block)
+        assert res.value == value, (grid_size, block)
+        assert res.min_denominator == min_den, (grid_size, block)
+        assert res.tau in _ALL_SIGN_PATTERNS
+        assert _h1_term(profile, grid_size, res.x, res.y, res.tau) == value
 
 
 def test_z_fold_examples():
@@ -131,3 +188,50 @@ def test_nu_vanishes_at_zero():
         prof = make_profile(spec)
         assert prof.nu(0.0) == 0.0
         assert omega_of(0.0) == 0.0
+
+
+_H1_SPECS = [
+    {"kind": "constant", "value": 1.0},
+    {"kind": "poly_x2", "coeffs": [1.0, 1.0]},
+    {"kind": "cosine", "amplitude": 1.0},
+    DEFAULT_PROFILE_SPEC,
+    {"kind": "linear"},
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("grid_size", [2, 3, 100, 257, 999, 1536])
+@pytest.mark.parametrize("spec", _H1_SPECS, ids=lambda spec: spec["kind"])
+def test_eval_h1_bit_identical_to_full_sweep(spec, grid_size):
+    _assert_h1_matches_reference(make_profile(spec), grid_size, blocks=(1, 7, 256))
+
+
+_BUMP_SPECS = st.builds(
+    lambda lo, width, amplitude: {"kind": "bump", "center": lo + width / 2,
+                                  "width": width, "amplitude": amplitude},
+    lo=st.floats(0.0, 0.5), width=st.floats(0.05, 0.5),
+    amplitude=st.floats(-5.0, 5.0))
+_POLY_SPECS = st.builds(
+    lambda coeffs: {"kind": "poly_x2", "coeffs": coeffs},
+    st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(spec=st.one_of(_BUMP_SPECS, _POLY_SPECS), grid_size=st.integers(2, 60),
+       block=st.integers(1, 70))
+def test_eval_h1_bit_identical_property(spec, grid_size, block):
+    _assert_h1_matches_reference(make_profile(spec), grid_size, blocks=(block,))
+
+
+def test_eval_h1_warns_on_zero_denominator_with_nonzero_numerator():
+    # g = 1/x gives nu(0) = inf * 0 = nan, so on the line x = 0 the pattern
+    # (1, 1, -1) has den = omega(y) - omega(y) = 0 under a nonzero numerator.
+    def g(x):
+        with np.errstate(divide="ignore"):
+            return 1.0 / x
+
+    prof = NuProfile("inverse", {}, c0=np.inf, c2=np.inf, _g=g)
+    with np.errstate(invalid="ignore"), \
+            pytest.warns(RuntimeWarning, match="zero denominator with nonzero numerator"):
+        eval_h1(prof, 8)
