@@ -1,0 +1,52 @@
+"""Golden CSVs: a small seed-7 config of every experiment must reproduce
+`tests/golden/<experiment>.csv` byte for byte.
+
+A change that leaves the random streams alone must keep these files.  A change
+that alters a stream on purpose regenerates them and says so:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from fpu_packets.experiments import run, validate_config
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CONFIGS = {
+    "homological": {"N_list": [15], "beta_list": [50.0, 100.0], "n_samples": 6},
+    "ratio-scaling": {"N_list": [15], "beta_list": [50.0, 100.0, 200.0], "n_samples": 6},
+    "autocorrelation": {"N_list": [15], "beta_list": [50.0, 100.0], "n_samples": 4,
+                        "t_grid": [0.0, 1.0, 2.0, 4.0]},
+    "lemma3-scan": {"N_list": [15, 31], "beta_list": [50.0, 100.0], "n_samples": 8},
+    "chebyshev": {"N_list": [15], "beta_list": [50.0, 100.0], "n_samples": 8},
+    "multi-packet": {"N_list": [15], "beta_list": [100.0], "n_samples": 8, "K": 2},
+    "theorem2-h1": {"grid_sizes": [32, 64]},
+    "sampler-validation": {"n_samples": 20, "moments_N": 16, "slab_samples": 20,
+                           "lemma5_N": [8, 16], "lemma5_samples": 20},
+}
+
+
+def _csv(experiment, out_dir) -> bytes:
+    body = dict(CONFIGS[experiment], experiment=experiment, seed=7)
+    run(validate_config(json.dumps(body)), out_dir)
+    return (Path(out_dir) / f"{experiment}_results.csv").read_bytes()
+
+
+@pytest.mark.parametrize("experiment", sorted(CONFIGS))
+def test_csv_matches_golden(tmp_path, experiment):
+    assert _csv(experiment, tmp_path) == (GOLDEN / f"{experiment}.csv").read_bytes()
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    for name in sorted(CONFIGS):
+        with tempfile.TemporaryDirectory() as tmp:
+            (GOLDEN / f"{name}.csv").write_bytes(_csv(name, tmp))
+        print(f"wrote {GOLDEN / name}.csv", file=sys.stderr)
