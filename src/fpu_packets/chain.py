@@ -145,35 +145,9 @@ def integrate(state: ChainState, params: ChainParams, dt: float, t_final: float,
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
     n_steps = int(np.floor(t_final / dt + 1e-9))
-    snapshots = [(0.0, state.copy())]
-    p = state.p.copy()
-    q = state.q.copy()
-    A = params.A
-    half = 0.5 * dt
-    with np.errstate(over="ignore", invalid="ignore"):
-        f = _force_arrays(q, A, harmonic_only)
-        for step in range(1, n_steps + 1):
-            p_half = p + half * f
-            q = q + dt * p_half
-            f = _force_arrays(q, A, harmonic_only)
-            p = p_half + half * f
-            # one scalar check per step: any nan/inf poisons the dot products
-            if not np.isfinite(p @ p + q @ q):
-                raise BlowupError(step * dt)
-            if step % sample_stride == 0:
-                snapshots.append((step * dt, ChainState(p.copy(), q.copy())))
-    return snapshots
-
-
-def evolve(state: ChainState, params: ChainParams, dt: float, step_targets,
-           harmonic_only: bool = False) -> list[ChainState]:
-    """States at the given step indices (ascending, 0 allowed) of one trajectory.
-
-    Cheaper than integrate() when only a few sample times are needed from a
-    long run, e.g. for autocorrelation grids.
-    """
-    batches = evolve_batch([state], params, dt, step_targets, harmonic_only)
-    return [snap[0] for snap in batches]
+    steps = range(0, n_steps + 1, sample_stride)
+    snaps = evolve_batch([state], params, dt, steps, harmonic_only)
+    return [(step * dt, snap[0]) for step, snap in zip(steps, snaps)]
 
 
 def _batch_forces(q: np.ndarray, A: float, harmonic_only: bool,

@@ -1,5 +1,10 @@
 """Experiment runner: JSON config in, CSV + JSON metadata + PASS/FAIL summary out.
 
+Each experiment is one ExperimentSpec in EXPERIMENTS: its description, the
+config keys its code reads (each with a default and a validator), its CSV
+columns and the function that computes its rows, checks and diagnostics.  A
+config may set `experiment`, `seed` and its experiment's keys, nothing else.
+
 Every experiment's PASS thresholds live in THRESHOLDS, which the acceptance
 test suite imports, so there is a single source of truth.  (config, seed)
 determines every output byte except the timestamps in the metadata file:
@@ -15,9 +20,13 @@ import math
 import subprocess
 import sys
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import count, product
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -62,109 +71,106 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class ExperimentConfig:
-    experiment: str
-    seed: int
-    N_list: list[int]
-    beta_list: list[float]
-    A: float
-    profile: dict
-    n_samples: int
-    dt: float
-    sweeps: int
-    a: float
-    K: int
-    grid_sizes: list[int]
-    profiles: list[dict]
-    divergence_profile: dict
-    kinds: list[str]
-    t_grid: list[float] | None
-    horizon_factor: float
-    persistence_betas: list[float]
-    moments_N: int
-    slab_N: int
-    lemma5_N: list[int]
-    lemma5_samples: int
-    slab_samples: int
-    checks: list[str]
-    raw: dict = field(repr=False, default_factory=dict)
+class ExperimentConfig(SimpleNamespace):
+    """A validated config: `experiment`, `seed`, `raw` (the JSON object as
+    given) and one attribute per key of the experiment's spec, defaults
+    filled in."""
 
 
-_COMMON_KEYS = {"experiment", "seed", "N_list", "beta_list", "A", "profile",
-                "n_samples", "dt", "sweeps"}
+# ------------------------------------------------------------------ validators
+# Each takes a JSON value and returns it normalized, or raises ValueError
+# saying what the value must be.
 
-_EXPERIMENTS: dict[str, dict] = {
-    "homological": {
-        "description": "machine-precision residual of the corrector equation",
-        "extra_keys": set(),
-        "defaults": {"N_list": [31], "beta_list": [100.0], "n_samples": 100,
-                     "profile": {"kind": "constant", "value": 1.0}},
-    },
-    "ratio-scaling": {
-        "description": "drift-to-spread ratio and corrector-size slopes vs beta",
-        "extra_keys": set(),
-        "defaults": {"N_list": [127], "beta_list": [25.0, 50.0, 100.0, 200.0],
-                     "n_samples": 4000, "profile": RATIO_PROFILE_SPEC},
-    },
-    "autocorrelation": {
-        "description": "packet-energy autocorrelation persistence and half-life scaling",
-        "extra_keys": {"t_grid", "horizon_factor", "persistence_betas"},
-        "defaults": {"N_list": [127], "beta_list": [50.0, 100.0, 200.0],
-                     "n_samples": 384, "profile": DEFAULT_PROFILE_SPEC,
-                     "horizon_factor": 6.5, "persistence_betas": [100.0]},
-    },
-    "lemma3-scan": {
-        "description": "normalized variance band over (N, beta) for P_s observables",
-        "extra_keys": {"kinds"},
-        "defaults": {"N_list": [63, 127, 255], "beta_list": [50.0, 100.0, 200.0],
-                     "n_samples": 600, "profile": DEFAULT_PROFILE_SPEC,
-                     "kinds": ["Phi0", "H1", "Phi1"]},
-    },
-    "chebyshev": {
-        "description": "exceedance probability of packet drift vs the Chebyshev bound",
-        "extra_keys": {"a"},
-        "defaults": {"N_list": [127], "beta_list": [50.0, 100.0, 200.0],
-                     "n_samples": 1500, "a": 0.4, "profile": CHEBYSHEV_PROFILE_SPEC},
-    },
-    "multi-packet": {
-        "description": "joint drift and persistence of K disjoint packets",
-        "extra_keys": {"a", "K"},
-        "defaults": {"N_list": [127], "beta_list": [100.0], "n_samples": 400,
-                     "a": 0.4, "K": 4, "profile": DEFAULT_PROFILE_SPEC},
-    },
-    "theorem2-h1": {
-        "description": "h1/(c0+c2) bounded on the admissible family, divergent for g(x)=x",
-        "extra_keys": {"grid_sizes", "profiles", "divergence_profile"},
-        "defaults": {"N_list": [127], "beta_list": [100.0], "n_samples": 2,
-                     "profile": DEFAULT_PROFILE_SPEC,
-                     "grid_sizes": [256, 1024, 2048, 4096],
-                     "profiles": THEOREM2_FAMILY,
-                     "divergence_profile": {"kind": "linear"}},
-    },
-    "sampler-validation": {
-        "description": "constrained-sampler marginals vs quadrature, slab reference, 1/N covariance trend",
-        "extra_keys": {"moments_N", "slab_N", "lemma5_N", "lemma5_samples",
-                       "slab_samples", "checks"},
-        "defaults": {"N_list": [128], "beta_list": [100.0], "n_samples": 10000,
-                     "profile": DEFAULT_PROFILE_SPEC,
-                     "moments_N": 128, "slab_N": 8, "lemma5_N": [64, 256],
-                     "lemma5_samples": 20000, "slab_samples": 8000,
-                     "checks": ["moments", "slab", "lemma5"]},
-    },
-}
+def _real(ok: Callable[[float], bool], what: str):
+    def check(v):
+        if (isinstance(v, bool) or not isinstance(v, (int, float))
+                or not math.isfinite(v) or not ok(v)):
+            raise ValueError(f"must be {what}, got {v!r}")
+        return float(v)
+    return check
 
-_GLOBAL_DEFAULTS = {"A": 1.0, "dt": DEFAULT_DT, "sweeps": 100,
-                    "a": 0.4, "K": 4, "t_grid": None, "horizon_factor": 6.5,
-                    "persistence_betas": [100.0], "grid_sizes": [256, 1024, 2048, 4096],
-                    "profiles": THEOREM2_FAMILY, "divergence_profile": {"kind": "linear"},
-                    "kinds": ["Phi0", "H1", "Phi1"], "moments_N": 128, "slab_N": 8,
-                    "lemma5_N": [64, 256], "lemma5_samples": 20000,
-                    "slab_samples": 8000, "checks": ["moments", "slab", "lemma5"]}
+
+def _int(lo: int, hi: int | None = None):
+    what = f"an integer >= {lo}" if hi is None else f"an integer in {lo}..{hi}"
+
+    def check(v):
+        if (isinstance(v, bool) or not isinstance(v, int) or v < lo
+                or (hi is not None and v > hi)):
+            raise ValueError(f"must be {what}, got {v!r}")
+        return v
+    return check
+
+
+def _one_of(*options: str):
+    def check(v):
+        if v not in options:
+            raise ValueError(f"must be one of {list(options)}, got {v!r}")
+        return v
+    return check
+
+
+def _list(item, distinct: int = 1):
+    """A non-empty list whose entries pass `item`, with at least `distinct`
+    different entries."""
+    def check(v):
+        if not isinstance(v, list) or not v:
+            raise ValueError(f"must be a non-empty list, got {v!r}")
+        out = []
+        for i, x in enumerate(v):
+            try:
+                out.append(item(x))
+            except ValueError as exc:
+                raise ValueError(f"entry {i}: {exc}") from None
+        if distinct > 1 and len(set(out)) < distinct:
+            raise ValueError(f"needs at least {distinct} different entries, got {v!r}")
+        return out
+    return check
+
+
+def _profile(v):
+    make_profile(v)
+    return v
+
+
+def _t_grid(v):
+    if v is None:
+        return None
+    grid = _list(_real(lambda t: t >= 0, "a number >= 0"))(v)
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"must be strictly ascending, got {v!r}")
+    return grid
+
+
+_positive = _real(lambda v: v > 0, "a number > 0")
+_N_LIST = _list(_int(3))
+_BETAS = _list(_positive)
+_COUNT = _int(2)
+
+
+class Key(NamedTuple):
+    default: Any
+    check: Callable[[Any], Any]
+
+
+_A = Key(1.0, _positive)
+_DT = Key(DEFAULT_DT, _positive)
+_DRIFT_EXPONENT = Key(0.4, _real(lambda v: 0.0 <= v <= 0.5, "a number in [0, 1/2]"))
+
+
+@dataclass(frozen=True)
+class ExperimentSpec:
+    """One experiment: the config keys its code reads, its CSV columns, and
+    `compute(cfg, threads) -> (rows, checks, diagnostics)`."""
+
+    description: str
+    keys: dict[str, Key]
+    columns: tuple[str, ...]
+    compute: Callable
 
 
 def validate_config(text: str) -> ExperimentConfig:
-    """Parse and validate a JSON config; unknown keys are errors."""
+    """Parse and validate a JSON config; a key its experiment does not read is
+    an error."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -175,10 +181,10 @@ def validate_config(text: str) -> ExperimentConfig:
     if "experiment" not in data:
         raise ConfigError("missing required field 'experiment'")
     name = data["experiment"]
-    if name not in _EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {name!r}; known: {sorted(_EXPERIMENTS)}")
-    spec = _EXPERIMENTS[name]
-    allowed = _COMMON_KEYS | spec["extra_keys"]
+    if not isinstance(name, str) or name not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {name!r}; known: {sorted(EXPERIMENTS)}")
+    spec = EXPERIMENTS[name]
+    allowed = {"experiment", "seed", *spec.keys}
     unknown = set(data) - allowed
     if unknown:
         raise ConfigError(f"unknown config keys for {name!r}: {sorted(unknown)}; "
@@ -186,124 +192,69 @@ def validate_config(text: str) -> ExperimentConfig:
     if "seed" not in data:
         raise ConfigError("missing required field 'seed' (wall-clock defaults are "
                           "not allowed; reproducibility is mandatory)")
-    merged = dict(_GLOBAL_DEFAULTS)
-    merged.update(spec["defaults"])
-    merged.update(data)
-
-    def _fail(fieldname, why):
-        raise ConfigError(f"field {fieldname!r}: {why}")
-
-    seed = merged["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        _fail("seed", "must be a non-negative integer")
-    n_list = merged["N_list"]
-    if not isinstance(n_list, list) or not n_list:
-        _fail("N_list", "must be a non-empty list")
-    for N in n_list:
-        if not isinstance(N, int) or N < 3:
-            _fail("N_list", f"entries must be integers >= 3, got {N!r}")
-    beta_list = merged["beta_list"]
-    if not isinstance(beta_list, list) or not beta_list:
-        _fail("beta_list", "must be a non-empty list")
-    for b in beta_list:
-        if not isinstance(b, (int, float)) or not b > 0:
-            _fail("beta_list", f"entries must be > 0, got {b!r}")
-    if not merged["A"] > 0:
-        _fail("A", "must be > 0")
-    if not merged["dt"] > 0:
-        _fail("dt", "must be > 0")
-    if not isinstance(merged["n_samples"], int) or merged["n_samples"] < 2:
-        _fail("n_samples", "must be an integer >= 2")
-    if not isinstance(merged["sweeps"], int) or merged["sweeps"] < 1:
-        _fail("sweeps", "must be an integer >= 1")
-    if not 0.0 <= merged["a"] <= 0.5:
-        _fail("a", "must be in [0, 1/2]")
-    if not (isinstance(merged["K"], int) and 1 <= merged["K"] <= 16):
-        _fail("K", "must be an integer in 1..16")
-    grid_sizes = merged["grid_sizes"]
-    if not isinstance(grid_sizes, list) or not grid_sizes:
-        _fail("grid_sizes", "must be a non-empty list")
-    for g in grid_sizes:
-        if not isinstance(g, int) or isinstance(g, bool) or g < 2:
-            _fail("grid_sizes", f"entries must be integers >= 2, got {g!r}")
-    if not isinstance(merged["profiles"], list) or not merged["profiles"]:
-        _fail("profiles", "must be a non-empty list")
-    try:
-        make_profile(merged["profile"])
-        for p in merged["profiles"]:
-            make_profile(p)
-        make_profile(merged["divergence_profile"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    for kind in merged["kinds"]:
-        if kind not in ("Phi0", "H1", "Phi1"):
-            _fail("kinds", f"must be among Phi0/H1/Phi1, got {kind!r}")
-    return ExperimentConfig(
-        experiment=name, seed=seed, N_list=list(n_list),
-        beta_list=[float(b) for b in beta_list], A=float(merged["A"]),
-        profile=merged["profile"], n_samples=merged["n_samples"],
-        dt=float(merged["dt"]), sweeps=merged["sweeps"], a=float(merged["a"]),
-        K=merged["K"], grid_sizes=list(grid_sizes),
-        profiles=list(merged["profiles"]),
-        divergence_profile=merged["divergence_profile"],
-        kinds=list(merged["kinds"]), t_grid=merged["t_grid"],
-        horizon_factor=float(merged["horizon_factor"]),
-        persistence_betas=[float(b) for b in merged["persistence_betas"]],
-        moments_N=merged["moments_N"], slab_N=merged["slab_N"],
-        lemma5_N=list(merged["lemma5_N"]), lemma5_samples=merged["lemma5_samples"],
-        slab_samples=merged["slab_samples"], checks=list(merged["checks"]),
-        raw=data)
+    values = {}
+    for key, (default, check) in {"seed": Key(None, _int(0)), **spec.keys}.items():
+        try:
+            values[key] = check(data.get(key, default))
+        except ValueError as exc:
+            raise ConfigError(f"field {key!r}: {exc}") from None
+    return ExperimentConfig(experiment=name, raw=data, **values)
 
 
-def _cell_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+def _cell_seed(seed: int, index: int) -> np.random.SeedSequence:
+    return np.random.SeedSequence(entropy=seed, spawn_key=(index,))
 
 
-def _pmap(fn, args_list, threads: int):
-    if threads <= 1 or len(args_list) < 2:
-        return [fn(a) for a in args_list]
+def _run_cell(job):
+    cell, cfg, index, point = job
+    return cell(cfg, _cell_seed(cfg.seed, index), *point)
+
+
+def _grid(cell, cfg: ExperimentConfig, threads: int, axes=None) -> list:
+    """`cell(cfg, seed_sequence, *point)` for every point of the product of
+    `axes` (default N_list x beta_list), in order; cell i is seeded by index i,
+    so the results do not depend on `threads`."""
+    axes = (cfg.N_list, cfg.beta_list) if axes is None else axes
+    jobs = [(cell, cfg, i, point) for i, point in enumerate(product(*axes))]
+    if threads <= 1 or len(jobs) < 2:
+        return [_run_cell(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, args_list))
+        return list(pool.map(_run_cell, jobs))
 
 
 # ---------------------------------------------------------------- homological
 
-def _homological_cell(args):
-    N, beta, A, profile_spec, n_samples, seed, idx = args
-    rng = _cell_rng(seed, idx)
-    prof = make_profile(profile_spec)
-    pk = build_phi1_table(prof, N)
-    sampler = GibbsSampler(ChainParams(N=N, A=A, beta=beta), rng)
+def _homological_cell(cfg, seed, N, beta):
+    rng = np.random.default_rng(seed)
+    pk = build_phi1_table(make_profile(cfg.profile), N)
+    sampler = GibbsSampler(ChainParams(N=N, A=cfg.A, beta=beta), rng)
     res = np.array([homological_residual(sampler.sample().state, pk)
-                    for _ in range(n_samples)])
-    return {"N": N, "beta": beta, "n_samples": n_samples,
-            "max_residual": float(res.max()), "mean_residual": float(res.mean()),
-            "min_denominator": pk.min_denominator,
-            "_diag": sampler.diagnostics()}
+                    for _ in range(cfg.n_samples)])
+    row = {"N": N, "beta": beta, "n_samples": cfg.n_samples,
+           "max_residual": float(res.max()), "mean_residual": float(res.mean()),
+           "min_denominator": pk.min_denominator}
+    return row, sampler.diagnostics()
 
 
 def _run_homological(cfg: ExperimentConfig, threads: int):
-    cells = [(N, b, cfg.A, cfg.profile, cfg.n_samples, cfg.seed, i)
-             for i, (N, b) in enumerate((N, b) for N in cfg.N_list for b in cfg.beta_list)]
-    rows = _pmap(_homological_cell, cells, threads)
+    cells = _grid(_homological_cell, cfg, threads)
+    rows = [row for row, _ in cells]
     checks = []
     for r in rows:
         ok = r["max_residual"] <= THRESHOLDS["homological_residual"]
         checks.append((f"homological residual N={r['N']} beta={r['beta']:g} "
                        f"max={r['max_residual']:.3e} <= {THRESHOLDS['homological_residual']:g}",
                        ok))
-    return rows, checks
+    return rows, checks, {f"cell{i}": diag for i, (_, diag) in enumerate(cells)}
 
 
 # --------------------------------------------------------------- ratio-scaling
 
-def _ratio_cell(args):
-    N, beta, A, profile_spec, n_samples, seed, idx = args
-    rng = _cell_rng(seed, idx)
-    prof = make_profile(profile_spec)
-    pk = build_phi1_table(prof, N)
-    res = stats_mod.ratio_theorem1(pk, ChainParams(N=N, A=A, beta=beta), n_samples, rng)
-    return {"N": N, "beta": beta, "n_samples": n_samples,
+def _ratio_cell(cfg, seed, N, beta):
+    pk = build_phi1_table(make_profile(cfg.profile), N)
+    res = stats_mod.ratio_theorem1(pk, ChainParams(N=N, A=cfg.A, beta=beta),
+                                   cfg.n_samples, np.random.default_rng(seed))
+    return {"N": N, "beta": beta, "n_samples": cfg.n_samples,
             "phidot_norm": res.phidot_norm, "phidot_stderr": res.phidot_norm_stderr,
             "sigma_phi": res.sigma_phi, "sigma_phi_stderr": res.sigma_phi_stderr,
             "ratio": res.ratio, "sigma_phi0": res.sigma_phi0,
@@ -311,9 +262,7 @@ def _ratio_cell(args):
 
 
 def _run_ratio(cfg: ExperimentConfig, threads: int):
-    cells = [(N, b, cfg.A, cfg.profile, cfg.n_samples, cfg.seed, i)
-             for i, (N, b) in enumerate((N, b) for N in cfg.N_list for b in cfg.beta_list)]
-    rows = _pmap(_ratio_cell, cells, threads)
+    rows = _grid(_ratio_cell, cfg, threads)
     checks = []
     lo, hi = THRESHOLDS["ratio_slope"]
     lo2, hi2 = THRESHOLDS["phi1_phi0_slope"]
@@ -327,28 +276,26 @@ def _run_ratio(cfg: ExperimentConfig, threads: int):
             s2, se2 = stats_mod.fit_power_law(betas, [r["ratio_phi1_phi0"] for r in sub])
             checks.append((f"sigma_phi1/sigma_phi0 slope N={N}: {s2:.3f}+-{se2:.3f} "
                            f"in [{lo2}, {hi2}]", lo2 <= s2 <= hi2))
-    return rows, checks
+    return rows, checks, {}
 
 
 # -------------------------------------------------------------- autocorrelation
 
-def _autocorr_cell(args):
-    N, beta, A, profile_spec, n_samples, dt, horizon_factor, t_grid, seed, idx = args
-    rng = _cell_rng(seed, idx)
-    prof = make_profile(profile_spec)
-    pk = build_phi1_table(prof, N)
-    sampler = GibbsSampler(ChainParams(N=N, A=A, beta=beta), rng)
-    states = sampler.sample_states(n_samples)
-    if t_grid is not None:
-        grid = np.asarray(t_grid, dtype=float)
+def _autocorr_cell(cfg, seed, N, beta):
+    rng = np.random.default_rng(seed)
+    pk = build_phi1_table(make_profile(cfg.profile), N)
+    sampler = GibbsSampler(ChainParams(N=N, A=cfg.A, beta=beta), rng)
+    states = sampler.sample_states(cfg.n_samples)
+    if cfg.t_grid is not None:
+        grid = np.asarray(cfg.t_grid, dtype=float)
         horizon = float(grid.max())
     else:
-        horizon = horizon_factor * beta
+        horizon = cfg.horizon_factor * beta
         near = np.linspace(0.0, min(beta, horizon), 11)
         far = np.linspace(min(beta, horizon), horizon, 18)[1:]
         grid = np.unique(np.concatenate([near, far]))
     curve = stats_mod.autocorrelation(lambda s: packet_mod.phi0(s, pk), states,
-                                      ChainParams(N=N, A=A, beta=beta), dt, grid)
+                                      ChainParams(N=N, A=cfg.A, beta=beta), cfg.dt, grid)
     t_half, t_half_se = stats_mod.half_life_jackknife(curve)
     rows = [{"N": N, "beta": beta, "t": float(t), "corr": float(c),
              "corr_stderr": float(se), "corr_normalized": float(v),
@@ -357,14 +304,11 @@ def _autocorr_cell(args):
                                        curve.normalized, curve.normalized_stderrs)]
     return {"rows": rows, "N": N, "beta": beta, "horizon": horizon,
             "t_half": t_half, "t_half_stderr": t_half_se,
-            "_diag": sampler.diagnostics()}
+            "diag": sampler.diagnostics()}
 
 
 def _run_autocorr(cfg: ExperimentConfig, threads: int):
-    cells = [(N, b, cfg.A, cfg.profile, cfg.n_samples, cfg.dt, cfg.horizon_factor,
-              cfg.t_grid, cfg.seed, i)
-             for i, (N, b) in enumerate((N, b) for N in cfg.N_list for b in cfg.beta_list)]
-    results = _pmap(_autocorr_cell, cells, threads)
+    results = _grid(_autocorr_cell, cfg, threads)
     rows = [r for res in results for r in res["rows"]]
     checks = []
     level = THRESHOLDS["persistence_level"]
@@ -404,33 +348,21 @@ def _run_autocorr(cfg: ExperimentConfig, threads: int):
             checks.append((f"half-life ratio N={N}: {th_hi:.1f}/{th_lo:.1f} = "
                            f"{ratio:.2f}+-{se_ratio:.2f} >= {target}", ok))
     diags = {f"N={r['N']},beta={r['beta']:g}":
-             {"t_half": r["t_half"], "t_half_stderr": r["t_half_stderr"], **r["_diag"]}
+             {"t_half": r["t_half"], "t_half_stderr": r["t_half_stderr"], **r["diag"]}
              for r in results}
     return rows, checks, diags
 
 
 # ------------------------------------------------------------------ lemma3-scan
 
-def _lemma3_cell(args):
-    kind, N, beta, A, profile_spec, n_samples, seed, idx = args
-    prof = make_profile(profile_spec) if kind != "H1" else None
+def _lemma3_cell(cfg, seed, kind, N, beta):
+    prof = make_profile(cfg.profile) if kind != "H1" else None
     fn = make_ps_test(kind, prof, N)
-    rows = stats_mod.lemma3_scan(fn, [N], [beta], n_samples,
-                                 seed=np.random.SeedSequence(entropy=seed, spawn_key=(idx,)),
-                                 A=A)
-    return rows[0]
+    return stats_mod.lemma3_scan(fn, [N], [beta], cfg.n_samples, seed=seed, A=cfg.A)[0]
 
 
 def _run_lemma3(cfg: ExperimentConfig, threads: int):
-    cells = []
-    idx = 0
-    for kind in cfg.kinds:
-        for N in cfg.N_list:
-            for beta in cfg.beta_list:
-                cells.append((kind, N, beta, cfg.A, cfg.profile, cfg.n_samples,
-                              cfg.seed, idx))
-                idx += 1
-    rows = _pmap(_lemma3_cell, cells, threads)
+    rows = _grid(_lemma3_cell, cfg, threads, axes=(cfg.kinds, cfg.N_list, cfg.beta_list))
     checks = []
     band = THRESHOLDS["lemma3_band"]
     for kind in cfg.kinds:
@@ -438,24 +370,20 @@ def _run_lemma3(cfg: ExperimentConfig, threads: int):
         spread = max(vals) / min(vals) if min(vals) > 0 else math.inf
         checks.append((f"lemma3 band {kind}: max/min = {spread:.2f} <= {band}",
                        spread <= band))
-    return rows, checks
+    return rows, checks, {}
 
 
 # ------------------------------------------------------------------- chebyshev
 
-def _chebyshev_cell(args):
-    N, beta, A, a, profile_spec, n_samples, dt, seed, idx = args
-    rng = _cell_rng(seed, idx)
-    prof = make_profile(profile_spec)
-    pk = build_phi1_table(prof, N)
-    return stats_mod.chebyshev_experiment(pk, ChainParams(N=N, A=A, beta=beta),
-                                          a, n_samples, rng, dt=dt)
+def _chebyshev_cell(cfg, seed, N, beta):
+    pk = build_phi1_table(make_profile(cfg.profile), N)
+    return stats_mod.chebyshev_experiment(pk, ChainParams(N=N, A=cfg.A, beta=beta),
+                                          cfg.a, cfg.n_samples,
+                                          np.random.default_rng(seed), dt=cfg.dt)
 
 
 def _run_chebyshev(cfg: ExperimentConfig, threads: int):
-    cells = [(N, b, cfg.A, cfg.a, cfg.profile, cfg.n_samples, cfg.dt, cfg.seed, i)
-             for i, (N, b) in enumerate((N, b) for N in cfg.N_list for b in cfg.beta_list)]
-    rows = _pmap(_chebyshev_cell, cells, threads)
+    rows = _grid(_chebyshev_cell, cfg, threads)
     checks = []
     z = THRESHOLDS["cheb_z"]
     for r in rows:
@@ -473,23 +401,20 @@ def _run_chebyshev(cfg: ExperimentConfig, threads: int):
                            f"P(beta={nxt['beta']:g}) = {nxt['empirical_prob']:.4f} <= "
                            f"P(beta={prev['beta']:g}) = {prev['empirical_prob']:.4f} "
                            f"(+{slack:.4f})", ok))
-    return rows, checks
+    return rows, checks, {}
 
 
 # ----------------------------------------------------------------- multi-packet
 
-def _multipacket_cell(args):
-    N, beta, A, a, K, n_samples, dt, seed, idx = args
-    rng = _cell_rng(seed, idx)
-    packs = [build_phi1_table(p, N) for p in profiles_mod.disjoint_profiles(K)]
-    return stats_mod.multi_packet_experiment(packs, ChainParams(N=N, A=A, beta=beta),
-                                             a, n_samples, rng, dt=dt)
+def _multipacket_cell(cfg, seed, N, beta):
+    packs = [build_phi1_table(p, N) for p in profiles_mod.disjoint_profiles(cfg.K)]
+    return stats_mod.multi_packet_experiment(packs, ChainParams(N=N, A=cfg.A, beta=beta),
+                                             cfg.a, cfg.n_samples,
+                                             np.random.default_rng(seed), dt=cfg.dt)
 
 
 def _run_multipacket(cfg: ExperimentConfig, threads: int):
-    cells = [(N, b, cfg.A, cfg.a, cfg.K, cfg.n_samples, cfg.dt, cfg.seed, i)
-             for i, (N, b) in enumerate((N, b) for N in cfg.N_list for b in cfg.beta_list)]
-    results = _pmap(_multipacket_cell, cells, threads)
+    results = _grid(_multipacket_cell, cfg, threads)
     rows = []
     checks = []
     level = THRESHOLDS["persistence_level"]
@@ -512,7 +437,7 @@ def _run_multipacket(cfg: ExperimentConfig, threads: int):
         checks.append((f"all {res['K']} packets persist at t=beta/4, "
                        f"N={res['N']} beta={res['beta']:g}: min C/C0 = {worst:.3f} "
                        f">= {level}", worst >= level))
-    return rows, checks
+    return rows, checks, {}
 
 
 # ------------------------------------------------------------------ theorem2-h1
@@ -569,15 +494,15 @@ def _run_sampler_validation(cfg: ExperimentConfig, threads: int):
     checks = []
     diags = {}
     zmax = THRESHOLDS["moment_z"]
-    idx = 0
+    # streams are numbered in the order the enabled checks take them
+    rngs = (np.random.default_rng(_cell_seed(cfg.seed, i)) for i in count())
     if "moments" in cfg.checks:
         N = cfg.moments_N
         beta = cfg.beta_list[0]
         params = ChainParams(N=N, A=cfg.A, beta=beta)
-        rng = _cell_rng(cfg.seed, idx); idx += 1
         theta = solve_theta(beta, cfg.A)
         td = make_tilted_density(beta, cfg.A, theta)
-        sampler = GibbsSampler(params, rng)
+        sampler = GibbsSampler(params, next(rngs))
         site = np.empty((cfg.n_samples, 4))
         worst_sum = 0.0
         for i in range(cfg.n_samples):
@@ -610,15 +535,13 @@ def _run_sampler_validation(cfg: ExperimentConfig, threads: int):
         N = cfg.slab_N
         beta = cfg.beta_list[0]
         params = ChainParams(N=N, A=cfg.A, beta=beta)
-        rng = _cell_rng(cfg.seed, idx); idx += 1
-        sampler = GibbsSampler(params, rng)
+        sampler = GibbsSampler(params, next(rngs))
         mc = np.empty((cfg.slab_samples, 5))
         for i in range(cfg.slab_samples):
             sampler.sweep(sampler.stride)
             r0 = sampler.r[0]
             mc[i] = [r0, r0**2, r0**3, r0**4, r0 * sampler.r[1]]
-        ref = slab_rejection_bonds(_cell_rng(cfg.seed, idx), params, cfg.slab_samples)
-        idx += 1
+        ref = slab_rejection_bonds(next(rngs), params, cfg.slab_samples)
         ref_cols = [ref[:, 0] ** n for n in range(1, 5)] + [ref[:, 0] * ref[:, 1]]
         labels = [f"<r^{n}>" for n in range(1, 5)] + ["<r0 r1>"]
         for col, (mc_col, lab) in enumerate(zip(mc.T, labels)):
@@ -637,8 +560,7 @@ def _run_sampler_validation(cfg: ExperimentConfig, threads: int):
         covs = {}
         for N in cfg.lemma5_N:
             params = ChainParams(N=N, A=cfg.A, beta=beta)
-            rng = _cell_rng(cfg.seed, idx); idx += 1
-            cov, se = _disjoint_pair_covariance(rng, params, cfg.lemma5_samples)
+            cov, se = _disjoint_pair_covariance(next(rngs), params, cfg.lemma5_samples)
             covs[N] = (cov, se)
             rows.append({"check": "lemma5", "N": N, "beta": beta,
                          "quantity": "disjoint-site cov", "value": cov,
@@ -671,38 +593,88 @@ def _disjoint_pair_covariance(rng, params: ChainParams, n_samples: int
     return est.mean, est.stderr_mean
 
 
-_RUNNERS = {
-    "homological": _run_homological,
-    "ratio-scaling": _run_ratio,
-    "autocorrelation": _run_autocorr,
-    "lemma3-scan": _run_lemma3,
-    "chebyshev": _run_chebyshev,
-    "multi-packet": _run_multipacket,
-    "theorem2-h1": _run_theorem2,
-    "sampler-validation": _run_sampler_validation,
+# -------------------------------------------------------------------- registry
+
+EXPERIMENTS: dict[str, ExperimentSpec] = {
+    "homological": ExperimentSpec(
+        "machine-precision residual of the corrector equation",
+        {"N_list": Key([31], _N_LIST), "beta_list": Key([100.0], _BETAS), "A": _A,
+         "n_samples": Key(100, _COUNT),
+         "profile": Key({"kind": "constant", "value": 1.0}, _profile)},
+        ("N", "beta", "n_samples", "max_residual", "mean_residual", "min_denominator"),
+        _run_homological),
+    "ratio-scaling": ExperimentSpec(
+        "drift-to-spread ratio and corrector-size slopes vs beta",
+        {"N_list": Key([127], _N_LIST),
+         "beta_list": Key([25.0, 50.0, 100.0, 200.0], _BETAS), "A": _A,
+         "n_samples": Key(4000, _COUNT), "profile": Key(RATIO_PROFILE_SPEC, _profile)},
+        ("N", "beta", "n_samples", "phidot_norm", "phidot_stderr", "sigma_phi",
+         "sigma_phi_stderr", "ratio", "sigma_phi0", "sigma_phi1", "ratio_phi1_phi0"),
+        _run_ratio),
+    "autocorrelation": ExperimentSpec(
+        "packet-energy autocorrelation persistence and half-life scaling",
+        {"N_list": Key([127], _N_LIST), "beta_list": Key([50.0, 100.0, 200.0], _BETAS),
+         "A": _A, "n_samples": Key(384, _int(3)),
+         "profile": Key(DEFAULT_PROFILE_SPEC, _profile), "dt": _DT,
+         "t_grid": Key(None, _t_grid), "horizon_factor": Key(6.5, _positive),
+         "persistence_betas": Key([100.0], _list(_positive))},
+        ("N", "beta", "t", "corr", "corr_stderr", "corr_normalized",
+         "corr_normalized_stderr", "sigma2"),
+        _run_autocorr),
+    "lemma3-scan": ExperimentSpec(
+        "normalized variance band over (N, beta) for P_s observables",
+        {"N_list": Key([63, 127, 255], _N_LIST),
+         "beta_list": Key([50.0, 100.0, 200.0], _BETAS), "A": _A,
+         "n_samples": Key(600, _COUNT), "profile": Key(DEFAULT_PROFILE_SPEC, _profile),
+         "kinds": Key(["Phi0", "H1", "Phi1"], _list(_one_of("Phi0", "H1", "Phi1")))},
+        ("kind", "s", "N", "beta", "n_samples", "variance", "variance_stderr",
+         "plus_norm", "normalized", "normalized_stderr"),
+        _run_lemma3),
+    "chebyshev": ExperimentSpec(
+        "exceedance probability of packet drift vs the Chebyshev bound",
+        {"N_list": Key([127], _N_LIST), "beta_list": Key([50.0, 100.0, 200.0], _BETAS),
+         "A": _A, "n_samples": Key(1500, _COUNT),
+         "profile": Key(CHEBYSHEV_PROFILE_SPEC, _profile), "dt": _DT, "a": _DRIFT_EXPONENT},
+        ("N", "beta", "a", "t", "threshold", "n_samples", "empirical_prob",
+         "prob_stderr", "chebyshev_bound", "bound_stderr", "increment_variance",
+         "sigma_phi0"),
+        _run_chebyshev),
+    "multi-packet": ExperimentSpec(
+        "joint drift and persistence of K disjoint packets",
+        {"N_list": Key([127], _N_LIST), "beta_list": Key([100.0], _BETAS), "A": _A,
+         "n_samples": Key(400, _COUNT), "dt": _DT, "a": _DRIFT_EXPONENT,
+         "K": Key(4, _int(1, 16))},
+        ("N", "beta", "a", "K", "packet", "exceed_rate", "exceed_stderr",
+         "joint_rate", "joint_stderr", "sum_individual", "corr_quarter_beta"),
+        _run_multipacket),
+    "theorem2-h1": ExperimentSpec(
+        "h1/(c0+c2) bounded on the admissible family, divergent for g(x)=x",
+        {"grid_sizes": Key([256, 1024, 2048, 4096], _list(_int(2), distinct=2)),
+         "profiles": Key(THEOREM2_FAMILY, _list(_profile)),
+         "divergence_profile": Key({"kind": "linear"}, _profile)},
+        ("profile", "admissible", "grid", "h1", "c0", "c2", "ratio", "min_denominator"),
+        _run_theorem2),
+    "sampler-validation": ExperimentSpec(
+        "constrained-sampler marginals vs quadrature, slab reference, 1/N covariance trend",
+        {"beta_list": Key([100.0], _BETAS), "A": _A, "n_samples": Key(10000, _COUNT),
+         "moments_N": Key(128, _int(3)), "slab_N": Key(8, _int(3)),
+         "lemma5_N": Key([64, 256], _list(_int(3), distinct=2)),
+         "lemma5_samples": Key(20000, _COUNT), "slab_samples": Key(8000, _COUNT),
+         "checks": Key(["moments", "slab", "lemma5"],
+                       _list(_one_of("moments", "slab", "lemma5")))},
+        ("check", "N", "beta", "quantity", "value", "stderr", "reference", "z"),
+        _run_sampler_validation),
 }
 
-EXPERIMENT_SCHEMAS = {
-    "homological": ["N", "beta", "n_samples", "max_residual", "mean_residual",
-                    "min_denominator"],
-    "ratio-scaling": ["N", "beta", "n_samples", "phidot_norm", "phidot_stderr",
-                      "sigma_phi", "sigma_phi_stderr", "ratio", "sigma_phi0",
-                      "sigma_phi1", "ratio_phi1_phi0"],
-    "autocorrelation": ["N", "beta", "t", "corr", "corr_stderr", "corr_normalized",
-                        "corr_normalized_stderr", "sigma2"],
-    "lemma3-scan": ["kind", "s", "N", "beta", "n_samples", "variance",
-                    "variance_stderr", "plus_norm", "normalized", "normalized_stderr"],
-    "chebyshev": ["N", "beta", "a", "t", "threshold", "n_samples", "empirical_prob",
-                  "prob_stderr", "chebyshev_bound", "bound_stderr",
-                  "increment_variance", "sigma_phi0"],
-    "multi-packet": ["N", "beta", "a", "K", "packet", "exceed_rate", "exceed_stderr",
-                     "joint_rate", "joint_stderr", "sum_individual",
-                     "corr_quarter_beta"],
-    "theorem2-h1": ["profile", "admissible", "grid", "h1", "c0", "c2", "ratio",
-                    "min_denominator"],
-    "sampler-validation": ["check", "N", "beta", "quantity", "value", "stderr",
-                           "reference", "z"],
-}
+
+def experiment_schema() -> dict:
+    """Per experiment: description, accepted config keys, their defaults and the
+    CSV columns.  `list-experiments` prints this, and csv_schema.json is it."""
+    return {name: {"description": spec.description,
+                   "config_keys": sorted({"experiment", "seed", *spec.keys}),
+                   "defaults": {key: k.default for key, k in spec.keys.items()},
+                   "csv_columns": list(spec.columns)}
+            for name, spec in EXPERIMENTS.items()}
 
 
 def _format_cell(v) -> str:
@@ -715,7 +687,7 @@ def _format_cell(v) -> str:
     return out
 
 
-def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
+def _write_csv(path: Path, columns, rows: list[dict]) -> None:
     lines = [",".join(columns)]
     for r in rows:
         lines.append(",".join(_format_cell(r.get(c, "")) for c in columns))
@@ -739,28 +711,21 @@ def run(cfg: ExperimentConfig, out_dir: str | Path, threads: int = 1) -> int:
 
     Returns 0 when every check passes, 1 otherwise.
     """
+    spec = EXPERIMENTS[cfg.experiment]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
-    result = _RUNNERS[cfg.experiment](cfg, threads)
-    if len(result) == 2:
-        rows, checks = result
-        diags = {}
-    else:
-        rows, checks, diags = result
+    rows, checks, diags = spec.compute(cfg, threads)
     wall = time.time() - t0
     base = cfg.experiment
-    _write_csv(out / f"{base}_results.csv", EXPERIMENT_SCHEMAS[cfg.experiment],
-               [{k: v for k, v in r.items() if not k.startswith("_")} for r in rows])
-    cell_diags = {f"cell{i}": r["_diag"] for i, r in enumerate(rows) if "_diag" in r}
-    if cell_diags:
-        diags = {**diags, **cell_diags}
-    tilted = {}
-    for beta in cfg.beta_list:
-        theta = solve_theta(beta, cfg.A)
-        td = make_tilted_density(beta, cfg.A, theta)
-        tilted[f"beta={beta:g}"] = {"theta": theta, "q_theta": td.q_gamma}
-    diags = {**diags, "tilted_density": tilted}
+    _write_csv(out / f"{base}_results.csv", spec.columns, rows)
+    if "beta_list" in spec.keys:    # the experiment samples the Gibbs measure
+        tilted = {}
+        for beta in cfg.beta_list:
+            theta = solve_theta(beta, cfg.A)
+            td = make_tilted_density(beta, cfg.A, theta)
+            tilted[f"beta={beta:g}"] = {"theta": theta, "q_theta": td.q_gamma}
+        diags = {**diags, "tilted_density": tilted}
     metadata = {
         "experiment": cfg.experiment,
         "config": cfg.raw,
@@ -785,14 +750,12 @@ def run(cfg: ExperimentConfig, out_dir: str | Path, threads: int = 1) -> int:
 
 
 def list_experiments() -> str:
-    lines = []
-    for name, spec in _EXPERIMENTS.items():
-        lines.append(f"{name}: {spec['description']}")
-        defaults = {**{k: v for k, v in _GLOBAL_DEFAULTS.items()
-                       if k in _COMMON_KEYS | spec["extra_keys"]},
-                    **spec["defaults"]}
-        lines.append(f"  defaults: {json.dumps(defaults, sort_keys=True)}")
-        lines.append(f"  csv columns: {', '.join(EXPERIMENT_SCHEMAS[name])}")
+    lines = ['Every config sets "experiment" and "seed"; an experiment accepts '
+             'only the keys listed under it.']
+    for name, entry in experiment_schema().items():
+        lines.append(f"{name}: {entry['description']}")
+        lines.append(f"  keys and defaults: {json.dumps(entry['defaults'], sort_keys=True)}")
+        lines.append(f"  csv columns: {', '.join(entry['csv_columns'])}")
     return "\n".join(lines)
 
 
@@ -807,7 +770,8 @@ def main(argv=None) -> int:
     p_run.add_argument("--threads", type=int, default=1)
     p_val = sub.add_parser("validate", help="validate a JSON config")
     p_val.add_argument("config", type=Path)
-    sub.add_parser("list-experiments", help="list experiments, defaults and schemas")
+    sub.add_parser("list-experiments",
+                   help="list experiments, their keys, defaults and schemas")
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_help()

@@ -176,10 +176,6 @@ def phi1(state: ChainState, packet: PacketObservable, imag_tol: float = 1e-10) -
     return float(val.real)
 
 
-def phi_total(state: ChainState, packet: PacketObservable) -> float:
-    return phi0(state, packet) + phi1(state, packet)
-
-
 @dataclass
 class PhaseGradient:
     """Gradient of a phase-space function in particle coordinates."""

@@ -35,21 +35,13 @@ def _transform_matrix(n: int) -> np.ndarray:
     return m
 
 
-def sine_transform(v: np.ndarray, fast: bool = False) -> np.ndarray:
-    """Apply the orthogonal sine transform (its own inverse).
-
-    The default path is the explicit O(N^2) matrix product, which defines
-    correctness.  fast=True routes through scipy's DST-I, agreeing with the
-    slow path to ~1e-13.
-    """
+def sine_transform(v: np.ndarray) -> np.ndarray:
+    """Apply the orthogonal sine transform (its own inverse) as the explicit
+    O(N^2) matrix product."""
     v = np.asarray(v, dtype=float)
     n = v.shape[-1]
     if n < 1:
         raise ValueError("empty vector")
-    if fast:
-        from scipy.fft import dst
-
-        return dst(v, type=1, norm="ortho")
     return v @ _transform_matrix(n)
 
 
@@ -62,10 +54,10 @@ class SpectralState:
     omega: np.ndarray
 
 
-def to_modes(state: ChainState, fast: bool = False) -> SpectralState:
+def to_modes(state: ChainState) -> SpectralState:
     return SpectralState(
-        p_hat=sine_transform(state.p, fast=fast),
-        q_hat=sine_transform(state.q, fast=fast),
+        p_hat=sine_transform(state.p),
+        q_hat=sine_transform(state.q),
         omega=frequencies(state.n),
     )
 

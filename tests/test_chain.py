@@ -162,5 +162,5 @@ def test_evolve_batch_matches_stepper():
             cur = step_verlet(cur, params, 0.02)
             reached[step] = cur
         for m, target in enumerate((0, 37, 100)):
-            assert np.allclose(batch[m][i].q, reached[target].q, rtol=0, atol=1e-13)
-            assert np.allclose(batch[m][i].p, reached[target].p, rtol=0, atol=1e-13)
+            assert np.array_equal(batch[m][i].q, reached[target].q)
+            assert np.array_equal(batch[m][i].p, reached[target].p)

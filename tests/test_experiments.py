@@ -3,9 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from fpu_packets.experiments import (EXPERIMENT_SCHEMAS, _COMMON_KEYS, _EXPERIMENTS,
-                                     _GLOBAL_DEFAULTS, ConfigError, main, run,
-                                     validate_config)
+from fpu_packets.experiments import (EXPERIMENTS, ConfigError, experiment_schema, main,
+                                     run, validate_config)
 
 MINIMAL = {"experiment": "homological", "seed": 1, "N_list": [15],
            "beta_list": [100.0], "n_samples": 5}
@@ -15,8 +14,9 @@ def test_validate_minimal_fills_defaults():
     cfg = validate_config(json.dumps(MINIMAL))
     assert cfg.experiment == "homological"
     assert cfg.A == 1.0
-    assert cfg.dt == 0.02
     assert cfg.profile == {"kind": "constant", "value": 1.0}
+    cfg = validate_config(json.dumps({"experiment": "autocorrelation", "seed": 1}))
+    assert cfg.dt == 0.02
 
 
 def test_validate_missing_seed():
@@ -35,6 +35,54 @@ def test_validate_unknown_key():
     body = dict(MINIMAL, betas=[1.0])
     with pytest.raises(ConfigError, match="betas"):
         validate_config(json.dumps(body))
+
+
+@pytest.mark.parametrize("experiment, key", [
+    ("homological", "sweeps"), ("autocorrelation", "sweeps"), ("homological", "dt"),
+    ("multi-packet", "profile"), ("sampler-validation", "N_list"),
+    ("theorem2-h1", "n_samples"),
+])
+def test_validate_rejects_keys_the_experiment_does_not_read(experiment, key):
+    body = {"experiment": experiment, "seed": 1, key: 1}
+    with pytest.raises(ConfigError, match=f"unknown config keys .*'{key}'"):
+        validate_config(json.dumps(body))
+
+
+def _exit_codes(tmp_path, body):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(body))
+    return (main(["validate", str(path)]),
+            main(["run", str(path), "--out", str(tmp_path / "out")]))
+
+
+@pytest.mark.parametrize("experiment, key", [
+    (name, key) for name, spec in EXPERIMENTS.items() for key in ("seed", *spec.keys)])
+def test_every_key_is_validated(tmp_path, experiment, key):
+    body = {"experiment": experiment, "seed": 1, key: "x"}
+    with pytest.raises(ConfigError, match=f"field '{key}'"):
+        validate_config(json.dumps(body))
+    assert _exit_codes(tmp_path, body) == (2, 2)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment, key, value", [
+    ("autocorrelation", "persistence_betas", "ab"),
+    ("lemma3-scan", "kinds", 5),
+    ("sampler-validation", "moments_N", "x"),
+    # each of these can only pass or only fail, whatever the program computes
+    ("sampler-validation", "checks", ["bogus"]),
+    ("lemma3-scan", "kinds", []),
+    ("sampler-validation", "lemma5_N", [64]),
+    ("sampler-validation", "lemma5_N", [64, 64]),
+    ("theorem2-h1", "grid_sizes", [300]),
+    ("autocorrelation", "t_grid", [0.0, 2.0, 1.0]),
+    ("autocorrelation", "n_samples", 2),
+])
+def test_rejects_bad_or_vacuous_values(tmp_path, experiment, key, value):
+    body = {"experiment": experiment, "seed": 1, key: value}
+    with pytest.raises(ConfigError, match=f"field '{key}'"):
+        validate_config(json.dumps(body))
+    assert _exit_codes(tmp_path, body) == (2, 2)
 
 
 def test_validate_unknown_profile_kind_lists_registry():
@@ -140,16 +188,10 @@ def test_run_autocorrelation_custom_grid(tmp_path):
 
 
 def test_schema_file_matches_code():
+    # the file is json.dumps(experiment_schema(), indent=2, sort_keys=True) plus "\n"
     repo_root = Path(__file__).resolve().parents[1]
     shipped = json.loads((repo_root / "csv_schema.json").read_text())
-    assert set(shipped) == set(EXPERIMENT_SCHEMAS)
-    for name, spec in _EXPERIMENTS.items():
-        assert shipped[name]["csv_columns"] == EXPERIMENT_SCHEMAS[name]
-        defaults = {**{k: v for k, v in _GLOBAL_DEFAULTS.items()
-                       if k in _COMMON_KEYS | spec["extra_keys"]},
-                    **spec["defaults"]}
-        assert shipped[name]["defaults"] == defaults
-        assert shipped[name]["config_keys"] == sorted(_COMMON_KEYS | spec["extra_keys"])
+    assert shipped == experiment_schema()
 
 
 def test_example_configs_validate():

@@ -20,13 +20,6 @@ def test_single_site_identity():
     assert sine_transform(np.array([3.5]))[0] == pytest.approx(3.5, rel=1e-15)
 
 
-def test_fast_path_agrees_with_slow():
-    rng = np.random.default_rng(8)
-    for N in (5, 64, 255):
-        v = rng.normal(size=N)
-        assert np.abs(sine_transform(v, fast=True) - sine_transform(v)).max() < 1e-12
-
-
 def test_frequencies_values():
     om = frequencies(99)
     assert om[0] == pytest.approx(2 * np.sin(np.pi / 200), rel=1e-15)
