@@ -83,10 +83,13 @@ class ExperimentConfig(SimpleNamespace):
 
 def _real(ok: Callable[[float], bool], what: str):
     def check(v):
-        if (isinstance(v, bool) or not isinstance(v, (int, float))
-                or not math.isfinite(v) or not ok(v)):
+        try:
+            x = math.nan if isinstance(v, bool) or not isinstance(v, (int, float)) else float(v)
+        except OverflowError:    # an integer beyond the float range
+            x = math.inf
+        if not (math.isfinite(x) and ok(x)):
             raise ValueError(f"must be {what}, got {v!r}")
-        return float(v)
+        return x
     return check
 
 

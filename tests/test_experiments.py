@@ -66,15 +66,19 @@ def test_every_key_is_validated(tmp_path, experiment, key):
 
 
 @pytest.mark.parametrize("experiment, key, value", [
+    # badly typed, or beyond the float range
     ("autocorrelation", "persistence_betas", "ab"),
     ("lemma3-scan", "kinds", 5),
     ("sampler-validation", "moments_N", "x"),
-    # each of these can only pass or only fail, whatever the program computes
+    ("homological", "A", 10**400),
+    ("chebyshev", "dt", float("inf")),
+    # the checks could only pass or only fail, whatever the program computes
     ("sampler-validation", "checks", ["bogus"]),
     ("lemma3-scan", "kinds", []),
     ("sampler-validation", "lemma5_N", [64]),
     ("sampler-validation", "lemma5_N", [64, 64]),
     ("theorem2-h1", "grid_sizes", [300]),
+    # values the estimators refuse only once run() has started
     ("autocorrelation", "t_grid", [0.0, 2.0, 1.0]),
     ("autocorrelation", "n_samples", 2),
 ])
