@@ -28,7 +28,8 @@ from . import spectral
 from .chain import ChainParams, ChainState, bond_extensions
 from .profiles import NuProfile
 
-# all 8 sign patterns, fixed order; conjugation symmetry maps row t to row 7-t
+# all 8 sign patterns, fixed order; conjugation symmetry maps row t to row 7-t,
+# and rows 0..3 are the patterns with tau1 = +1
 TAU_PATTERNS = np.array([[t1, t2, t3]
                          for t1 in (1, -1) for t2 in (1, -1) for t3 in (1, -1)])
 _TAU_PROD = TAU_PATTERNS.prod(axis=1).astype(float)          # tau1*tau2*tau3
@@ -60,6 +61,10 @@ class PacketObservable:
     pattern TAU_PATTERNS[m] on triple t, such that
     Phi1 = Re[(i / sqrt(N+1)) * sum_{t,m} coeffs[t,m] * Xi^3].
     Immutable after construction and safe to share across workers.
+
+    paired says whether coeffs[:, 7-m] == -coeffs[:, m] holds bit for bit
+    (tau -> -tau flips the signs of tau.nu, tau.omega and tau1*tau2*tau3).
+    phi1 and its gradient sum patterns 0..3 only and refuse an unpaired table.
     """
 
     N: int
@@ -75,6 +80,11 @@ class PacketObservable:
     ratios: np.ndarray
     coeffs: np.ndarray
     min_denominator: float
+    paired: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "paired",
+                           bool(np.array_equal(self.coeffs[:, ::-1], -self.coeffs)))
 
     @property
     def n_triples(self) -> int:
@@ -149,30 +159,38 @@ def phi0(state: ChainState, packet: PacketObservable) -> float:
     return float(packet.nu_k @ spectral.actions(state))
 
 
-def phi1(state: ChainState, packet: PacketObservable, imag_tol: float = 1e-10) -> float:
+def _legs(state: ChainState, packet: PacketObservable):
+    """xi at the three legs of every triple; eta there is the conjugate."""
+    if not packet.paired:
+        raise PacketError("corrector table breaks the conjugate pairing "
+                          "coeffs[:, 7-m] == -coeffs[:, m]")
+    xi = spectral.to_complex(state)
+    return xi[packet.k1 - 1], xi[packet.k2 - 1], xi[packet.k3 - 1]
+
+
+def phi1(state: ChainState, packet: PacketObservable) -> float:
     """Evaluate the corrector by direct summation over the stored triples.
 
-    The result is real by conjugation symmetry of the table; the imaginary
-    residue is checked against imag_tol and discarded.
+    Pattern 7-m has the conjugate monomial and the opposite coefficient of
+    pattern m, so its term is -conj(term_m), exactly.  Only patterns 0..3 are
+    summed; the eight terms are added in pattern order, which gives the bits
+    of the full 8-pattern sum, and the real part is Phi1.  A table without
+    that pairing raises PacketError.
     """
     _check_size(state, packet)
-    xi = spectral.to_complex(state)
-    eta = np.conj(xi)
-    i1 = packet.k1 - 1
-    i2 = packet.k2 - 1
-    i3 = packet.k3 - 1
+    x1, x2, x3 = _legs(state, packet)
+    y2, y3 = np.conj(x2), np.conj(x3)
+    terms = []
+    for m in range(4):
+        _, t2, t3 = TAU_PATTERNS[m]
+        f = x1 * (x2 if t2 > 0 else y2) * (x3 if t3 > 0 else y3)
+        # the 8-pattern loop's operands, one dot per pattern: another layout
+        # (a complex copy, a batched matrix) may sum in another order
+        terms.append(packet.coeffs[:, m] @ f)
     total = 0.0j
-    for m in range(8):
-        t1, t2, t3 = TAU_PATTERNS[m]
-        f = ((xi if t1 > 0 else eta)[i1]
-             * (xi if t2 > 0 else eta)[i2]
-             * (xi if t3 > 0 else eta)[i3])
-        total += packet.coeffs[:, m] @ f
+    for term in terms + [-np.conj(t) for t in reversed(terms)]:
+        total += term
     val = 1j * total / np.sqrt(packet.N + 1)
-    if abs(val.imag) > imag_tol * (1.0 + abs(val.real)):
-        raise PacketError(
-            f"Phi1 imaginary residue {val.imag:.3e} exceeds tolerance "
-            f"(re = {val.real:.3e}); table or transform inconsistency")
     return float(val.real)
 
 
@@ -191,10 +209,10 @@ def poisson_bracket(grad_f: PhaseGradient, grad_g: PhaseGradient) -> float:
     return float(grad_f.dq @ grad_g.dp - grad_f.dp @ grad_g.dq)
 
 
-def _scatter_add(dest: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
-    n = dest.size
-    dest += (np.bincount(idx, weights=vals.real, minlength=n)
-             + 1j * np.bincount(idx, weights=vals.imag, minlength=n))
+def _binned(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
+    """sum of vals over equal idx, as a length-n vector."""
+    return (np.bincount(idx, weights=vals.real, minlength=n)
+            + 1j * np.bincount(idx, weights=vals.imag, minlength=n))
 
 
 def _grad_phi0_modes(state: ChainState, packet: PacketObservable):
@@ -203,25 +221,33 @@ def _grad_phi0_modes(state: ChainState, packet: PacketObservable):
 
 
 def _grad_phi1_modes(state: ChainState, packet: PacketObservable):
-    xi = spectral.to_complex(state)
-    eta = np.conj(xi)
+    x1, x2, x3 = _legs(state, packet)
+    y2, y3 = np.conj(x2), np.conj(x3)
     i1 = packet.k1 - 1
     i2 = packet.k2 - 1
     i3 = packet.k3 - 1
-    dxi = np.zeros(packet.N, dtype=complex)
-    deta = np.zeros(packet.N, dtype=complex)
-    for m in range(8):
-        t1, t2, t3 = TAU_PATTERNS[m]
-        f1 = (xi if t1 > 0 else eta)[i1]
-        f2 = (xi if t2 > 0 else eta)[i2]
-        f3 = (xi if t3 > 0 else eta)[i3]
+    n = packet.N
+    # per pattern 0..3 and leg: (row of d it lands on, vector); row 0 is
+    # d/d_xi, row 1 d/d_eta
+    adds = []
+    for m in range(4):
+        _, t2, t3 = TAU_PATTERNS[m]
+        f2 = x2 if t2 > 0 else y2
+        f3 = x3 if t3 > 0 else y3
         c = packet.coeffs[:, m]
-        _scatter_add(dxi if t1 > 0 else deta, i1, c * f2 * f3)
-        _scatter_add(dxi if t2 > 0 else deta, i2, c * f1 * f3)
-        _scatter_add(dxi if t3 > 0 else deta, i3, c * f1 * f2)
-    pref = 1j / np.sqrt(packet.N + 1)
-    dxi *= pref
-    deta *= pref
+        adds.append(((0, _binned(i1, c * f2 * f3, n)),
+                     (int(t2 < 0), _binned(i2, c * x1 * f3, n)),
+                     (int(t3 < 0), _binned(i3, c * x1 * f2, n))))
+    # pattern 7-m adds -conj(vector) of pattern m to the other row; the
+    # additions keep the order m = 0..7 of the full 8-pattern loop
+    d = np.zeros((2, n), dtype=complex)
+    for legs in adds:
+        for row, v in legs:
+            d[row] += v
+    for legs in reversed(adds):
+        for row, v in legs:
+            d[1 - row] -= np.conj(v)
+    dxi, deta = d * (1j / np.sqrt(packet.N + 1))
     # d/dp_hat = (d_xi + d_eta)/sqrt(2); d/dq_hat = i omega (d_xi - d_eta)/sqrt(2)
     dqh = (1j * packet.omega * (dxi - deta) / np.sqrt(2.0)).real
     dph = ((dxi + deta) / np.sqrt(2.0)).real

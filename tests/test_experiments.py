@@ -81,6 +81,10 @@ def test_every_key_is_validated(tmp_path, experiment, key):
     # values the estimators refuse only once run() has started
     ("autocorrelation", "t_grid", [0.0, 2.0, 1.0]),
     ("autocorrelation", "n_samples", 2),
+    # no slope to fit, or a beta the experiment would not read
+    ("ratio-scaling", "beta_list", [50.0, 100.0]),
+    ("ratio-scaling", "beta_list", [50.0, 50.0, 100.0]),
+    ("sampler-validation", "beta_list", [100.0, 25.0]),
 ])
 def test_rejects_bad_or_vacuous_values(tmp_path, experiment, key, value):
     body = {"experiment": experiment, "seed": 1, key: value}
@@ -183,12 +187,23 @@ def test_theorem2_csv_is_parseable(tmp_path):
 
 def test_run_autocorrelation_custom_grid(tmp_path):
     body = {"experiment": "autocorrelation", "seed": 2, "N_list": [15],
-            "beta_list": [20.0], "n_samples": 12, "t_grid": [0.0, 1.0, 3.0]}
+            "beta_list": [20.0], "n_samples": 12, "t_grid": [0.0, 1.0, 3.0],
+            "persistence_betas": [20.0]}
     cfg = validate_config(json.dumps(body))
     assert run(cfg, tmp_path) == 0
     lines = (tmp_path / "autocorrelation_results.csv").read_text().splitlines()
     times = [float(line.split(",")[2]) for line in lines[1:]]
     assert times == [0.0, 1.0, 3.0]
+
+
+def test_run_without_any_check_fails(tmp_path, capsys):
+    # one beta, not in persistence_betas: no persistence and no half-life check
+    body = {"experiment": "autocorrelation", "seed": 1, "N_list": [15],
+            "beta_list": [20.0], "n_samples": 4, "t_grid": [0.0, 1.0]}
+    assert run(validate_config(json.dumps(body)), tmp_path) == 1
+    summary = (tmp_path / "autocorrelation_summary.txt").read_text()
+    assert summary == "FAIL  no check ran\nFAIL  overall: autocorrelation\n"
+    assert "first failing criterion: no check ran" in capsys.readouterr().err
 
 
 def test_schema_file_matches_code():

@@ -2,15 +2,18 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpu_packets.chain import ChainParams, ChainState, cubic_energy, energies
 from fpu_packets.gibbs import GibbsSampler
-from fpu_packets.packet import (PacketError, PhaseGradient, bracket_norm_check,
+from fpu_packets.packet import (TAU_PATTERNS, PacketError, PhaseGradient,
+                                _grad_phi1_modes, bracket_norm_check,
                                 build_phi1_table, grad_hamiltonian, grad_phi,
                                 homological_residual, make_ps_test, phi0, phi1,
                                 phi_dot, phi_dot_split, poisson_bracket)
 from fpu_packets.profiles import DEFAULT_PROFILE_SPEC, eval_h1, make_profile
-from fpu_packets.spectral import advance_harmonic, frequencies, from_modes
+from fpu_packets.spectral import advance_harmonic, frequencies, from_modes, to_complex
 
 OMEGA_PROFILE = {"kind": "constant", "value": 1.0}   # nu = omega
 
@@ -133,15 +136,113 @@ def test_phi1_beta_scaling():
     assert med[400.0] <= 0.6 * med[100.0]
 
 
-def test_phi1_imaginary_guard_triggers_on_asymmetric_corruption():
+def _phi1_reference(state, pk):
+    """Phi1 summed over all 8 sign patterns."""
+    xi = to_complex(state)
+    eta = np.conj(xi)
+    i1, i2, i3 = pk.k1 - 1, pk.k2 - 1, pk.k3 - 1
+    total = 0.0j
+    for m in range(8):
+        t1, t2, t3 = TAU_PATTERNS[m]
+        f = ((xi if t1 > 0 else eta)[i1]
+             * (xi if t2 > 0 else eta)[i2]
+             * (xi if t3 > 0 else eta)[i3])
+        total += pk.coeffs[:, m] @ f
+    return float((1j * total / np.sqrt(pk.N + 1)).real)
+
+
+def _grad_phi1_reference(state, pk):
+    """Mode-space gradient of Phi1, scattered from all 8 sign patterns."""
+    xi = to_complex(state)
+    eta = np.conj(xi)
+    i1, i2, i3 = pk.k1 - 1, pk.k2 - 1, pk.k3 - 1
+    dxi = np.zeros(pk.N, dtype=complex)
+    deta = np.zeros(pk.N, dtype=complex)
+
+    def scatter_add(dest, idx, vals):
+        dest += (np.bincount(idx, weights=vals.real, minlength=pk.N)
+                 + 1j * np.bincount(idx, weights=vals.imag, minlength=pk.N))
+
+    for m in range(8):
+        t1, t2, t3 = TAU_PATTERNS[m]
+        f1 = (xi if t1 > 0 else eta)[i1]
+        f2 = (xi if t2 > 0 else eta)[i2]
+        f3 = (xi if t3 > 0 else eta)[i3]
+        c = pk.coeffs[:, m]
+        scatter_add(dxi if t1 > 0 else deta, i1, c * f2 * f3)
+        scatter_add(dxi if t2 > 0 else deta, i2, c * f1 * f3)
+        scatter_add(dxi if t3 > 0 else deta, i3, c * f1 * f2)
+    pref = 1j / np.sqrt(pk.N + 1)
+    dxi *= pref
+    deta *= pref
+    dqh = (1j * pk.omega * (dxi - deta) / np.sqrt(2.0)).real
+    dph = ((dxi + deta) / np.sqrt(2.0)).real
+    return dqh, dph
+
+
+def _assert_matches_reference(pk, states):
+    assert pk.paired
+    for state in states:
+        assert phi1(state, pk) == _phi1_reference(state, pk)
+        dqh, dph = _grad_phi1_modes(state, pk)
+        ref_dqh, ref_dph = _grad_phi1_reference(state, pk)
+        assert np.array_equal(dqh, ref_dqh)
+        assert np.array_equal(dph, ref_dph)
+
+
+_REFERENCE_SPECS = [
+    {"kind": "constant", "value": 1.0},
+    {"kind": "poly_x2", "coeffs": [1.0, 0.5]},
+    {"kind": "cosine", "amplitude": 1.0},
+    DEFAULT_PROFILE_SPEC,
+]
+
+
+@pytest.mark.parametrize("N", [3, 4, 15, 64, 127, 255])
+@pytest.mark.parametrize("spec", _REFERENCE_SPECS, ids=lambda spec: spec["kind"])
+def test_phi1_and_gradient_bit_identical_to_8_patterns(spec, N):
+    pk = build_phi1_table(make_profile(spec), N)
+    rng = np.random.default_rng(N)
+    states = random_gibbs_states(N, 100.0, 3, seed=N)
+    states += [ChainState(rng.normal(size=N), rng.normal(size=N)) for _ in range(3)]
+    states.append(ChainState(np.zeros(N), np.zeros(N)))
+    _assert_matches_reference(pk, states)
+
+
+_BUMP_SPECS = st.builds(
+    lambda lo, width, amplitude: {"kind": "bump", "center": lo + width / 2,
+                                  "width": width, "amplitude": amplitude},
+    lo=st.floats(0.0, 0.5), width=st.floats(0.05, 0.5),
+    amplitude=st.floats(-5.0, 5.0))
+_POLY_SPECS = st.builds(
+    lambda coeffs: {"kind": "poly_x2", "coeffs": coeffs},
+    st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.one_of(_BUMP_SPECS, _POLY_SPECS), N=st.integers(3, 80),
+       seed=st.integers(0, 2**32 - 1))
+def test_phi1_and_gradient_bit_identical_property(spec, N, seed):
+    pk = build_phi1_table(make_profile(spec), N, require_admissible=False)
+    rng = np.random.default_rng(seed)
+    _assert_matches_reference(pk, [ChainState(rng.normal(size=N), rng.normal(size=N))])
+
+
+@pytest.mark.parametrize("column", [1, 6])
+def test_corrector_rejects_unpaired_table(column):
     pk = build_phi1_table(make_profile(DEFAULT_PROFILE_SPEC), 15)
     bad = pk.coeffs.copy()
-    bad[0, 1] *= 2.0  # breaks the conjugation pairing
+    bad[0, column] *= 2.0  # breaks the conjugation pairing
     broken = dataclasses.replace(pk, coeffs=bad)
+    assert pk.paired and not broken.paired
     rng = np.random.default_rng(3)
-    st = ChainState(rng.normal(size=15), rng.normal(size=15))
-    with pytest.raises(PacketError):
-        phi1(st, broken)
+    state = ChainState(rng.normal(size=15), rng.normal(size=15))
+    with pytest.raises(PacketError, match="pairing"):
+        phi1(state, broken)
+    with pytest.raises(PacketError, match="pairing"):
+        grad_phi(state, broken, "phi1")
+    with pytest.raises(PacketError, match="pairing"):
+        homological_residual(state, broken)
 
 
 def test_poisson_bracket_basics():
