@@ -80,14 +80,21 @@ class NuProfile:
 
 
 def _max_abs_poly_on_unit(poly: np.polynomial.Polynomial) -> float:
-    """max |poly| over [0,1] from the critical points of the polynomial."""
+    """Upper bound on max |poly| over [0,1] from the critical points of the polynomial.
+
+    Leading coefficients at most eps times the largest one are dropped before
+    the roots are taken: dividing by them overflows the companion matrix. The
+    sum of their absolute values bounds their part on [0,1] and is added back.
+    """
+    trimmed = poly.trim(np.finfo(float).eps * np.abs(poly.coef).max())
+    dropped = float(np.abs(poly.coef[len(trimmed.coef):]).sum())
     cands = [0.0, 1.0]
-    deriv = poly.deriv()
+    deriv = trimmed.deriv()
     if deriv.degree() >= 1:
         roots = deriv.roots()
         cands.extend(float(r.real) for r in roots
                      if abs(r.imag) < 1e-12 and 0.0 <= r.real <= 1.0)
-    return max(abs(float(poly(c))) for c in cands)
+    return max(abs(float(trimmed(c))) for c in cands) + dropped
 
 
 def _make_constant(value: float = 1.0) -> NuProfile:

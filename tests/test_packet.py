@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fpu_packets.chain import ChainParams, ChainState, cubic_energy, energies
@@ -222,6 +222,7 @@ _POLY_SPECS = st.builds(
 @settings(max_examples=40, deadline=None)
 @given(spec=st.one_of(_BUMP_SPECS, _POLY_SPECS), N=st.integers(3, 80),
        seed=st.integers(0, 2**32 - 1))
+@example(spec={"kind": "poly_x2", "coeffs": [0.0, 0.0, 1.0, 5e-324]}, N=3, seed=0)
 def test_phi1_and_gradient_bit_identical_property(spec, N, seed):
     pk = build_phi1_table(make_profile(spec), N, require_admissible=False)
     rng = np.random.default_rng(seed)

@@ -93,6 +93,14 @@ def test_registered_family_consistency():
     assert set(PROFILE_KINDS) == {"constant", "poly_x2", "cosine", "bump", "linear"}
 
 
+def test_poly_x2_c2_with_subnormal_leading_coefficient():
+    # 1/5e-324 overflows the companion matrix of g''; the bound must still come out.
+    prof = make_profile({"kind": "poly_x2", "coeffs": [0.0, 0.0, 1.0, 5e-324]})
+    assert prof.c2 == pytest.approx(12.0, rel=1e-15)
+    assert prof.c2 >= 12.0
+    prof.validate()
+
+
 def test_admissibility():
     assert make_profile({"kind": "constant", "value": 1.0}).admissible
     assert make_profile({"kind": "cosine", "amplitude": 1.0}).admissible
