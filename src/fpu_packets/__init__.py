@@ -1,34 +1,30 @@
 """FPU chain simulator and verification harness for adiabatic mode-packet invariants."""
 
-from .chain import (BlowupError, ChainParams, ChainState, energies, forces,
-                    integrate, potential_dv, potential_v, step_verlet)
-from .gibbs import (GibbsSample, GibbsSampler, TiltedDensity, bonds_to_state,
-                    make_tilted_density, sample_bonds, sample_momenta, sample_state,
-                    solve_theta, tilted_moments)
-from .packet import (PacketObservable, PhaseGradient, PsTestFunction, ResonantTriple,
-                     build_phi1_table, grad_phi, homological_residual, make_ps_test,
-                     phi0, phi1, phi_dot, poisson_bracket)
-from .profiles import (NuProfile, check_thm2_bound, disjoint_profiles, eval_h1,
-                       eval_h2, make_profile, z_fold)
+from .chain import (BlowupError, ChainParams, ChainState, energies, integrate,
+                    potential_dv, potential_v)
+from .gibbs import (GibbsSampler, TiltedDensity, bonds_to_state, make_tilted_density,
+                    sample_momenta, solve_theta, tilted_moments)
+from .packet import (PacketObservable, PhaseGradient, build_phi1_table, grad_phi,
+                     homological_residual, phi0, phi1, phi_dot, poisson_bracket,
+                     ps_observable)
+from .profiles import NuProfile, disjoint_profiles, eval_h1, make_profile, z_fold
 from .spectral import actions, frequencies, sine_transform, to_complex
 from .stats import (CorrelationCurve, Estimate, autocorrelation, fit_power_law,
-                    half_life, mc_estimate)
+                    half_life)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlowupError", "ChainParams", "ChainState", "energies", "forces", "integrate",
-    "potential_dv", "potential_v", "step_verlet",
-    "GibbsSample", "GibbsSampler", "TiltedDensity", "bonds_to_state",
-    "make_tilted_density", "sample_bonds", "sample_momenta", "sample_state",
-    "solve_theta", "tilted_moments",
-    "PacketObservable", "PhaseGradient", "PsTestFunction", "ResonantTriple",
-    "build_phi1_table", "grad_phi", "homological_residual", "make_ps_test",
-    "phi0", "phi1", "phi_dot", "poisson_bracket",
-    "NuProfile", "check_thm2_bound", "disjoint_profiles", "eval_h1", "eval_h2",
-    "make_profile", "z_fold",
+    "BlowupError", "ChainParams", "ChainState", "energies", "integrate",
+    "potential_dv", "potential_v",
+    "GibbsSampler", "TiltedDensity", "bonds_to_state", "make_tilted_density",
+    "sample_momenta", "solve_theta", "tilted_moments",
+    "PacketObservable", "PhaseGradient", "build_phi1_table", "grad_phi",
+    "homological_residual", "phi0", "phi1", "phi_dot", "poisson_bracket",
+    "ps_observable",
+    "NuProfile", "disjoint_profiles", "eval_h1", "make_profile", "z_fold",
     "actions", "frequencies", "sine_transform", "to_complex",
     "CorrelationCurve", "Estimate", "autocorrelation", "fit_power_law",
-    "half_life", "mc_estimate",
+    "half_life",
     "__version__",
 ]

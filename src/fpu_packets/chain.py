@@ -65,10 +65,6 @@ class ChainState:
         return ChainState(self.p.copy(), self.q.copy())
 
 
-def zero_state(N: int) -> ChainState:
-    return ChainState(np.zeros(N), np.zeros(N))
-
-
 def potential_v(r, A):
     """Bond potential V(r) = r^2/2 + r^3/3 + A r^4/4 (vectorized)."""
     r = np.asarray(r, dtype=float)
@@ -104,30 +100,6 @@ def cubic_energy(state: ChainState) -> float:
     """H1 alone; independent of A and beta."""
     r = bond_extensions(state.q)
     return float((r**3).sum()) / 3.0
-
-
-def _force_arrays(q: np.ndarray, A: float, harmonic_only: bool) -> np.ndarray:
-    r = np.diff(q, prepend=0.0, append=0.0)
-    dv = r if harmonic_only else r * (1.0 + r * (1.0 + A * r))
-    # F_j = V'(r_j) - V'(r_{j-1})
-    return np.diff(dv)
-
-def forces(state: ChainState, params: ChainParams, harmonic_only: bool = False) -> np.ndarray:
-    """-dH/dq.  With harmonic_only the cubic and quartic force terms are dropped
-    (test hook for the linear flow)."""
-    return _force_arrays(state.q, params.A, harmonic_only)
-
-
-def step_verlet(state: ChainState, params: ChainParams, dt: float,
-                harmonic_only: bool = False) -> ChainState:
-    """One leapfrog step: half kick, drift, half kick."""
-    if dt == 0:
-        raise ValueError("dt must be nonzero")
-    half = 0.5 * dt
-    p_half = state.p + half * _force_arrays(state.q, params.A, harmonic_only)
-    q_new = state.q + dt * p_half
-    p_new = p_half + half * _force_arrays(q_new, params.A, harmonic_only)
-    return ChainState(p_new, q_new)
 
 
 def integrate(state: ChainState, params: ChainParams, dt: float, t_final: float,

@@ -33,10 +33,10 @@ import numpy as np
 from . import packet as packet_mod
 from . import profiles as profiles_mod
 from . import stats as stats_mod
-from .chain import ChainParams, DEFAULT_DT
-from .gibbs import (GibbsSampler, make_tilted_density, slab_rejection_bonds,
-                    solve_theta, tilted_moments)
-from .packet import build_phi1_table, homological_residual, make_ps_test
+from .chain import DEFAULT_DT, BlowupError, ChainParams
+from .gibbs import (GibbsSampler, ThetaSolveError, make_tilted_density,
+                    slab_rejection_bonds, solve_theta, tilted_moments)
+from .packet import PacketError, build_phi1_table, homological_residual, ps_observable
 from .profiles import DEFAULT_PROFILE_SPEC, eval_h1, make_profile
 
 THRESHOLDS = {
@@ -158,7 +158,9 @@ class Key(NamedTuple):
 
 
 _A = Key(1.0, _positive)
-_DT = Key(DEFAULT_DT, _positive)
+# leapfrog on the harmonic part is stable for dt * omega_max < 2, and
+# omega_max = 2 sin(pi N / (2(N+1))) < 2 for every N
+_DT = Key(DEFAULT_DT, _real(lambda v: 0 < v < 1, "a number in (0, 1)"))
 _DRIFT_EXPONENT = Key(0.4, _real(lambda v: 0.0 <= v <= 0.5, "a number in [0, 1/2]"))
 
 
@@ -233,7 +235,7 @@ def _homological_cell(cfg, seed, N, beta):
     rng = np.random.default_rng(seed)
     pk = build_phi1_table(make_profile(cfg.profile), N)
     sampler = GibbsSampler(ChainParams(N=N, A=cfg.A, beta=beta), rng)
-    res = np.array([homological_residual(sampler.sample().state, pk)
+    res = np.array([homological_residual(sampler.sample(), pk)
                     for _ in range(cfg.n_samples)])
     row = {"N": N, "beta": beta, "n_samples": cfg.n_samples,
            "max_residual": float(res.max()), "mean_residual": float(res.mean()),
@@ -360,9 +362,18 @@ def _run_autocorr(cfg: ExperimentConfig, threads: int):
 # ------------------------------------------------------------------ lemma3-scan
 
 def _lemma3_cell(cfg, seed, kind, N, beta):
-    prof = make_profile(cfg.profile) if kind != "H1" else None
-    fn = make_ps_test(kind, prof, N)
-    return stats_mod.lemma3_scan(fn, [N], [beta], cfg.n_samples, seed=seed, A=cfg.A)[0]
+    """Normalized variance sigma^2_f beta^s / (N |f|+^2) of one observable at
+    one (N, beta); the variance bound asserts it stays below one constant."""
+    observable, s, plus_norm = ps_observable(kind, make_profile(cfg.profile), N)
+    sampler = GibbsSampler(ChainParams(N=N, A=cfg.A, beta=beta),
+                           np.random.default_rng(seed.spawn(1)[0]))
+    vals = np.array([observable(sampler.sample()) for _ in range(cfg.n_samples)])
+    est = stats_mod.estimate_from_samples(vals)
+    scale = beta**s / (N * plus_norm**2)
+    return {"kind": kind, "s": s, "N": N, "beta": beta, "n_samples": cfg.n_samples,
+            "variance": est.variance, "variance_stderr": est.stderr_variance,
+            "plus_norm": plus_norm, "normalized": est.variance * scale,
+            "normalized_stderr": est.stderr_variance * scale}
 
 
 def _run_lemma3(cfg: ExperimentConfig, threads: int):
@@ -716,7 +727,8 @@ def run(cfg: ExperimentConfig, out_dir: str | Path, threads: int = 1) -> int:
     """Execute an experiment; write CSV, metadata JSON and PASS/FAIL summary.
 
     Returns 0 when every check passes, 1 otherwise; a run in which no check
-    ran fails.
+    ran fails.  BlowupError, ThetaSolveError and PacketError propagate; the
+    CLI reports them with exit code 3.
     """
     spec = EXPERIMENTS[cfg.experiment]
     out = Path(out_dir)
@@ -801,7 +813,11 @@ def main(argv=None) -> int:
     if args.command == "validate":
         print(f"valid config for experiment {cfg.experiment!r}")
         return 0
-    return run(cfg, args.out, threads=args.threads)
+    try:
+        return run(cfg, args.out, threads=args.threads)
+    except (BlowupError, ThetaSolveError, PacketError) as exc:
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def cli_main() -> None:

@@ -12,7 +12,7 @@ marginals (they agree up to O(1/N)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -21,6 +21,7 @@ from scipy.optimize import brentq
 from .chain import ChainParams, ChainState, potential_v
 
 DEFAULT_BURN_IN = 100
+_PILOT_SWEEPS = 400
 _TARGET_ACCEPTANCE = 0.3
 
 
@@ -97,17 +98,9 @@ class TiltedDensity:
     def variance(self) -> float:
         return float(self.moments[2] - self.moments[1] ** 2)
 
-    def central_moment(self, n: int) -> float:
-        mu = self.moments[1]
-        binom = [math.comb(n, j) for j in range(n + 1)]
-        return float(sum(binom[j] * self.moments[j] * (-mu) ** (n - j)
-                         for j in range(n + 1)))
 
-
-def make_tilted_density(beta: float, A: float, gamma: float,
-                        potential: Callable | None = None) -> TiltedDensity:
-    V = potential if potential is not None else _default_potential(A)
-    q, mom = _quad_moments(beta, gamma, V)
+def make_tilted_density(beta: float, A: float, gamma: float) -> TiltedDensity:
+    q, mom = _quad_moments(beta, gamma, _default_potential(A))
     mom = mom.copy()
     mom.setflags(write=False)
     return TiltedDensity(beta=beta, A=A, gamma=gamma, q_gamma=q, moments=mom)
@@ -151,15 +144,6 @@ def solve_theta(beta: float, A: float, potential: Callable | None = None,
     return float(theta)
 
 
-@dataclass(frozen=True)
-class GibbsSample:
-    """One draw: the chain state, its bond vector, and provenance metadata."""
-
-    state: ChainState
-    r: np.ndarray
-    provenance: dict = field(compare=False)
-
-
 def sample_momenta(rng: np.random.Generator, N: int, beta: float) -> np.ndarray:
     """iid normal momenta, mean 0, variance 1/beta."""
     if beta <= 0:
@@ -167,14 +151,13 @@ def sample_momenta(rng: np.random.Generator, N: int, beta: float) -> np.ndarray:
     return rng.normal(0.0, 1.0 / math.sqrt(beta), size=N)
 
 
-def bonds_to_state(r: np.ndarray, p: np.ndarray, tol: float | None = None) -> ChainState:
+def bonds_to_state(r: np.ndarray, p: np.ndarray) -> ChainState:
     """q_j = r_0 + ... + r_{j-1}; with sum r = 0 the far end closes at zero."""
     r = np.asarray(r, dtype=float)
     p = np.asarray(p, dtype=float)
     if r.size != p.size + 1:
         raise ValueError("need N+1 bonds for N momenta")
-    if tol is None:
-        tol = 1e-12 * r.size
+    tol = 1e-12 * r.size
     total = float(r.sum())
     if abs(total) > tol:
         raise ValueError(f"sum of bonds is {total:.3e}, above tolerance {tol:.3e}")
@@ -205,48 +188,31 @@ class GibbsSampler:
     One sweep is two rounds of random disjoint pairings, i.e. about N+1 pair
     moves.  The proposal width is tuned toward 30% acceptance during burn-in
     and then frozen, so detailed balance holds for all measurement sweeps.
-    The decorrelation stride defaults to 5x the measured integrated
-    autocorrelation time of the cubic energy.
+    The decorrelation stride is 5x the integrated autocorrelation time of the
+    cubic energy, measured over a pilot run after burn-in.
     """
 
-    def __init__(self, params: ChainParams, rng, burn_in: int = DEFAULT_BURN_IN,
-                 stride: int | None = None, sigma_prop: float | None = None,
-                 potential: Callable | None = None, pilot_sweeps: int = 400):
+    def __init__(self, params: ChainParams, rng, burn_in: int = DEFAULT_BURN_IN):
         self.params = params
-        if isinstance(rng, np.random.Generator):
-            self.rng = rng
-            self.seed = "external-generator"
-        else:
-            self.rng = np.random.default_rng(rng)
-            self.seed = rng
-        self._V = potential if potential is not None else _default_potential(params.A)
+        self.rng = np.random.default_rng(rng)   # a Generator is used as is
         self.r = np.zeros(params.N + 1)
-        self._vpot = self._V(self.r)
-        self.sigma_prop = sigma_prop if sigma_prop is not None else 2.0 / math.sqrt(params.beta)
-        self._tuning = sigma_prop is None
+        self._vpot = potential_v(self.r, params.A)
+        self.sigma_prop = 2.0 / math.sqrt(params.beta)
         self._accepted = 0
         self._proposed = 0
         self.n_sweeps = 0
-        self.tau_int = None
 
         for _ in range(burn_in):
             self.sweep()
-            if self._tuning:
-                self._retune()
-        self._tuning = False
-        self._accepted = 0
-        self._proposed = 0
+            self._retune()
 
-        if stride is None:
-            pilot_sweeps = max(pilot_sweeps, 50)
-            h1_series = np.empty(pilot_sweeps)
-            for i in range(pilot_sweeps):
-                self.sweep()
-                r3 = self.r**3
-                h1_series[i] = r3.sum() / 3.0
-            self.tau_int = _integrated_autocorr_time(h1_series)
-            stride = max(1, math.ceil(5.0 * self.tau_int))
-        self.stride = stride
+        h1_series = np.empty(_PILOT_SWEEPS)
+        for i in range(_PILOT_SWEEPS):
+            self.sweep()
+            r3 = self.r**3
+            h1_series[i] = r3.sum() / 3.0
+        self.tau_int = _integrated_autocorr_time(h1_series)
+        self.stride = max(1, math.ceil(5.0 * self.tau_int))
 
     def _retune(self):
         rate = self._accepted / max(self._proposed, 1)
@@ -265,8 +231,8 @@ class GibbsSampler:
         delta = self.rng.normal(0.0, self.sigma_prop, half)
         ri = self.r[i]
         rj = self.r[j]
-        vi_new = self._V(ri + delta)
-        vj_new = self._V(rj - delta)
+        vi_new = potential_v(ri + delta, self.params.A)
+        vj_new = potential_v(rj - delta, self.params.A)
         d_en = vi_new + vj_new - self._vpot[i] - self._vpot[j]
         acc = np.log(self.rng.random(half)) < -self.params.beta * d_en
         ia = i[acc]
@@ -287,20 +253,14 @@ class GibbsSampler:
     def acceptance_rate(self) -> float:
         return self._accepted / max(self._proposed, 1)
 
-    def sample(self) -> GibbsSample:
+    def sample(self) -> ChainState:
+        """Advance one stride and draw fresh momenta: one decorrelated state."""
         self.sweep(self.stride)
         p = sample_momenta(self.rng, self.params.N, self.params.beta)
-        r = self.r.copy()
-        return GibbsSample(
-            state=bonds_to_state(r, p),
-            r=r,
-            provenance={"seed": self.seed, "sweeps": self.n_sweeps,
-                        "stride": self.stride, "sigma_prop": self.sigma_prop,
-                        "tau_int": self.tau_int},
-        )
+        return bonds_to_state(self.r, p)
 
     def sample_states(self, n: int) -> list[ChainState]:
-        return [self.sample().state for _ in range(n)]
+        return [self.sample() for _ in range(n)]
 
     def diagnostics(self) -> dict:
         return {
@@ -312,43 +272,13 @@ class GibbsSampler:
         }
 
 
-def sample_bonds(rng, params: ChainParams, sweeps: int,
-                 sigma_prop: float | None = None,
-                 potential: Callable | None = None) -> np.ndarray:
-    """Bond vector after the requested sweeps of a fresh chain.
-
-    Tuning runs over the first min(sweeps, 100) sweeps, then the kernel is
-    frozen; callers should request at least the default burn-in.
-    """
-    if sweeps < 1:
-        raise ValueError("sweeps must be >= 1")
-    burn = min(sweeps, DEFAULT_BURN_IN)
-    s = GibbsSampler(params, rng, burn_in=burn, stride=1,
-                     sigma_prop=sigma_prop, potential=potential, pilot_sweeps=0)
-    s.stride = 1
-    if sweeps > burn:
-        s.sweep(sweeps - burn)
-    return s.r.copy()
-
-
-def sample_state(rng, params: ChainParams, sweeps: int = 2 * DEFAULT_BURN_IN) -> GibbsSample:
-    """One-shot draw from a fresh chain.  For streams of decorrelated samples
-    use GibbsSampler.sample(), which keeps the chain alive between draws."""
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    burn = min(sweeps, DEFAULT_BURN_IN)
-    s = GibbsSampler(params, rng, burn_in=burn, stride=max(1, sweeps - burn),
-                     pilot_sweeps=0)
-    return s.sample()
-
-
 class _InverseCdf:
     """Inverse-CDF sampler for the one-bond tilted density (grid interpolation)."""
 
-    def __init__(self, beta: float, A: float, gamma: float,
-                 potential: Callable | None = None, n_grid: int = 200_001):
-        V = potential if potential is not None else _default_potential(A)
+    def __init__(self, beta: float, A: float, gamma: float):
+        V = _default_potential(A)
         lo, hi = _support(beta, gamma, V)
-        x = np.linspace(lo, hi, n_grid)
+        x = np.linspace(lo, hi, 200_001)
         e = -gamma * x - beta * V(x)
         pdf = np.exp(e - e.max())
         cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) * 0.5)])
@@ -357,19 +287,6 @@ class _InverseCdf:
 
     def draw(self, rng: np.random.Generator, size) -> np.ndarray:
         return np.interp(rng.random(size), self.cdf, self.x)
-
-
-def sample_bonds_tilted_iid(rng, params: ChainParams, n_samples: int,
-                            theta: float | None = None) -> np.ndarray:
-    """(n_samples, N+1) iid draws from the theta-tilted density, no constraint.
-
-    Test hook: under this law disjoint-site covariances vanish identically.
-    """
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    if theta is None:
-        theta = solve_theta(params.beta, params.A)
-    inv = _InverseCdf(params.beta, params.A, theta)
-    return inv.draw(rng, (n_samples, params.N + 1))
 
 
 def slab_rejection_bonds(rng, params: ChainParams, n_samples: int,
@@ -398,47 +315,3 @@ def slab_rejection_bonds(rng, params: ChainParams, n_samples: int,
     else:
         raise RuntimeError(f"slab sampler got only {got}/{n_samples} accepts")
     return np.concatenate(out)[:n_samples]
-
-
-def monomial_covariance_test(rng, params: ChainParams, k_sites, l_sites,
-                             n_samples: int, sampler: str = "constrained",
-                             stride: int | None = None) -> tuple[float, float]:
-    """Monte Carlo estimate of <r^k r^l> - <r^k><r^l> with jackknife stderr.
-
-    k_sites / l_sites are site multisets (repeats raise the power).  sampler
-    is 'constrained' (the pair-move chain) or 'tilted_iid' (independence
-    reference).
-    """
-    k_sites = list(k_sites)
-    l_sites = list(l_sites)
-    m = params.N + 1
-    if any(not 0 <= s < m for s in k_sites + l_sites):
-        raise ValueError(f"sites must be in 0..{m - 1}")
-    if sampler == "constrained":
-        chain = GibbsSampler(params, rng, stride=stride)
-        xs = np.empty(n_samples)
-        ys = np.empty(n_samples)
-        for i in range(n_samples):
-            chain.sweep(chain.stride)
-            xs[i] = np.prod(chain.r[k_sites])
-            ys[i] = np.prod(chain.r[l_sites])
-    elif sampler == "tilted_iid":
-        r = sample_bonds_tilted_iid(rng, params, n_samples)
-        xs = r[:, k_sites].prod(axis=1)
-        ys = r[:, l_sites].prod(axis=1)
-    else:
-        raise ValueError(f"unknown sampler {sampler!r}")
-    return _covariance_jackknife(xs, ys)
-
-
-def _covariance_jackknife(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    n = x.size
-    if n < 3:
-        raise ValueError("need at least 3 samples")
-    sp = float(x @ y)
-    sx = float(x.sum())
-    sy = float(y.sum())
-    cov = sp / n - (sx / n) * (sy / n)
-    del_cov = (sp - x * y) / (n - 1) - (sx - x) * (sy - y) / (n - 1) ** 2
-    se = math.sqrt((n - 1) / n * float(((del_cov - del_cov.mean()) ** 2).sum()))
-    return cov, se

@@ -19,13 +19,13 @@ the same prefactors, which is what makes the homological residual vanish.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from . import spectral
-from .chain import ChainParams, ChainState, bond_extensions
+from .chain import ChainParams, ChainState, bond_extensions, cubic_energy
 from .profiles import NuProfile
 
 # all 8 sign patterns, fixed order; conjugation symmetry maps row t to row 7-t,
@@ -39,18 +39,6 @@ _CUBIC_PREFACTOR = 1.0 / 12.0
 
 class PacketError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class ResonantTriple:
-    """One resonant index triple; kind 'sum' means k1+k2-k3 = 0 (weight 3),
-    'wrap' means k1+k2+k3 = 2(N+1) (weight 1)."""
-
-    k1: int
-    k2: int
-    k3: int
-    kind: str
-    weight: int
 
 
 @dataclass(frozen=True)
@@ -75,9 +63,7 @@ class PacketObservable:
     k1: np.ndarray
     k2: np.ndarray
     k3: np.ndarray
-    weight: np.ndarray
     wrap: np.ndarray
-    ratios: np.ndarray
     coeffs: np.ndarray
     min_denominator: float
     paired: bool = field(init=False)
@@ -89,11 +75,6 @@ class PacketObservable:
     @property
     def n_triples(self) -> int:
         return self.k1.size
-
-    def triples(self) -> list[ResonantTriple]:
-        return [ResonantTriple(int(a), int(b), int(c),
-                               "wrap" if w else "sum", 1 if w else 3)
-                for a, b, c, w in zip(self.k1, self.k2, self.k3, self.wrap)]
 
 
 def build_phi1_table(profile: NuProfile, N: int,
@@ -129,7 +110,6 @@ def build_phi1_table(profile: NuProfile, N: int,
     k3 = np.concatenate([s[sum_mask], 2 * (N + 1) - s[wrap_mask]])
     wrap = np.concatenate([np.zeros(sum_mask.sum(), dtype=bool),
                            np.ones(wrap_mask.sum(), dtype=bool)])
-    weight = np.where(wrap, 1, 3)
 
     om3 = np.stack([omega[k1 - 1], omega[k2 - 1], omega[k3 - 1]], axis=1)
     nu3 = np.stack([nu_k[k1 - 1], nu_k[k2 - 1], nu_k[k3 - 1]], axis=1)
@@ -138,14 +118,13 @@ def build_phi1_table(profile: NuProfile, N: int,
     min_den = float(np.abs(den).min()) if den.size else np.inf
     if min_den < 1e-300:
         raise PacketError(f"denominator underflow: min |tau.omega| = {min_den:g}")
-    ratios = num / den
     signed_w = np.where(wrap, _WRAP_SIGN, 3.0)
-    coeffs = _CUBIC_PREFACTOR * ratios * signed_w[:, None] * _TAU_PROD[None, :]
-    for a in (nu_k, g_k, omega, k1, k2, k3, weight, wrap, ratios, coeffs):
+    coeffs = _CUBIC_PREFACTOR * (num / den) * signed_w[:, None] * _TAU_PROD[None, :]
+    for a in (nu_k, g_k, omega, k1, k2, k3, wrap, coeffs):
         a.setflags(write=False)
     return PacketObservable(N=N, profile=profile, nu_k=nu_k, g_k=g_k, omega=omega,
-                            k1=k1, k2=k2, k3=k3, weight=weight, wrap=wrap,
-                            ratios=ratios, coeffs=coeffs, min_denominator=min_den)
+                            k1=k1, k2=k2, k3=k3, wrap=wrap, coeffs=coeffs,
+                            min_denominator=min_den)
 
 
 def _check_size(state: ChainState, packet: PacketObservable) -> None:
@@ -277,8 +256,8 @@ def grad_hamiltonian(state: ChainState, params: ChainParams,
                      parts: str = "all") -> PhaseGradient:
     """Gradient of a selected part of H.
 
-    parts: 'all', 'h0', 'h1', 'h2' or 'h12' (cubic plus quartic).  Momentum
-    derivatives appear only when the kinetic part (h0) is included.
+    parts: 'all', 'h0' or 'h1'.  Momentum derivatives appear only when the
+    kinetic part (h0) is included.
     """
     r = bond_extensions(state.q)
     A = params.A
@@ -288,10 +267,6 @@ def grad_hamiltonian(state: ChainState, params: ChainParams,
         w = r
     elif parts == "h1":
         w = r * r
-    elif parts == "h2":
-        w = A * r**3
-    elif parts == "h12":
-        w = r * r * (1.0 + A * r)
     else:
         raise ValueError(f"unknown parts {parts!r}")
     dq = -np.diff(w)
@@ -313,16 +288,6 @@ def phi_dot(state: ChainState, packet: PacketObservable, params: ChainParams,
                            grad_hamiltonian(state, params, "all"))
 
 
-def phi_dot_split(state: ChainState, packet: PacketObservable,
-                  params: ChainParams) -> float:
-    """{Phi1, H1+H2} + {Phi0, H2}: the reduced form of Phi-dot."""
-    b1 = poisson_bracket(grad_phi(state, packet, "phi1"),
-                         grad_hamiltonian(state, params, "h12"))
-    b2 = poisson_bracket(grad_phi(state, packet, "phi0"),
-                         grad_hamiltonian(state, params, "h2"))
-    return b1 + b2
-
-
 def homological_residual(state: ChainState, packet: PacketObservable) -> float:
     """|{H0, Phi1} + {H1, Phi0}| / (1 + |{H1, Phi0}|).
 
@@ -338,57 +303,31 @@ def homological_residual(state: ChainState, packet: PacketObservable) -> float:
     return abs(b1 + b2) / (1.0 + abs(b2))
 
 
-@dataclass
-class PsTestFunction:
-    """An observable tagged with its polynomial class data.
+def ps_observable(kind: str, profile: NuProfile, N: int
+                  ) -> tuple[Callable[[ChainState], float], int, float]:
+    """(observable, s, plus_norm) for H1, Phi0 or Phi1 at chain size N.
 
     s is the monomial degree, plus_norm the max modulus of the coefficient
-    function over the momentum-conserving index set.  for_size rebuilds the
-    same observable at another chain size, which is what variance scans need.
+    function over the momentum-conserving index set.  H1 ignores the profile.
     """
-
-    kind: str
-    s: int
-    plus_norm: float
-    description: str
-    profile: NuProfile | None
-    N: int
-    _observable: Callable[[ChainState], float]
-
-    def observable(self, state: ChainState) -> float:
-        return self._observable(state)
-
-    def for_size(self, N: int) -> "PsTestFunction":
-        return make_ps_test(self.kind, self.profile, N)
-
-
-def make_ps_test(kind: str, profile: NuProfile | None, N: int) -> PsTestFunction:
-    """Wrap H1, Phi0 or Phi1 with its degree and coefficient norm."""
     if kind == "H1":
-        from .chain import cubic_energy
-
-        return PsTestFunction("H1", 3, 0.25, "cubic interaction energy",
-                              None, N, cubic_energy)
-    if profile is None:
-        raise ValueError(f"kind {kind!r} needs a profile")
+        return cubic_energy, 3, 0.25
     if kind == "Phi0":
         omega = spectral.frequencies(N)
         x = np.arange(1, N + 1) / (N + 1)
         nu_k = profile.g(x) * omega
-        norm = float(np.abs(profile.g(x)).max())
 
         def obs(state: ChainState) -> float:
             return float(nu_k @ spectral.actions(state))
 
-        return PsTestFunction("Phi0", 2, norm, "packet energy", profile, N, obs)
+        return obs, 2, float(np.abs(profile.g(x)).max())
     if kind == "Phi1":
         packet = build_phi1_table(profile, N)
-        norm = float(np.abs(packet.coeffs).max())
 
         def obs(state: ChainState) -> float:
             return phi1(state, packet)
 
-        return PsTestFunction("Phi1", 3, norm, "cubic corrector", profile, N, obs)
+        return obs, 3, float(np.abs(packet.coeffs).max())
     raise ValueError(f"unknown test-function kind {kind!r}")
 
 

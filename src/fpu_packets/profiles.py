@@ -1,4 +1,4 @@
-"""Packet weight functions nu on [0,1] and the functionals h1, h2 built from them.
+"""Packet weight functions nu on [0,1] and the functional h1 built from them.
 
 A profile is specified through g = nu/omega, restricted to a registered
 parametric family so that c0 = g(0) and c2 = sup|g''| are computable in closed
@@ -276,42 +276,7 @@ def eval_h1(profile: NuProfile, grid_size: int = 1024, block: int = 16) -> H1Res
     return H1Result(best, best_at[0], best_at[1], best_at[2], min_den)
 
 
-def eval_h2(profile: NuProfile, tol: float = 1e-8) -> float:
-    """integral of g(x)^2 over [0,1] by composite Simpson, Richardson-verified."""
-    n = 64
-    prev = None
-    while n <= 2**22:
-        x = np.linspace(0.0, 1.0, n + 1)
-        f = profile.g(x) ** 2
-        w = np.ones(n + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        val = float(f @ w) / (3.0 * n)
-        if prev is not None and abs(val - prev) <= tol * max(abs(val), 1e-30):
-            return val
-        prev = val
-        n *= 2
-    raise RuntimeError("eval_h2 did not converge")
-
-
-def check_thm2_bound(profile: NuProfile, grid_size: int = 1024) -> float:
-    """h1 / (c0 + c2) for an admissible profile.
-
-    Across the family this ratio is bounded by one constant; the constant
-    itself is not quantified analytically, so callers compare the empirical
-    family-wide max.
-    """
-    if not profile.admissible:
-        raise ValueError(
-            f"profile {profile.kind!r} is inadmissible: g'(0) = "
-            f"{profile.g_prime_at_zero:.3e}")
-    denom = profile.c0 + profile.c2
-    if not denom > 0:
-        raise ValueError("c0 + c2 must be > 0")
-    return eval_h1(profile, grid_size).value / denom
-
-
-def disjoint_profiles(K: int, kind: str = "bump") -> list[NuProfile]:
+def disjoint_profiles(K: int) -> list[NuProfile]:
     """K admissible bump profiles with pairwise disjoint supports in [0,1].
 
     Supports are [2 l w, (2 l + 1) w] with w = 1/(2K - 1), so consecutive bumps
@@ -320,8 +285,6 @@ def disjoint_profiles(K: int, kind: str = "bump") -> list[NuProfile]:
     """
     if not 1 <= K <= 16:
         raise ValueError("K must be in 1..16")
-    if kind != "bump":
-        raise ValueError(f"unsupported disjoint family {kind!r}; only 'bump'")
     w = 1.0 / (2 * K - 1)
     return [_make_bump(center=(2 * l + 0.5) * w, width=w, amplitude=1.0)
             for l in range(K)]

@@ -77,17 +77,3 @@ def to_complex(state: ChainState) -> np.ndarray:
     """xi_k = (p_hat_k + i omega_k q_hat_k) / sqrt(2); eta is its conjugate."""
     ms = to_modes(state)
     return (ms.p_hat + 1j * ms.omega * ms.q_hat) / np.sqrt(2.0)
-
-
-def advance_harmonic(state: ChainState, t: float) -> ChainState:
-    """Exact linear flow: rotate each mode's phase by omega_k t.
-
-    Leaves every action invariant to rounding; used as the analytic reference
-    for the nonlinear integrator and for harmonic-invariance tests.
-    """
-    ms = to_modes(state)
-    c = np.cos(ms.omega * t)
-    s = np.sin(ms.omega * t)
-    p_new = ms.p_hat * c - ms.omega * ms.q_hat * s
-    q_new = ms.q_hat * c + (ms.p_hat / ms.omega) * s
-    return from_modes(p_new, q_new)

@@ -18,7 +18,7 @@ from . import chain as chain_mod
 from . import packet as packet_mod
 from .chain import ChainParams
 from .gibbs import GibbsSampler
-from .packet import PacketObservable, PsTestFunction
+from .packet import PacketObservable
 
 
 @dataclass(frozen=True)
@@ -50,11 +50,6 @@ def estimate_from_samples(x: np.ndarray) -> Estimate:
     else:
         se_var = var * math.sqrt(2.0 / (n - 1))
     return Estimate(mean, var, se_mean, se_var, n)
-
-
-def mc_estimate(observable, states) -> Estimate:
-    """Estimate mean and variance of an observable over an ensemble of states."""
-    return estimate_from_samples(np.array([observable(s) for s in states]))
 
 
 @dataclass
@@ -219,7 +214,7 @@ def ratio_theorem1(packet: PacketObservable, params: ChainParams, n_samples: int
     v0 = np.empty(n_samples)
     v1 = np.empty(n_samples)
     for i in range(n_samples):
-        st = sampler.sample().state
+        st = sampler.sample()
         pd[i] = packet_mod.phi_dot(st, packet, params, harmonic_only=harmonic_only)
         v0[i] = packet_mod.phi0(st, packet)
         v1[i] = 0.0 if harmonic_only else packet_mod.phi1(st, packet)
@@ -235,38 +230,6 @@ def ratio_theorem1(packet: PacketObservable, params: ChainParams, n_samples: int
         sigma_phi0=sigma0, sigma_phi1=sigma1,
         ratio_phi1_phi0=sigma1 / sigma0 if sigma0 > 0 else math.inf,
         n_samples=n_samples)
-
-
-def lemma3_scan(test_fn: PsTestFunction, N_list, beta_list, n_samples: int,
-                seed, A: float = 1.0) -> list[dict]:
-    """Normalized variance sigma^2_f beta^s / (N |f|+^2) over an (N, beta) grid.
-
-    The variance bound asserts this stays below one constant; the scan
-    reports the table so callers can check the band.
-    """
-    rows = []
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    seeds = root.spawn(len(N_list) * len(beta_list))
-    idx = 0
-    for N in N_list:
-        fn = test_fn.for_size(N)
-        for beta in beta_list:
-            params = ChainParams(N=N, A=A, beta=beta)
-            sampler = GibbsSampler(params, np.random.default_rng(seeds[idx]))
-            idx += 1
-            vals = np.array([fn.observable(sampler.sample().state)
-                             for _ in range(n_samples)])
-            est = estimate_from_samples(vals)
-            scale = beta**fn.s / (N * fn.plus_norm**2)
-            rows.append({
-                "kind": fn.kind, "s": fn.s, "N": N, "beta": beta,
-                "n_samples": n_samples,
-                "variance": est.variance, "variance_stderr": est.stderr_variance,
-                "plus_norm": fn.plus_norm,
-                "normalized": est.variance * scale,
-                "normalized_stderr": est.stderr_variance * scale,
-            })
-    return rows
 
 
 def chebyshev_experiment(packet: PacketObservable, params: ChainParams,

@@ -57,7 +57,7 @@ def test_criterion_02_transform_and_energy_identities():
         ok &= inv_err <= 1e-10 and par_err <= 1e-10
         details.append(f"N={N}: involution {inv_err:.2e}, parseval {par_err:.2e}")
     params = ChainParams(N=255, beta=100.0)
-    st = GibbsSampler(params, np.random.default_rng(SEED + 1)).sample().state
+    st = GibbsSampler(params, np.random.default_rng(SEED + 1)).sample()
     snaps = integrate(st, params, 0.02, 1000.0, sample_stride=25)
     h = np.array([total_energy(s, params) for _, s in snaps])
     fluct = np.abs(h - h[0]).max() / max(abs(h[0]), 1.0)

@@ -1,12 +1,35 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpu_packets import chain
 from fpu_packets.chain import (BlowupError, ChainParams, ChainState, bond_extensions,
-                               energies, forces, integrate, potential_dv, potential_v,
-                               step_verlet, total_energy)
+                               energies, integrate, potential_dv, potential_v,
+                               total_energy)
 from fpu_packets.gibbs import GibbsSampler
 from fpu_packets.spectral import frequencies, from_modes
+
+
+def forces(q, A):
+    """-dH/dq from the shipped leapfrog's force kernel, on a (1, N) block."""
+    q = np.asarray(q, dtype=float)[None, :]
+    f = np.empty_like(q)
+    chain._batch_forces(q, A, False, np.empty((1, q.shape[1] + 1)), f)
+    return f[0]
+
+
+def step_verlet(state, params, dt):
+    """One leapfrog step (half kick, drift, half kick), written plainly: the
+    reference that chain.evolve_batch must reproduce bit for bit."""
+    def force(q):
+        # F_j = V'(r_j) - V'(r_{j-1})
+        return np.diff(potential_dv(bond_extensions(q), params.A))
+
+    half = 0.5 * dt
+    p_half = state.p + half * force(state.q)
+    q_new = state.q + dt * p_half
+    return ChainState(p_half + half * force(q_new), q_new)
 
 
 def test_potential_values():
@@ -50,11 +73,8 @@ def test_energies_examples():
 
 
 def test_forces_unit_displacement_example():
-    params = ChainParams(N=3, A=1.0)
-    st = ChainState(np.zeros(3), np.array([1.0, 0.0, 0.0]))
-    f = forces(st, params)
-    assert f == pytest.approx([-4.0, 1.0, 0.0])
-    assert forces(ChainState(np.zeros(3), np.zeros(3)), params) == pytest.approx([0, 0, 0])
+    assert forces([1.0, 0.0, 0.0], 1.0) == pytest.approx([-4.0, 1.0, 0.0])
+    assert forces(np.zeros(3), 1.0) == pytest.approx([0, 0, 0])
 
 
 def test_forces_match_finite_differences():
@@ -63,8 +83,7 @@ def test_forces_match_finite_differences():
     h = 1e-5
     for _ in range(200):
         q = rng.normal(scale=0.3, size=17)
-        st = ChainState(np.zeros(17), q)
-        f = forces(st, params)
+        f = forces(q, params.A)
         fd = np.empty(17)
         for j in range(17):
             qp, qm = q.copy(), q.copy()
@@ -78,20 +97,27 @@ def test_forces_match_finite_differences():
 
 
 def test_verlet_zero_state_fixed_point():
-    params = ChainParams(N=5)
-    st = chain.zero_state(5)
-    out = step_verlet(st, params, 0.02)
-    assert np.all(out.p == 0.0) and np.all(out.q == 0.0)
+    zero = ChainState(np.zeros(5), np.zeros(5))
+    for (out,) in chain.evolve_batch([zero], ChainParams(N=5), 0.02, [1, 50]):
+        assert np.all(out.p == 0.0) and np.all(out.q == 0.0)
 
 
-def test_verlet_single_step_reversibility():
-    rng = np.random.default_rng(1)
-    params = ChainParams(N=9)
-    st = ChainState(rng.normal(size=9), rng.normal(size=9))
-    fwd = step_verlet(st, params, 0.02)
-    back = step_verlet(ChainState(-fwd.p, fwd.q), params, 0.02)
-    assert np.abs(-back.p - st.p).max() < 1e-12
-    assert np.abs(back.q - st.q).max() < 1e-12
+@settings(max_examples=60, deadline=None)
+@given(N=st.integers(3, 64), B=st.integers(1, 4), dt=st.floats(1e-3, 0.1),
+       n_steps=st.integers(1, 50), A=st.floats(0.1, 2.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_evolve_batch_reversibility_property(N, B, dt, n_steps, A, seed):
+    # forward, flip the momenta, forward again: leapfrog returns to the start
+    rng = np.random.default_rng(seed)
+    params = ChainParams(N=N, A=A)
+    starts = [ChainState(rng.uniform(-0.1, 0.1, N), rng.uniform(-0.1, 0.1, N))
+              for _ in range(B)]
+    (fwd,) = chain.evolve_batch(starts, params, dt, [n_steps])
+    (back,) = chain.evolve_batch([ChainState(-s.p, s.q) for s in fwd], params, dt,
+                                 [n_steps])
+    for start, end in zip(starts, back):
+        assert np.abs(-end.p - start.p).max() <= 1e-12
+        assert np.abs(end.q - start.q).max() <= 1e-12
 
 
 def test_verlet_harmonic_mode_second_order():
@@ -115,7 +141,7 @@ def test_verlet_harmonic_mode_second_order():
 
 def test_integrate_snapshot_counts():
     params = ChainParams(N=5)
-    st = chain.zero_state(5)
+    st = ChainState(np.zeros(5), np.zeros(5))
     assert len(integrate(st, params, 0.02, 0.0)) == 1
     snaps = integrate(st, params, 0.1, 1.0, sample_stride=3)
     assert len(snaps) == int(np.floor(1.0 / (0.1 * 3))) + 1
@@ -126,7 +152,7 @@ def test_integrate_snapshot_counts():
 
 def test_energy_conservation_along_trajectory():
     params = ChainParams(N=63, beta=100.0)
-    st = GibbsSampler(params, np.random.default_rng(3)).sample().state
+    st = GibbsSampler(params, np.random.default_rng(3)).sample()
     snaps = integrate(st, params, 0.02, 200.0, sample_stride=10)
     h = np.array([total_energy(s, params) for _, s in snaps])
     assert np.abs(h - h[0]).max() / max(abs(h[0]), 1.0) <= 1e-4
@@ -134,7 +160,7 @@ def test_energy_conservation_along_trajectory():
 
 def test_trajectory_reversibility():
     params = ChainParams(N=31, beta=100.0)
-    st = GibbsSampler(params, np.random.default_rng(4)).sample().state
+    st = GibbsSampler(params, np.random.default_rng(4)).sample()
     fwd = integrate(st, params, 0.02, 10.0)[-1][1]
     back = integrate(ChainState(-fwd.p, fwd.q), params, 0.02, 10.0)[-1][1]
     assert np.abs(-back.p - st.p).max() < 1e-10

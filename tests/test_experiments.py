@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from fpu_packets.chain import BlowupError
 from fpu_packets.experiments import (EXPERIMENTS, ConfigError, experiment_schema, main,
                                      run, validate_config)
 
@@ -85,6 +86,10 @@ def test_every_key_is_validated(tmp_path, experiment, key):
     ("ratio-scaling", "beta_list", [50.0, 100.0]),
     ("ratio-scaling", "beta_list", [50.0, 50.0, 100.0]),
     ("sampler-validation", "beta_list", [100.0, 25.0]),
+    # beyond the leapfrog's harmonic stability limit dt < 2 / omega_max
+    ("chebyshev", "dt", 3.0),
+    ("autocorrelation", "dt", 1.0),
+    ("multi-packet", "dt", 2.5),
 ])
 def test_rejects_bad_or_vacuous_values(tmp_path, experiment, key, value):
     body = {"experiment": experiment, "seed": 1, key: value}
@@ -163,6 +168,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     good.write_text(json.dumps(MINIMAL))
     assert main(["validate", str(good)]) == 0
     assert main([]) == 2
+    # at beta = 0.01 the bonds are large enough for dt = 0.5 to blow up
+    blowup = {"experiment": "autocorrelation", "seed": 1, "N_list": [15],
+              "beta_list": [0.01], "persistence_betas": [0.01], "n_samples": 3,
+              "t_grid": [0.0, 50.0], "dt": 0.5}
+    with pytest.raises(BlowupError):
+        run(validate_config(json.dumps(blowup)), tmp_path / "direct")
+    capsys.readouterr()
+    numerical = tmp_path / "blowup.json"
+    numerical.write_text(json.dumps(blowup))
+    assert main(["run", str(numerical), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: BlowupError: ") and err.count("\n") == 1
 
 
 def test_cli_run_small(tmp_path):

@@ -3,11 +3,9 @@ import pytest
 from scipy.integrate import quad
 
 from fpu_packets.chain import ChainParams, energies
-from fpu_packets.gibbs import (GibbsSampler, ThetaSolveError, bonds_to_state,
-                               make_tilted_density, monomial_covariance_test,
-                               sample_bonds, sample_bonds_tilted_iid, sample_momenta,
-                               sample_state, slab_rejection_bonds, solve_theta,
-                               tilted_moments)
+from fpu_packets.gibbs import (GibbsSampler, ThetaSolveError, _InverseCdf,
+                               bonds_to_state, make_tilted_density, sample_momenta,
+                               slab_rejection_bonds, solve_theta, tilted_moments)
 
 BETA, A = 100.0, 1.0
 
@@ -76,9 +74,10 @@ def test_sample_momenta_statistics_and_determinism():
 
 
 def test_sample_bonds_constraint():
-    r = sample_bonds(np.random.default_rng(1), ChainParams(N=32, beta=BETA), 150)
-    assert r.size == 33
-    assert abs(r.sum()) <= 1e-12
+    sampler = GibbsSampler(ChainParams(N=32, beta=BETA), np.random.default_rng(1))
+    sampler.sweep(50)
+    assert sampler.r.size == 33
+    assert abs(sampler.r.sum()) <= 1e-12
 
 
 def test_sampler_acceptance_band_and_determinism():
@@ -127,44 +126,19 @@ def test_equipartition_and_seed_independence():
     means = []
     for seed in (5, 6):
         sampler = GibbsSampler(params, np.random.default_rng(seed))
-        h0 = np.array([energies(sampler.sample().state, params)[0] for _ in range(1200)])
+        h0 = np.array([energies(sampler.sample(), params)[0] for _ in range(1200)])
         means.append((h0.mean(), h0.std(ddof=1) / np.sqrt(h0.size)))
         assert abs(h0.mean() - params.N / BETA) <= 0.05 * params.N / BETA
     z = abs(means[0][0] - means[1][0]) / np.hypot(means[0][1], means[1][1])
     assert z <= 4.0
 
 
-def test_sample_state_momentum_mean():
-    smp = sample_state(np.random.default_rng(7), ChainParams(N=64, beta=BETA), sweeps=150)
-    assert abs(smp.r.sum()) <= 1e-12 * smp.r.size
-    assert smp.state.n == 64
-    assert "sweeps" in smp.provenance
-
-
-def test_same_site_covariance_matches_oracle():
-    params = ChainParams(N=32, beta=BETA)
-    cov, se = monomial_covariance_test(np.random.default_rng(8), params,
-                                       [0], [0], 4000)
-    theta = solve_theta(BETA, A)
-    td = make_tilted_density(BETA, A, theta)
-    assert cov > 0
-    assert abs(cov - td.variance) <= 3 * se + 0.05 * td.variance  # O(1/N) bias allowance
-
-
-def test_tilted_iid_disjoint_covariance_is_zero():
-    params = ChainParams(N=32, beta=BETA)
-    cov, se = monomial_covariance_test(np.random.default_rng(9), params,
-                                       [0], [5], 4000, sampler="tilted_iid")
-    assert abs(cov) <= 3 * se
-
-
 def test_tilted_iid_marginal():
-    params = ChainParams(N=16, beta=BETA)
-    r = sample_bonds_tilted_iid(np.random.default_rng(10), params, 4000)
     theta = solve_theta(BETA, A)
+    r = _InverseCdf(BETA, A, theta).draw(np.random.default_rng(10), 4000)
     td = make_tilted_density(BETA, A, theta)
-    se = r[:, 0].std(ddof=1) / np.sqrt(r.shape[0])
-    assert abs(r[:, 0].mean() - td.mean) <= 4 * se
+    se = r.std(ddof=1) / np.sqrt(r.size)
+    assert abs(r.mean() - td.mean) <= 4 * se
 
 
 def test_slab_rejection_matches_constrained_sampler():
@@ -181,11 +155,3 @@ def test_slab_rejection_matches_constrained_sampler():
     se = np.hypot(mc.std(ddof=1) / np.sqrt(n), ref2.std(ddof=1) / np.sqrt(n))
     assert abs(mc.mean() - ref2.mean()) <= 3 * se
 
-
-def test_covariance_test_rejects_bad_sites():
-    params = ChainParams(N=8, beta=BETA)
-    with pytest.raises(ValueError):
-        monomial_covariance_test(np.random.default_rng(0), params, [9], [0], 10)
-    with pytest.raises(ValueError):
-        monomial_covariance_test(np.random.default_rng(0), params, [0], [1], 10,
-                                 sampler="other")

@@ -5,30 +5,59 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fpu_packets.chain import ChainParams, ChainState, cubic_energy, energies
+from fpu_packets.chain import (ChainParams, ChainState, bond_extensions, cubic_energy,
+                               energies)
 from fpu_packets.gibbs import GibbsSampler
-from fpu_packets.packet import (TAU_PATTERNS, PacketError, PhaseGradient,
-                                _grad_phi1_modes, bracket_norm_check,
+from fpu_packets.packet import (_CUBIC_PREFACTOR, TAU_PATTERNS, PacketError,
+                                PhaseGradient, _grad_phi1_modes, bracket_norm_check,
                                 build_phi1_table, grad_hamiltonian, grad_phi,
-                                homological_residual, make_ps_test, phi0, phi1,
-                                phi_dot, phi_dot_split, poisson_bracket)
+                                homological_residual, phi0, phi1, phi_dot,
+                                poisson_bracket, ps_observable)
 from fpu_packets.profiles import DEFAULT_PROFILE_SPEC, eval_h1, make_profile
-from fpu_packets.spectral import advance_harmonic, frequencies, from_modes, to_complex
+from fpu_packets.spectral import frequencies, from_modes, to_complex
 
 OMEGA_PROFILE = {"kind": "constant", "value": 1.0}   # nu = omega
 
 
 def random_gibbs_states(N, beta, n, seed):
     sampler = GibbsSampler(ChainParams(N=N, beta=beta), np.random.default_rng(seed))
-    return [sampler.sample().state for _ in range(n)]
+    return [sampler.sample() for _ in range(n)]
+
+
+def _triples(pk):
+    """The table's triples as (k1, k2, k3, 'sum' or 'wrap') tuples."""
+    return {(int(a), int(b), int(c), "wrap" if w else "sum")
+            for a, b, c, w in zip(pk.k1, pk.k2, pk.k3, pk.wrap)}
+
+
+def _ratios(pk):
+    """(tau.nu)/(tau.omega) per triple and sign pattern, recovered from the
+    coefficients: coeffs = prefactor * ratio * (3 or -1) * tau1 tau2 tau3."""
+    weight = np.where(pk.wrap, -1.0, 3.0)[:, None]
+    return pk.coeffs / (_CUBIC_PREFACTOR * weight * TAU_PATTERNS.prod(axis=1)[None, :])
+
+
+def _grad_h2(state, params):
+    """Gradient of the quartic energy H2."""
+    r = bond_extensions(state.q)
+    return PhaseGradient(dq=-np.diff(params.A * r**3), dp=np.zeros_like(state.p))
+
+
+def _phi_dot_split(state, pk, params):
+    """{Phi1, H1+H2} + {Phi0, H2}: the form of Phi-dot that the homological
+    identity reduces {Phi, H} to, an independent reference for phi_dot."""
+    r = bond_extensions(state.q)
+    h12 = PhaseGradient(dq=-np.diff(r * r * (1.0 + params.A * r)),
+                        dp=np.zeros_like(state.p))
+    return (poisson_bracket(grad_phi(state, pk, "phi1"), h12)
+            + poisson_bracket(grad_phi(state, pk, "phi0"), _grad_h2(state, params)))
 
 
 def test_triple_enumeration_n3():
     pk = build_phi1_table(make_profile(OMEGA_PROFILE), 3)
-    trips = {(t.k1, t.k2, t.k3, t.kind, t.weight) for t in pk.triples()}
-    assert trips == {
-        (1, 1, 2, "sum", 3), (1, 2, 3, "sum", 3), (2, 1, 3, "sum", 3),
-        (2, 3, 3, "wrap", 1), (3, 2, 3, "wrap", 1), (3, 3, 2, "wrap", 1),
+    assert _triples(pk) == {
+        (1, 1, 2, "sum"), (1, 2, 3, "sum"), (2, 1, 3, "sum"),
+        (2, 3, 3, "wrap"), (3, 2, 3, "wrap"), (3, 3, 2, "wrap"),
     }
 
 
@@ -43,7 +72,7 @@ def test_triple_enumeration_matches_bruteforce():
             k3 = 2 * (N + 1) - k1 - k2
             if 1 <= k3 <= N:
                 expect.add((k1, k2, k3, "wrap"))
-    assert {(t.k1, t.k2, t.k3, t.kind) for t in pk.triples()} == expect
+    assert _triples(pk) == expect
 
 
 def test_triple_count_scaling():
@@ -53,17 +82,16 @@ def test_triple_count_scaling():
 
 
 def test_ratios_unity_for_nu_equals_omega():
-    pk = build_phi1_table(make_profile(OMEGA_PROFILE), 15)
-    assert np.abs(np.abs(pk.ratios) - 1.0).max() < 1e-12
+    ratios = _ratios(build_phi1_table(make_profile(OMEGA_PROFILE), 15))
+    assert np.abs(np.abs(ratios) - 1.0).max() < 1e-12
     # fully aligned pattern (+,+,+) is the first row of the pattern table
-    assert np.abs(pk.ratios[:, 0] - 1.0).max() < 1e-12
+    assert np.abs(ratios[:, 0] - 1.0).max() < 1e-12
 
 
 def test_table_coefficients_bounded_by_h1():
     prof = make_profile(DEFAULT_PROFILE_SPEC)
     h1 = eval_h1(prof, 2048).value
-    pk = build_phi1_table(prof, 127)
-    assert np.abs(pk.ratios).max() <= h1 * 1.05
+    assert np.abs(_ratios(build_phi1_table(prof, 127))).max() <= h1 * 1.05
 
 
 def test_inadmissible_profile_rejected_unless_forced():
@@ -267,7 +295,8 @@ def test_hamiltonian_self_bracket_vanishes():
     for _ in range(5):
         st = ChainState(rng.normal(size=21), rng.normal(size=21))
         g_all = grad_hamiltonian(st, params, "all")
-        parts = [grad_hamiltonian(st, params, p) for p in ("h0", "h1", "h2")]
+        parts = [grad_hamiltonian(st, params, p) for p in ("h0", "h1")]
+        parts.append(_grad_h2(st, params))
         summed = PhaseGradient(dq=sum(p.dq for p in parts), dp=sum(p.dp for p in parts))
         assert np.abs(summed.dq - g_all.dq).max() < 1e-12
         val = poisson_bracket(g_all, summed)
@@ -338,7 +367,7 @@ def test_phi_dot_equals_split_form():
     pk = build_phi1_table(make_profile(DEFAULT_PROFILE_SPEC), N)
     for st in random_gibbs_states(N, 100.0, 10, seed=8):
         full = phi_dot(st, pk, params)
-        split = phi_dot_split(st, pk, params)
+        split = _phi_dot_split(st, pk, params)
         assert abs(full - split) <= 1e-9 * max(abs(full), 1e-12)
 
 
@@ -362,36 +391,24 @@ def test_homological_residual_detects_corruption():
     assert min(residuals) > 1e-4
 
 
-def test_phi0_invariant_under_harmonic_flow():
-    N = 31
-    pk = build_phi1_table(make_profile(DEFAULT_PROFILE_SPEC), N)
-    st = random_gibbs_states(N, 100.0, 1, seed=11)[0]
-    base = phi0(st, pk)
-    for t in np.linspace(5.0, 100.0, 8):
-        drift = abs(phi0(advance_harmonic(st, t), pk) - base)
-        assert drift <= 1e-8 * max(abs(base), 1e-12)
-
-
 def test_make_ps_test_properties():
     prof_om = make_profile(OMEGA_PROFILE)
-    f0 = make_ps_test("Phi0", prof_om, 31)
-    assert (f0.s, f0.plus_norm) == (2, pytest.approx(1.0))
-    h1 = make_ps_test("H1", None, 31)
-    assert h1.s == 3
-    assert h1.plus_norm == make_ps_test("H1", None, 63).plus_norm == 0.25
-    f1 = make_ps_test("Phi1", prof_om, 31)
-    assert f1.s == 3
-    assert f1.plus_norm == pytest.approx(0.25, rel=1e-12)
-    assert make_ps_test("Phi1", prof_om, 63).plus_norm == pytest.approx(f1.plus_norm, rel=1e-12)
+    f0, s0, norm0 = ps_observable("Phi0", prof_om, 31)
+    assert (s0, norm0) == (2, pytest.approx(1.0))
+    h1, s_h1, norm_h1 = ps_observable("H1", prof_om, 31)
+    assert s_h1 == 3
+    assert norm_h1 == ps_observable("H1", prof_om, 63)[2] == 0.25
+    f1, s1, norm1 = ps_observable("Phi1", prof_om, 31)
+    assert s1 == 3
+    assert norm1 == pytest.approx(0.25, rel=1e-12)
+    assert ps_observable("Phi1", prof_om, 63)[2] == pytest.approx(norm1, rel=1e-12)
     rng = np.random.default_rng(12)
     st = ChainState(rng.normal(size=31), rng.normal(size=31))
-    assert h1.observable(st) == pytest.approx(cubic_energy(st), rel=1e-14)
-    resized = f1.for_size(63)
-    assert resized.N == 63
+    assert h1(st) == pytest.approx(cubic_energy(st), rel=1e-14)
+    assert f0(st) == phi0(st, build_phi1_table(prof_om, 31))
+    assert f1(st) == phi1(st, build_phi1_table(prof_om, 31))
     with pytest.raises(ValueError):
-        make_ps_test("Phi2", prof_om, 31)
-    with pytest.raises(ValueError):
-        make_ps_test("Phi0", None, 31)
+        ps_observable("Phi2", prof_om, 31)
 
 
 def test_bracket_norm_bound():

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpu_packets.profiles import (DEFAULT_PROFILE_SPEC, PROFILE_KINDS, NuProfile,
-                                  check_thm2_bound, disjoint_profiles, eval_h1, eval_h2,
-                                  make_profile, omega_of, z_fold)
+                                  disjoint_profiles, eval_h1, make_profile, omega_of,
+                                  z_fold)
 
 _ALL_SIGN_PATTERNS = [(t1, t2, t3) for t1 in (1, -1) for t2 in (1, -1) for t3 in (1, -1)]
 
@@ -108,14 +108,6 @@ def test_admissibility():
     assert not make_profile({"kind": "linear"}).admissible
 
 
-def test_eval_h2_exact_values():
-    assert eval_h2(make_profile({"kind": "constant", "value": 1.0})) == pytest.approx(1.0, rel=1e-8)
-    g_x2 = make_profile({"kind": "poly_x2", "coeffs": [0.0, 1.0]})
-    assert eval_h2(g_x2) == pytest.approx(0.2, rel=1e-8)
-    g_1px2 = make_profile({"kind": "poly_x2", "coeffs": [1.0, 1.0]})
-    assert eval_h2(g_1px2) == pytest.approx(28.0 / 15.0, rel=1e-8)
-
-
 def test_eval_h1_constant_profiles():
     one = make_profile({"kind": "constant", "value": 1.0})
     res = eval_h1(one, 128)
@@ -129,7 +121,6 @@ def test_h1_homogeneity():
     prof = make_profile({"kind": "poly_x2", "coeffs": [1.0, 1.0]})
     scaled = prof.scaled(3.0)
     assert eval_h1(scaled, 200).value == pytest.approx(3 * eval_h1(prof, 200).value, rel=1e-10)
-    assert eval_h2(scaled) == pytest.approx(9 * eval_h2(prof), rel=1e-8)
 
 
 def test_h1_refinement_stability_admissible():
@@ -155,22 +146,9 @@ def test_denominator_positivity_and_origin_exclusion():
     assert np.isfinite(res.value)
 
 
-def test_check_thm2_bound():
-    one = make_profile({"kind": "constant", "value": 1.0})
-    assert check_thm2_bound(one, 256) == pytest.approx(1.0, rel=1e-12)
-    g_x2 = make_profile({"kind": "poly_x2", "coeffs": [0.0, 1.0]})
-    r256 = check_thm2_bound(g_x2, 256)
-    r1024 = check_thm2_bound(g_x2, 1024)
-    assert abs(r1024 - r256) / r256 <= 0.05
-    cos = make_profile({"kind": "cosine", "amplitude": 1.0})
-    assert np.isfinite(check_thm2_bound(cos, 512))
-    with pytest.raises(ValueError, match="inadmissible"):
-        check_thm2_bound(make_profile({"kind": "linear"}), 128)
-
-
 def test_disjoint_profiles():
     (solo,) = disjoint_profiles(1)
-    assert eval_h2(solo) > 0
+    assert solo.admissible and solo.g(0.5) > 0
     profs = disjoint_profiles(4)
     x = np.linspace(0.0, 1.0, 10_000)
     nus = np.array([p.nu(x) for p in profs])
@@ -178,11 +156,9 @@ def test_disjoint_profiles():
         for j in range(i + 1, 4):
             assert np.abs(nus[i] * nus[j]).max() == 0.0
     for p in profs:
-        assert np.isfinite(check_thm2_bound(p, 256))
+        assert p.admissible and np.isfinite(eval_h1(p, 256).value)
     with pytest.raises(ValueError):
         disjoint_profiles(17)
-    with pytest.raises(ValueError):
-        disjoint_profiles(3, kind="cosine")
 
 
 def test_cosine_c2_value():

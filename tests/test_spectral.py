@@ -3,8 +3,24 @@ import pytest
 
 from fpu_packets.chain import ChainParams, ChainState, energies
 from fpu_packets.gibbs import GibbsSampler
-from fpu_packets.spectral import (actions, advance_harmonic, frequencies, from_modes,
-                                  sine_transform, to_complex, to_modes)
+from fpu_packets.packet import build_phi1_table, phi0
+from fpu_packets.profiles import DEFAULT_PROFILE_SPEC, make_profile
+from fpu_packets.spectral import (actions, frequencies, from_modes, sine_transform,
+                                  to_complex, to_modes)
+
+
+def advance_harmonic(state, t):
+    """Exact linear flow: rotate each mode's phase by omega_k t.
+
+    Leaves every action invariant to rounding; the analytic reference for the
+    harmonic part of the dynamics.
+    """
+    ms = to_modes(state)
+    c = np.cos(ms.omega * t)
+    s = np.sin(ms.omega * t)
+    p_new = ms.p_hat * c - ms.omega * ms.q_hat * s
+    q_new = ms.q_hat * c + (ms.p_hat / ms.omega) * s
+    return from_modes(p_new, q_new)
 
 
 @pytest.mark.parametrize("N", [1, 2, 16, 127, 1023])
@@ -68,7 +84,7 @@ def test_to_complex_identities():
 
 def test_actions_invariant_under_harmonic_flow():
     params = ChainParams(N=31, beta=50.0)
-    st = GibbsSampler(params, np.random.default_rng(7)).sample().state
+    st = GibbsSampler(params, np.random.default_rng(7)).sample()
     I0 = actions(st)
     for t in (0.3, 7.0, 111.0):
         It = actions(advance_harmonic(st, t))
@@ -85,3 +101,13 @@ def test_advance_harmonic_matches_mode_rotation():
     t = 2.7
     ms = to_modes(advance_harmonic(st, t))
     assert np.abs(ms.p_hat - (p_hat * np.cos(om * t) - om * q_hat * np.sin(om * t))).max() < 1e-12
+
+
+def test_phi0_invariant_under_harmonic_flow():
+    N = 31
+    pk = build_phi1_table(make_profile(DEFAULT_PROFILE_SPEC), N)
+    st = GibbsSampler(ChainParams(N=N, beta=100.0), np.random.default_rng(11)).sample()
+    base = phi0(st, pk)
+    for t in np.linspace(5.0, 100.0, 8):
+        drift = abs(phi0(advance_harmonic(st, t), pk) - base)
+        assert drift <= 1e-8 * max(abs(base), 1e-12)

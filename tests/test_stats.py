@@ -1,15 +1,18 @@
+import json
+
 import numpy as np
 import pytest
 
-from fpu_packets.chain import ChainParams, ChainState
+from fpu_packets.chain import ChainParams
+from fpu_packets.experiments import _lemma3_cell, validate_config
 from fpu_packets.gibbs import GibbsSampler, sample_momenta
-from fpu_packets.packet import build_phi1_table, make_ps_test, phi0
+from fpu_packets.packet import build_phi1_table, phi0
 from fpu_packets.profiles import DEFAULT_PROFILE_SPEC, disjoint_profiles, make_profile
 from fpu_packets.spectral import actions, sine_transform
 from fpu_packets.stats import (CorrelationCurve, autocorrelation, chebyshev_experiment,
                                estimate_from_samples, fit_power_law, half_life,
-                               half_life_jackknife, lemma3_scan, mc_estimate,
-                               multi_packet_experiment, ratio_theorem1)
+                               half_life_jackknife, multi_packet_experiment,
+                               ratio_theorem1)
 
 OMEGA_PROFILE = {"kind": "constant", "value": 1.0}
 
@@ -19,8 +22,7 @@ def gibbs_states(N, beta, n, seed):
 
 
 def test_mc_estimate_constant_observable():
-    states = [ChainState(np.zeros(4), np.zeros(4)) for _ in range(10)]
-    est = mc_estimate(lambda s: 3.25, states)
+    est = estimate_from_samples(np.full(10, 3.25))
     assert est.mean == 3.25
     assert est.variance == 0.0
     assert est.n_samples == 10
@@ -29,9 +31,9 @@ def test_mc_estimate_constant_observable():
 def test_mc_estimate_gaussian_mode_momentum():
     beta, N, n = 100.0, 32, 4000
     rng = np.random.default_rng(0)
-    states = [ChainState(sample_momenta(rng, N, beta), np.zeros(N)) for _ in range(n)]
     k = 7
-    est = mc_estimate(lambda s: sine_transform(s.p)[k] ** 2, states)
+    est = estimate_from_samples([sine_transform(sample_momenta(rng, N, beta))[k] ** 2
+                                 for _ in range(n)])
     assert abs(est.mean - 1.0 / beta) <= 3 * est.stderr_mean
 
 
@@ -40,7 +42,7 @@ def test_variance_of_phi0_matches_harmonic_oracle():
     N, beta = 127, 200.0
     pk = build_phi1_table(make_profile(OMEGA_PROFILE), N)
     states = gibbs_states(N, beta, 2500, seed=1)
-    est = mc_estimate(lambda s: phi0(s, pk), states)
+    est = estimate_from_samples([phi0(s, pk) for s in states])
     assert est.variance == pytest.approx(N / beta**2, rel=0.10)
 
 
@@ -143,9 +145,11 @@ def test_ratio_theorem1_inadmissible_profile_inflates_corrector():
 
 
 def test_lemma3_scan_rows():
-    fn = make_ps_test("Phi0", make_profile(OMEGA_PROFILE), 31)
-    rows = lemma3_scan(fn, [31, 63], [50.0, 100.0], 200, seed=10)
-    assert len(rows) == 4
+    cfg = validate_config(json.dumps({"experiment": "lemma3-scan", "seed": 10,
+                                      "n_samples": 200, "profile": OMEGA_PROFILE}))
+    points = [(31, 50.0), (31, 100.0), (63, 50.0), (63, 100.0)]
+    rows = [_lemma3_cell(cfg, np.random.SeedSequence(10 + i), "Phi0", N, beta)
+            for i, (N, beta) in enumerate(points)]
     for r in rows:
         assert r["kind"] == "Phi0" and r["s"] == 2
         assert r["normalized"] > 0
