@@ -1,7 +1,6 @@
 """FPU chain simulator and verification harness for adiabatic mode-packet invariants."""
 
-from .chain import (BlowupError, ChainParams, ChainState, energies, integrate,
-                    potential_dv, potential_v)
+from .chain import BlowupError, ChainParams, ChainState, energies, potential_v
 from .gibbs import (GibbsSampler, TiltedDensity, bonds_to_state, make_tilted_density,
                     sample_momenta, solve_theta, tilted_moments)
 from .packet import (PacketObservable, PhaseGradient, build_phi1_table, grad_phi,
@@ -15,8 +14,7 @@ from .stats import (CorrelationCurve, Estimate, autocorrelation, fit_power_law,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlowupError", "ChainParams", "ChainState", "energies", "integrate",
-    "potential_dv", "potential_v",
+    "BlowupError", "ChainParams", "ChainState", "energies", "potential_v",
     "GibbsSampler", "TiltedDensity", "bonds_to_state", "make_tilted_density",
     "sample_momenta", "solve_theta", "tilted_moments",
     "PacketObservable", "PhaseGradient", "build_phi1_table", "grad_phi",

@@ -24,6 +24,10 @@ class BlowupError(RuntimeError):
         super().__init__(f"non-finite state at t = {time:g}; reduce dt")
         self.time = time
 
+    def __reduce__(self):
+        # rebuild from the time, not the message, so the error crosses a process pool
+        return BlowupError, (self.time,)
+
 
 @dataclass(frozen=True)
 class ChainParams:
@@ -44,7 +48,9 @@ class ChainParams:
 
 @dataclass
 class ChainState:
-    """Phase-space point: momenta p and displacements q, both length N."""
+    """Phase-space point or ensemble: momenta p and displacements q of shape
+    (N,) for one state or (B, N) for B states.  An ensemble has len() and
+    indexing: ens[b] is state b, ens[a:b] a smaller ensemble."""
 
     p: np.ndarray
     q: np.ndarray
@@ -52,29 +58,30 @@ class ChainState:
     def __post_init__(self):
         self.p = np.atleast_1d(np.asarray(self.p, dtype=float))
         self.q = np.atleast_1d(np.asarray(self.q, dtype=float))
-        if self.p.ndim != 1 or self.p.shape != self.q.shape:
-            raise ValueError("p and q must be 1-d arrays of equal length")
+        if self.p.ndim > 2 or self.p.shape != self.q.shape:
+            raise ValueError("p and q must be arrays of equal shape, (N,) or (B, N)")
         if not (np.isfinite(self.p).all() and np.isfinite(self.q).all()):
             raise ValueError("state contains non-finite entries")
 
     @property
     def n(self) -> int:
-        return self.p.size
+        return self.p.shape[-1]
 
-    def copy(self) -> "ChainState":
-        return ChainState(self.p.copy(), self.q.copy())
+    def __len__(self) -> int:
+        if self.p.ndim != 2:
+            raise TypeError("a single state has no len(); only a (B, N) ensemble")
+        return self.p.shape[0]
+
+    def __getitem__(self, index) -> "ChainState":
+        if self.p.ndim != 2:
+            raise TypeError("a single state cannot be indexed; only a (B, N) ensemble")
+        return ChainState(self.p[index], self.q[index])
 
 
 def potential_v(r, A):
     """Bond potential V(r) = r^2/2 + r^3/3 + A r^4/4 (vectorized)."""
     r = np.asarray(r, dtype=float)
     return r * r * (0.5 + r * (1.0 / 3.0 + 0.25 * A * r))
-
-
-def potential_dv(r, A):
-    """V'(r) = r + r^2 + A r^3."""
-    r = np.asarray(r, dtype=float)
-    return r * (1.0 + r * (1.0 + A * r))
 
 
 def bond_extensions(q: np.ndarray) -> np.ndarray:
@@ -92,34 +99,10 @@ def energies(state: ChainState, params: ChainParams) -> tuple[float, float, floa
     return h0, h1, h2
 
 
-def total_energy(state: ChainState, params: ChainParams) -> float:
-    return sum(energies(state, params))
-
-
 def cubic_energy(state: ChainState) -> float:
     """H1 alone; independent of A and beta."""
     r = bond_extensions(state.q)
     return float((r**3).sum()) / 3.0
-
-
-def integrate(state: ChainState, params: ChainParams, dt: float, t_final: float,
-              sample_stride: int = 1, harmonic_only: bool = False
-              ) -> list[tuple[float, ChainState]]:
-    """Leapfrog trajectory; snapshots every sample_stride steps, t = 0 included.
-
-    Raises BlowupError (with the offending time) if the state goes non-finite,
-    which is the fail-fast signal for a too-large dt.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    if t_final < 0:
-        raise ValueError("t_final must be >= 0")
-    if sample_stride < 1:
-        raise ValueError("sample_stride must be >= 1")
-    n_steps = int(np.floor(t_final / dt + 1e-9))
-    steps = range(0, n_steps + 1, sample_stride)
-    snaps = evolve_batch([state], params, dt, steps, harmonic_only)
-    return [(step * dt, snap[0]) for step, snap in zip(steps, snaps)]
 
 
 def _batch_forces(q: np.ndarray, A: float, harmonic_only: bool,
@@ -127,7 +110,9 @@ def _batch_forces(q: np.ndarray, A: float, harmonic_only: bool,
     """Forces for a (B, N) block of trajectories, written into f; r is scratch."""
     r[:, 0] = q[:, 0]
     np.subtract(q[:, 1:], q[:, :-1], out=r[:, 1:-1])
-    np.negative(q[:, -1], out=r[:, -1])
+    # not np.negative(q[:, -1], out=r[:, -1]): numpy 2.4 reads that input as if
+    # contiguous when its stride is 8 elements, i.e. at N = 8
+    r[:, -1] = -q[:, -1]
     if not harmonic_only:
         # V'(r) = r (1 + r (1 + A r)), evaluated in place
         w = r * A
@@ -138,38 +123,38 @@ def _batch_forces(q: np.ndarray, A: float, harmonic_only: bool,
     np.subtract(r[:, 1:], r[:, :-1], out=f)
 
 
-def evolve_batch(states: list[ChainState], params: ChainParams, dt: float,
-                 step_targets, harmonic_only: bool = False) -> list[list[ChainState]]:
-    """Leapfrog an ensemble in lockstep; one entry per target step index.
+def evolve_batch(states: ChainState, params: ChainParams, dt: float,
+                 step_targets, harmonic_only: bool = False) -> tuple[ChainState, ...]:
+    """Leapfrog a (B, N) ensemble in lockstep; one (B, N) snapshot per target
+    step index, step 0 being the start.
 
     All trajectories advance together as (B, N) arrays, which is what makes
-    ensemble autocorrelation runs affordable.  Returns snapshots[target][traj].
+    ensemble autocorrelation runs affordable.  Raises BlowupError (with the
+    offending time) if the state goes non-finite, the fail-fast signal for a
+    too-large dt.
     """
     targets = [int(s) for s in step_targets]
     if any(b < a for a, b in zip(targets, targets[1:])) or (targets and targets[0] < 0):
         raise ValueError("step_targets must be ascending and non-negative")
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    n = states[0].n
-    p = np.stack([s.p for s in states])
-    q = np.stack([s.q for s in states])
-    out: list[list[ChainState]] = []
+    p = states.p.copy()
+    q = states.q.copy()
+    r = np.empty((len(states), states.n + 1))     # a single (N,) state has no len()
+    f = np.empty_like(p)
+    buf = np.empty_like(p)
+    out = []
 
     def snapshot():
-        out.append([ChainState(p[b].copy(), q[b].copy()) for b in range(len(states))])
+        out.append(ChainState(p.copy(), q.copy()))
 
     it = iter(targets)
     nxt = next(it, None)
     while nxt == 0:
         snapshot()
         nxt = next(it, None)
-    if nxt is None:
-        return out
     A = params.A
     half = 0.5 * dt
-    r = np.empty((len(states), n + 1))
-    f = np.empty_like(p)
-    buf = np.empty_like(p)
     with np.errstate(over="ignore", invalid="ignore"):
         _batch_forces(q, A, harmonic_only, r, f)
         step = 0
@@ -187,4 +172,4 @@ def evolve_batch(states: list[ChainState], params: ChainParams, dt: float,
             while nxt == step:
                 snapshot()
                 nxt = next(it, None)
-    return out
+    return tuple(out)

@@ -727,16 +727,29 @@ def run(cfg: ExperimentConfig, out_dir: str | Path, threads: int = 1) -> int:
     """Execute an experiment; write CSV, metadata JSON and PASS/FAIL summary.
 
     Returns 0 when every check passes, 1 otherwise; a run in which no check
-    ran fails.  BlowupError, ThetaSolveError and PacketError propagate; the
+    ran fails.  BlowupError, ThetaSolveError and PacketError propagate after
+    the metadata file records them under "failure" (no CSV, no summary); the
     CLI reports them with exit code 3.
     """
     spec = EXPERIMENTS[cfg.experiment]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    t0 = time.time()
-    rows, checks, diags = spec.compute(cfg, threads)
-    wall = time.time() - t0
     base = cfg.experiment
+
+    def write_metadata(**entries):
+        metadata = {"experiment": cfg.experiment, "config": cfg.raw,
+                    "thresholds": dict(THRESHOLDS), **entries, "build": _git_describe(),
+                    "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
+        (out / f"{base}_metadata.json").write_text(json.dumps(metadata, indent=2,
+                                                              default=str) + "\n")
+
+    t0 = time.time()
+    try:
+        rows, checks, diags = spec.compute(cfg, threads)
+    except (BlowupError, ThetaSolveError, PacketError) as exc:
+        write_metadata(failure={"exception": type(exc).__name__, "message": str(exc)})
+        raise
+    wall = time.time() - t0
     _write_csv(out / f"{base}_results.csv", spec.columns, rows)
     if "beta_list" in spec.keys:    # the experiment samples the Gibbs measure
         tilted = {}
@@ -745,17 +758,7 @@ def run(cfg: ExperimentConfig, out_dir: str | Path, threads: int = 1) -> int:
             td = make_tilted_density(beta, cfg.A, theta)
             tilted[f"beta={beta:g}"] = {"theta": theta, "q_theta": td.q_gamma}
         diags = {**diags, "tilted_density": tilted}
-    metadata = {
-        "experiment": cfg.experiment,
-        "config": cfg.raw,
-        "thresholds": {k: v for k, v in THRESHOLDS.items()},
-        "diagnostics": diags,
-        "build": _git_describe(),
-        "wall_time_seconds": wall,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-    }
-    (out / f"{base}_metadata.json").write_text(json.dumps(metadata, indent=2,
-                                                          default=str) + "\n")
+    write_metadata(diagnostics=diags, wall_time_seconds=wall)
     if not checks:
         checks = [("no check ran", False)]
     all_ok = all(ok for _, ok in checks)

@@ -23,6 +23,8 @@ from .chain import ChainParams, ChainState, potential_v
 DEFAULT_BURN_IN = 100
 _PILOT_SWEEPS = 400
 _TARGET_ACCEPTANCE = 0.3
+_SLAB = 1e-3                # |sum r| <= _SLAB accepts a slab_rejection_bonds draw
+_SLAB_MAX_BATCHES = 10_000
 
 
 class ThetaSolveError(RuntimeError):
@@ -259,8 +261,10 @@ class GibbsSampler:
         p = sample_momenta(self.rng, self.params.N, self.params.beta)
         return bonds_to_state(self.r, p)
 
-    def sample_states(self, n: int) -> list[ChainState]:
-        return [self.sample() for _ in range(n)]
+    def sample_states(self, n: int) -> ChainState:
+        """n successive sample() draws as one (n, N) ensemble."""
+        draws = [self.sample() for _ in range(n)]
+        return ChainState(np.stack([s.p for s in draws]), np.stack([s.q for s in draws]))
 
     def diagnostics(self) -> dict:
         return {
@@ -289,24 +293,21 @@ class _InverseCdf:
         return np.interp(rng.random(size), self.cdf, self.x)
 
 
-def slab_rejection_bonds(rng, params: ChainParams, n_samples: int,
-                         slab: float = 1e-3, theta: float | None = None,
-                         max_batches: int = 10_000) -> np.ndarray:
+def slab_rejection_bonds(rng, params: ChainParams, n_samples: int) -> np.ndarray:
     """Independent reference sampler: iid tilted bonds accepted on |sum r| <= slab.
 
     Exact up to O(slab) tilt bias, which is far below Monte Carlo resolution;
     feasible only for small N.  Returns (n_samples, N+1).
     """
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    if theta is None:
-        theta = solve_theta(params.beta, params.A)
+    theta = solve_theta(params.beta, params.A)
     inv = _InverseCdf(params.beta, params.A, theta)
     out = []
     got = 0
     batch = max(10_000, 4 * n_samples)
-    for _ in range(max_batches):
+    for _ in range(_SLAB_MAX_BATCHES):
         r = inv.draw(rng, (batch, params.N + 1))
-        keep = np.abs(r.sum(axis=1)) <= slab
+        keep = np.abs(r.sum(axis=1)) <= _SLAB
         if keep.any():
             out.append(r[keep])
             got += int(keep.sum())

@@ -132,10 +132,14 @@ def _check_size(state: ChainState, packet: PacketObservable) -> None:
         raise ValueError(f"state has N = {state.n}, packet built for N = {packet.N}")
 
 
-def phi0(state: ChainState, packet: PacketObservable) -> float:
-    """sum_k nu_k I_k; nonnegative whenever nu >= 0."""
+def phi0(state: ChainState, packet: PacketObservable) -> float | np.ndarray:
+    """sum_k nu_k I_k; nonnegative whenever nu >= 0.  A float for one state,
+    a (B,) array for a (B, N) ensemble."""
     _check_size(state, packet)
-    return float(packet.nu_k @ spectral.actions(state))
+    # a stacked dot per row rounds like nu_k @ actions; actions @ nu_k does not
+    acts = spectral.actions(state)
+    val = (acts[..., None, :] @ packet.nu_k[:, None])[..., 0, 0]
+    return float(val) if val.ndim == 0 else val
 
 
 def _legs(state: ChainState, packet: PacketObservable):

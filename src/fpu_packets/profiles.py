@@ -17,8 +17,6 @@ import numpy as np
 
 _FD_STEP = 1e-6
 _FD_THRESHOLD = 1e-4
-_CONSISTENCY_GRID = 10_000
-_CONSISTENCY_TOL = 1e-8
 
 
 def omega_of(x):
@@ -59,24 +57,6 @@ class NuProfile:
     @property
     def admissible(self) -> bool:
         return abs(self.g_prime_at_zero) < _FD_THRESHOLD
-
-    def scaled(self, c: float) -> "NuProfile":
-        """Profile with g multiplied by c > 0 (nu is homogeneous of degree 1)."""
-        if not c > 0:
-            raise ValueError("scale factor must be > 0")
-        g = self._g
-        return NuProfile(self.kind, {**self.params, "_scale": c},
-                         c * self.c0, abs(c) * self.c2, lambda x: c * g(x))
-
-    def validate(self) -> None:
-        """Check c0/c2 against g on a 10^4-point grid."""
-        x = np.linspace(0.0, 1.0, _CONSISTENCY_GRID)
-        if abs(self.c0 - float(self.g(0.0))) > _CONSISTENCY_TOL:
-            raise ValueError(f"{self.kind}: stored c0 inconsistent with g(0)")
-        h = x[1] - x[0]
-        g2 = (self.g(x[:-2]) - 2.0 * self.g(x[1:-1]) + self.g(x[2:])) / h**2
-        if np.abs(g2).max() > self.c2 * (1.0 + 1e-6) + 1e-4:
-            raise ValueError(f"{self.kind}: stored c2 below observed |g''| on grid")
 
 
 def _max_abs_poly_on_unit(poly: np.polynomial.Polynomial) -> float:

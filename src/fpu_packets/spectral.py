@@ -36,13 +36,15 @@ def _transform_matrix(n: int) -> np.ndarray:
 
 
 def sine_transform(v: np.ndarray) -> np.ndarray:
-    """Apply the orthogonal sine transform (its own inverse) as the explicit
-    O(N^2) matrix product."""
+    """Apply the orthogonal sine transform (its own inverse) along the last
+    axis, as the explicit O(N^2) matrix product.  Each row is a stacked
+    (1, N) @ (N, N) product, which keeps the bits of the 1-d `row @ M`; a
+    plain (B, N) @ (N, N) product sums in another order."""
     v = np.asarray(v, dtype=float)
     n = v.shape[-1]
     if n < 1:
         raise ValueError("empty vector")
-    return v @ _transform_matrix(n)
+    return (v[..., None, :] @ _transform_matrix(n))[..., 0, :]
 
 
 @dataclass
@@ -60,11 +62,6 @@ def to_modes(state: ChainState) -> SpectralState:
         q_hat=sine_transform(state.q),
         omega=frequencies(state.n),
     )
-
-
-def from_modes(p_hat: np.ndarray, q_hat: np.ndarray) -> ChainState:
-    """Inverse of to_modes; the transform is involutive."""
-    return ChainState(sine_transform(p_hat), sine_transform(q_hat))
 
 
 def actions(state: ChainState) -> np.ndarray:

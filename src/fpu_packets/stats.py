@@ -87,8 +87,9 @@ def autocorrelation(observable, states, params: ChainParams, dt: float,
                     t_grid, harmonic_only: bool = False) -> CorrelationCurve:
     """C_F(t) = <F F(t)> - <F><F(t)> on the given time grid.
 
-    Each initial state is integrated once up to max(t_grid); grid times are
-    snapped to whole integrator steps.
+    `states` is a (B, N) ensemble of initial states, and `observable` maps a
+    (B, N) ensemble to its B values.  The ensemble is integrated once up to
+    max(t_grid); grid times are snapped to whole integrator steps.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0 or (np.diff(t_grid) <= 0).any() or t_grid[0] < 0:
@@ -101,7 +102,9 @@ def autocorrelation(observable, states, params: ChainParams, dt: float,
     targets = steps if want0 else np.concatenate([[0], steps])
     snaps = chain_mod.evolve_batch(states, params, dt, targets,
                                    harmonic_only=harmonic_only)
-    vals = np.array([[observable(s) for s in row] for row in snaps]).T  # (n, times)
+    # (times, n) transposed, not stacked along axis 1: _cov_columns' column
+    # sums follow the memory layout, and the CSV bytes follow those sums
+    vals = np.array([observable(snap) for snap in snaps]).T  # (n, times)
     f0 = vals[:, 0]
     F = vals if want0 else vals[:, 1:]
     cov, del_cov = _cov_columns(f0, F)
@@ -248,9 +251,9 @@ def chebyshev_experiment(packet: PacketObservable, params: ChainParams,
     sampler = GibbsSampler(params, rng)
     n_steps = int(round(t / dt))
     states = sampler.sample_states(n_samples)
-    before = np.array([packet_mod.phi0(s, packet) for s in states])
-    ends = chain_mod.evolve_batch(states, params, dt, [n_steps])[0]
-    after = np.array([packet_mod.phi0(s, packet) for s in ends])
+    before = packet_mod.phi0(states, packet)
+    (end,) = chain_mod.evolve_batch(states, params, dt, [n_steps])
+    after = packet_mod.phi0(end, packet)
     sigma0 = float(before.std())
     thr = lam * sigma0
     inc = after - before
@@ -289,15 +292,13 @@ def multi_packet_experiment(packets: list[PacketObservable], params: ChainParams
     K = len(packets)
     sampler = GibbsSampler(params, rng)
     states = sampler.sample_states(n_samples)
+    snaps = chain_mod.evolve_batch(states, params, dt, steps)
     v0 = np.empty((n_samples, K))
     vt = np.empty((n_samples, K, len(steps)))
-    for i, st in enumerate(states):
-        for l, pk in enumerate(packets):
-            v0[i, l] = packet_mod.phi0(st, pk)
-    for m, row in enumerate(chain_mod.evolve_batch(states, params, dt, steps)):
-        for i, snap in enumerate(row):
-            for l, pk in enumerate(packets):
-                vt[i, l, m] = packet_mod.phi0(snap, pk)
+    for l, pk in enumerate(packets):
+        v0[:, l] = packet_mod.phi0(states, pk)
+        for m, snap in enumerate(snaps):
+            vt[:, l, m] = packet_mod.phi0(snap, pk)
     sigma = v0.std(axis=0)
     exceed = np.abs(vt[:, :, i_drift] - v0) >= lam * sigma[None, :]
     rates = exceed.mean(axis=0)

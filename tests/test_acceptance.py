@@ -9,8 +9,9 @@ import json
 
 import numpy as np
 import pytest
+from oracles import integrate, total_energy
 
-from fpu_packets.chain import ChainParams, ChainState, integrate, total_energy
+from fpu_packets.chain import ChainParams, ChainState
 from fpu_packets.experiments import run, validate_config
 from fpu_packets.gibbs import GibbsSampler
 from fpu_packets.packet import bracket_norm_check

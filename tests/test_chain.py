@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import from_modes, integrate, potential_dv, total_energy
 
 from fpu_packets import chain
 from fpu_packets.chain import (BlowupError, ChainParams, ChainState, bond_extensions,
-                               energies, integrate, potential_dv, potential_v,
-                               total_energy)
+                               energies, potential_v)
 from fpu_packets.gibbs import GibbsSampler
-from fpu_packets.spectral import frequencies, from_modes
+from fpu_packets.packet import build_phi1_table, phi0
+from fpu_packets.profiles import DEFAULT_PROFILE_SPEC, make_profile
+from fpu_packets.spectral import frequencies, sine_transform
 
 
 def forces(q, A):
@@ -58,7 +60,25 @@ def test_state_validation():
     with pytest.raises(ValueError):
         ChainState(np.zeros(3), np.zeros(4))
     with pytest.raises(ValueError):
+        ChainState(np.zeros((2, 3)), np.zeros((3, 2)))
+    with pytest.raises(ValueError):
+        ChainState(np.zeros((1, 2, 3)), np.zeros((1, 2, 3)))
+    with pytest.raises(ValueError):
         ChainState(np.array([np.inf, 0.0]), np.zeros(2))
+    with pytest.raises(TypeError):
+        len(ChainState(np.zeros(3), np.zeros(3)))
+    with pytest.raises(TypeError):
+        ChainState(np.zeros(3), np.zeros(3))[0]
+    with pytest.raises(TypeError):
+        chain.evolve_batch(ChainState(np.zeros(3), np.zeros(3)), ChainParams(N=3), 0.1, [0])
+
+
+def test_ensemble_len_and_indexing():
+    ens = ChainState(np.arange(6.0).reshape(2, 3), -np.arange(6.0).reshape(2, 3))
+    assert len(ens) == 2 and ens.n == 3
+    assert np.array_equal(ens[1].p, [3.0, 4.0, 5.0]) and ens[1].n == 3
+    assert len(ens[1:]) == 1
+    assert [s.q[0] for s in ens] == [0.0, -3.0]
 
 
 def test_energies_examples():
@@ -97,8 +117,8 @@ def test_forces_match_finite_differences():
 
 
 def test_verlet_zero_state_fixed_point():
-    zero = ChainState(np.zeros(5), np.zeros(5))
-    for (out,) in chain.evolve_batch([zero], ChainParams(N=5), 0.02, [1, 50]):
+    zero = ChainState(np.zeros((1, 5)), np.zeros((1, 5)))
+    for out in chain.evolve_batch(zero, ChainParams(N=5), 0.02, [1, 50]):
         assert np.all(out.p == 0.0) and np.all(out.q == 0.0)
 
 
@@ -110,14 +130,33 @@ def test_evolve_batch_reversibility_property(N, B, dt, n_steps, A, seed):
     # forward, flip the momenta, forward again: leapfrog returns to the start
     rng = np.random.default_rng(seed)
     params = ChainParams(N=N, A=A)
-    starts = [ChainState(rng.uniform(-0.1, 0.1, N), rng.uniform(-0.1, 0.1, N))
-              for _ in range(B)]
-    (fwd,) = chain.evolve_batch(starts, params, dt, [n_steps])
-    (back,) = chain.evolve_batch([ChainState(-s.p, s.q) for s in fwd], params, dt,
-                                 [n_steps])
-    for start, end in zip(starts, back):
-        assert np.abs(-end.p - start.p).max() <= 1e-12
-        assert np.abs(end.q - start.q).max() <= 1e-12
+    start = ChainState(rng.uniform(-0.1, 0.1, (B, N)), rng.uniform(-0.1, 0.1, (B, N)))
+    (fwd,) = chain.evolve_batch(start, params, dt, [n_steps])
+    (back,) = chain.evolve_batch(ChainState(-fwd.p, fwd.q), params, dt, [n_steps])
+    assert np.abs(-back.p - start.p).max() <= 1e-12
+    assert np.abs(back.q - start.q).max() <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.integers(3, 64), B=st.integers(1, 8), n_steps=st.integers(1, 20),
+       seed=st.integers(0, 2**32 - 1))
+@example(N=8, B=2, n_steps=1, seed=0)   # a strided np.negative misread rows b >= 1
+def test_ensemble_row_has_the_bits_of_the_single_state(N, B, n_steps, seed):
+    # an ensemble is evaluated row by row in the arithmetic of one state
+    rng = np.random.default_rng(seed)
+    ens = ChainState(rng.normal(scale=0.3, size=(B, N)), rng.normal(scale=0.3, size=(B, N)))
+    pk = build_phi1_table(make_profile(DEFAULT_PROFILE_SPEC), N)
+    params = ChainParams(N=N)
+    targets = [0, n_steps // 2, n_steps]
+    snaps = chain.evolve_batch(ens, params, 0.02, targets)
+    values = phi0(ens, pk)
+    transformed = sine_transform(ens.p)
+    for b in range(B):
+        assert np.array_equal(transformed[b], sine_transform(ens.p[b]))
+        assert values[b] == phi0(ens[b], pk)
+        for snap, alone in zip(snaps, chain.evolve_batch(ens[b:b + 1], params, 0.02, targets)):
+            assert np.array_equal(snap[b].p, alone[0].p)
+            assert np.array_equal(snap[b].q, alone[0].q)
 
 
 def test_verlet_harmonic_mode_second_order():
@@ -178,8 +217,7 @@ def test_blowup_detection():
 def test_evolve_batch_matches_stepper():
     rng = np.random.default_rng(5)
     params = ChainParams(N=11)
-    states = [ChainState(0.1 * rng.normal(size=11), 0.1 * rng.normal(size=11))
-              for _ in range(4)]
+    states = ChainState(0.1 * rng.normal(size=(4, 11)), 0.1 * rng.normal(size=(4, 11)))
     batch = chain.evolve_batch(states, params, 0.02, [0, 37, 100])
     for i, st in enumerate(states):
         cur = st

@@ -175,11 +175,21 @@ def test_cli_exit_codes(tmp_path, capsys):
     with pytest.raises(BlowupError):
         run(validate_config(json.dumps(blowup)), tmp_path / "direct")
     capsys.readouterr()
-    numerical = tmp_path / "blowup.json"
-    numerical.write_text(json.dumps(blowup))
-    assert main(["run", str(numerical), "--out", str(tmp_path / "out")]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("numerical failure: BlowupError: ") and err.count("\n") == 1
+    # with --threads 2 the error comes back from a worker process
+    two_cells = dict(blowup, beta_list=[0.01, 0.02])
+    for body, threads in ((blowup, "1"), (two_cells, "2")):
+        numerical = tmp_path / "blowup.json"
+        numerical.write_text(json.dumps(body))
+        out = tmp_path / f"out{threads}"
+        assert main(["run", str(numerical), "--out", str(out), "--threads", threads]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: BlowupError: ") and err.count("\n") == 1
+        # the failed run leaves its record, and no results
+        assert sorted(f.name for f in out.iterdir()) == ["autocorrelation_metadata.json"]
+        meta = json.loads((out / "autocorrelation_metadata.json").read_text())
+        assert meta["config"] == body
+        assert meta["failure"]["exception"] == "BlowupError"
+        assert err.rstrip("\n").endswith(meta["failure"]["message"])
 
 
 def test_cli_run_small(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import from_modes, integrate
 
 from fpu_packets.chain import (ChainParams, ChainState, bond_extensions, cubic_energy,
                                energies)
@@ -14,7 +15,7 @@ from fpu_packets.packet import (_CUBIC_PREFACTOR, TAU_PATTERNS, PacketError,
                                 homological_residual, phi0, phi1, phi_dot,
                                 poisson_bracket, ps_observable)
 from fpu_packets.profiles import DEFAULT_PROFILE_SPEC, eval_h1, make_profile
-from fpu_packets.spectral import frequencies, from_modes, to_complex
+from fpu_packets.spectral import frequencies, to_complex
 
 OMEGA_PROFILE = {"kind": "constant", "value": 1.0}   # nu = omega
 
@@ -346,8 +347,6 @@ def test_phi_dot_zero_state():
 
 
 def test_phi_dot_matches_trajectory_derivative():
-    from fpu_packets.chain import integrate
-
     N = 31
     params = ChainParams(N=N, beta=100.0)
     pk = build_phi1_table(make_profile(DEFAULT_PROFILE_SPEC), N)

@@ -10,6 +10,17 @@ from fpu_packets.profiles import (DEFAULT_PROFILE_SPEC, PROFILE_KINDS, NuProfile
 _ALL_SIGN_PATTERNS = [(t1, t2, t3) for t1 in (1, -1) for t2 in (1, -1) for t3 in (1, -1)]
 
 
+def _check_c0_c2(prof):
+    """The closed-form c0 and c2 against g(0) and a finite-difference |g''|
+    on a 10^4-point grid."""
+    x = np.linspace(0.0, 1.0, 10_000)
+    assert abs(prof.c0 - float(prof.g(0.0))) <= 1e-8, f"{prof.kind}: c0 is not g(0)"
+    h = x[1] - x[0]
+    g2 = (prof.g(x[:-2]) - 2.0 * prof.g(x[1:-1]) + prof.g(x[2:])) / h**2
+    assert np.abs(g2).max() <= prof.c2 * (1.0 + 1e-6) + 1e-4, \
+        f"{prof.kind}: c2 below the observed |g''|"
+
+
 def _eval_h1_reference(profile, grid_size):
     """(value, min_denominator) of h1 from all 8 sign patterns on the full square.
 
@@ -89,7 +100,7 @@ def test_registered_family_consistency():
         {"kind": "linear"},
     ]
     for spec in specs:
-        make_profile(spec).validate()
+        _check_c0_c2(make_profile(spec))
     assert set(PROFILE_KINDS) == {"constant", "poly_x2", "cosine", "bump", "linear"}
 
 
@@ -98,7 +109,7 @@ def test_poly_x2_c2_with_subnormal_leading_coefficient():
     prof = make_profile({"kind": "poly_x2", "coeffs": [0.0, 0.0, 1.0, 5e-324]})
     assert prof.c2 == pytest.approx(12.0, rel=1e-15)
     assert prof.c2 >= 12.0
-    prof.validate()
+    _check_c0_c2(prof)
 
 
 def test_admissibility():
@@ -119,7 +130,7 @@ def test_eval_h1_constant_profiles():
 
 def test_h1_homogeneity():
     prof = make_profile({"kind": "poly_x2", "coeffs": [1.0, 1.0]})
-    scaled = prof.scaled(3.0)
+    scaled = make_profile({"kind": "poly_x2", "coeffs": [3.0, 3.0]})
     assert eval_h1(scaled, 200).value == pytest.approx(3 * eval_h1(prof, 200).value, rel=1e-10)
 
 

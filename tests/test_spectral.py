@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+from oracles import from_modes
 
 from fpu_packets.chain import ChainParams, ChainState, energies
 from fpu_packets.gibbs import GibbsSampler
 from fpu_packets.packet import build_phi1_table, phi0
 from fpu_packets.profiles import DEFAULT_PROFILE_SPEC, make_profile
-from fpu_packets.spectral import (actions, frequencies, from_modes, sine_transform,
-                                  to_complex, to_modes)
+from fpu_packets.spectral import actions, frequencies, sine_transform, to_complex, to_modes
 
 
 def advance_harmonic(state, t):

@@ -42,7 +42,7 @@ def test_variance_of_phi0_matches_harmonic_oracle():
     N, beta = 127, 200.0
     pk = build_phi1_table(make_profile(OMEGA_PROFILE), N)
     states = gibbs_states(N, beta, 2500, seed=1)
-    est = estimate_from_samples([phi0(s, pk) for s in states])
+    est = estimate_from_samples(phi0(states, pk))
     assert est.variance == pytest.approx(N / beta**2, rel=0.10)
 
 
@@ -70,7 +70,7 @@ def test_autocorrelation_harmonic_hook_action_is_flat():
     N = 15
     k = 4
     states = gibbs_states(N, 50.0, 30, seed=4)
-    curve = autocorrelation(lambda s: actions(s)[k], states, ChainParams(N=N), 0.02,
+    curve = autocorrelation(lambda s: actions(s)[:, k], states, ChainParams(N=N), 0.02,
                             [0.0, 5.0, 20.0, 50.0], harmonic_only=True)
     for v, se in zip(curve.normalized[1:], curve.normalized_stderrs[1:]):
         assert abs(v - 1.0) <= max(3 * se, 1e-3)
@@ -134,7 +134,7 @@ def test_ratio_theorem1_inadmissible_profile_inflates_corrector():
     # at matched h2, the g'(0) != 0 profile carries a much larger corrector
     N = 63
     params = ChainParams(N=N, beta=200.0)
-    adm = make_profile(OMEGA_PROFILE).scaled(1 / np.sqrt(3.0))
+    adm = make_profile({"kind": "constant", "value": 1 / np.sqrt(3.0)})
     inadm = make_profile({"kind": "linear"})
     pk_a = build_phi1_table(adm, N)
     pk_i = build_phi1_table(inadm, N, require_admissible=False)
