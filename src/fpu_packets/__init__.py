@@ -3,9 +3,8 @@
 from .chain import BlowupError, ChainParams, ChainState, energies, potential_v
 from .gibbs import (GibbsSampler, TiltedDensity, bonds_to_state, make_tilted_density,
                     sample_momenta, solve_theta, tilted_moments)
-from .packet import (PacketObservable, PhaseGradient, build_phi1_table, grad_phi,
-                     homological_residual, phi0, phi1, phi_dot, poisson_bracket,
-                     ps_observable)
+from .packet import (PacketObservable, build_phi1_table, homological_residual, phi0,
+                     phi1, phi_dot, ps_observable)
 from .profiles import NuProfile, disjoint_profiles, eval_h1, make_profile, z_fold
 from .spectral import actions, frequencies, sine_transform, to_complex
 from .stats import (CorrelationCurve, Estimate, autocorrelation, fit_power_law,
@@ -17,9 +16,8 @@ __all__ = [
     "BlowupError", "ChainParams", "ChainState", "energies", "potential_v",
     "GibbsSampler", "TiltedDensity", "bonds_to_state", "make_tilted_density",
     "sample_momenta", "solve_theta", "tilted_moments",
-    "PacketObservable", "PhaseGradient", "build_phi1_table", "grad_phi",
-    "homological_residual", "phi0", "phi1", "phi_dot", "poisson_bracket",
-    "ps_observable",
+    "PacketObservable", "build_phi1_table", "homological_residual", "phi0", "phi1",
+    "phi_dot", "ps_observable",
     "NuProfile", "disjoint_profiles", "eval_h1", "make_profile", "z_fold",
     "actions", "frequencies", "sine_transform", "to_complex",
     "CorrelationCurve", "Estimate", "autocorrelation", "fit_power_law",

@@ -2,8 +2,9 @@
 
 Each experiment is one ExperimentSpec in EXPERIMENTS: its description, the
 config keys its code reads (each with a default and a validator), its CSV
-columns and the function that computes its rows, checks and diagnostics.  A
-config may set `experiment`, `seed` and its experiment's keys, nothing else.
+columns, the function that computes its rows, checks and diagnostics, and a
+check of values wrong only together where there are such.  A config may set
+`experiment`, `seed` and its experiment's keys, nothing else.
 
 Every experiment's PASS thresholds live in THRESHOLDS, which the acceptance
 test suite imports, so there is a single source of truth.  (config, seed)
@@ -137,6 +138,24 @@ def _profile(v):
     return v
 
 
+def _admissible(v):
+    """A profile the corrector table accepts: g'(0) = 0."""
+    prof = make_profile(v)
+    if not prof.admissible:
+        raise ValueError(f"must be an admissible profile (g'(0) = 0) for the corrector, "
+                         f"got g'(0) = {prof.g_prime_at_zero:.3e}")
+    return v
+
+
+def _whole_steps(key: str, times, dt: float) -> None:
+    """Refuse a positive target time that rounds to 0 steps of dt: the run
+    would measure the unevolved ensemble, and its checks would pass vacuously."""
+    short = [t for t in times if t > 0 and np.rint(t / dt) < 1]
+    if short:
+        raise ConfigError(f"field {key!r}: target time t = {min(short):g} rounds to 0 "
+                          f"steps of dt = {dt:g}")
+
+
 def _t_grid(v):
     if v is None:
         return None
@@ -166,13 +185,15 @@ _DRIFT_EXPONENT = Key(0.4, _real(lambda v: 0.0 <= v <= 0.5, "a number in [0, 1/2
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One experiment: the config keys its code reads, its CSV columns, and
-    `compute(cfg, threads) -> (rows, checks, diagnostics)`."""
+    """One experiment: the config keys its code reads, its CSV columns,
+    `compute(cfg, threads) -> (rows, checks, diagnostics)` and optionally
+    `joint(cfg)`, which raises ConfigError on values wrong only together."""
 
     description: str
     keys: dict[str, Key]
     columns: tuple[str, ...]
     compute: Callable
+    joint: Callable[[ExperimentConfig], None] | None = None
 
 
 def validate_config(text: str) -> ExperimentConfig:
@@ -205,7 +226,10 @@ def validate_config(text: str) -> ExperimentConfig:
             values[key] = check(data.get(key, default))
         except ValueError as exc:
             raise ConfigError(f"field {key!r}: {exc}") from None
-    return ExperimentConfig(experiment=name, raw=data, **values)
+    cfg = ExperimentConfig(experiment=name, raw=data, **values)
+    if spec.joint is not None:
+        spec.joint(cfg)
+    return cfg
 
 
 def _cell_seed(seed: int, index: int) -> np.random.SeedSequence:
@@ -292,14 +316,8 @@ def _autocorr_cell(cfg, seed, N, beta):
     pk = build_phi1_table(make_profile(cfg.profile), N)
     sampler = GibbsSampler(ChainParams(N=N, A=cfg.A, beta=beta), rng)
     states = sampler.sample_states(cfg.n_samples)
-    if cfg.t_grid is not None:
-        grid = np.asarray(cfg.t_grid, dtype=float)
-        horizon = float(grid.max())
-    else:
-        horizon = cfg.horizon_factor * beta
-        near = np.linspace(0.0, min(beta, horizon), 11)
-        far = np.linspace(min(beta, horizon), horizon, 18)[1:]
-        grid = np.unique(np.concatenate([near, far]))
+    grid = _autocorr_times(cfg, beta)
+    horizon = float(grid.max())
     curve = stats_mod.autocorrelation(lambda s: packet_mod.phi0(s, pk), states,
                                       ChainParams(N=N, A=cfg.A, beta=beta), cfg.dt, grid)
     t_half, t_half_se = stats_mod.half_life_jackknife(curve)
@@ -311,6 +329,21 @@ def _autocorr_cell(cfg, seed, N, beta):
     return {"rows": rows, "N": N, "beta": beta, "horizon": horizon,
             "t_half": t_half, "t_half_stderr": t_half_se,
             "diag": sampler.diagnostics()}
+
+
+def _autocorr_times(cfg, beta) -> np.ndarray:
+    """The configured t_grid, or the default grid up to horizon_factor * beta."""
+    if cfg.t_grid is not None:
+        return np.asarray(cfg.t_grid, dtype=float)
+    horizon = cfg.horizon_factor * beta
+    near = np.linspace(0.0, min(beta, horizon), 11)
+    far = np.linspace(min(beta, horizon), horizon, 18)[1:]
+    return np.unique(np.concatenate([near, far]))
+
+
+def _autocorr_joint(cfg):
+    _whole_steps("horizon_factor" if cfg.t_grid is None else "t_grid",
+                 [t for beta in cfg.beta_list for t in _autocorr_times(cfg, beta)], cfg.dt)
 
 
 def _run_autocorr(cfg: ExperimentConfig, threads: int):
@@ -374,6 +407,12 @@ def _lemma3_cell(cfg, seed, kind, N, beta):
             "variance": est.variance, "variance_stderr": est.stderr_variance,
             "plus_norm": plus_norm, "normalized": est.variance * scale,
             "normalized_stderr": est.stderr_variance * scale}
+
+
+def _lemma3_joint(cfg):
+    if "Phi1" in cfg.kinds and not make_profile(cfg.profile).admissible:
+        raise ConfigError("field 'profile': must be an admissible profile (g'(0) = 0) "
+                          "when kinds include 'Phi1', whose corrector table needs it")
 
 
 def _run_lemma3(cfg: ExperimentConfig, threads: int):
@@ -615,7 +654,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         "machine-precision residual of the corrector equation",
         {"N_list": Key([31], _N_LIST), "beta_list": Key([100.0], _BETAS), "A": _A,
          "n_samples": Key(100, _COUNT),
-         "profile": Key({"kind": "constant", "value": 1.0}, _profile)},
+         "profile": Key({"kind": "constant", "value": 1.0}, _admissible)},
         ("N", "beta", "n_samples", "max_residual", "mean_residual", "min_denominator"),
         _run_homological),
     "ratio-scaling": ExperimentSpec(
@@ -623,7 +662,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         {"N_list": Key([127], _N_LIST),
          "beta_list": Key([25.0, 50.0, 100.0, 200.0], _list(_positive, distinct=3)),
          "A": _A,
-         "n_samples": Key(4000, _COUNT), "profile": Key(RATIO_PROFILE_SPEC, _profile)},
+         "n_samples": Key(4000, _COUNT), "profile": Key(RATIO_PROFILE_SPEC, _admissible)},
         ("N", "beta", "n_samples", "phidot_norm", "phidot_stderr", "sigma_phi",
          "sigma_phi_stderr", "ratio", "sigma_phi0", "sigma_phi1", "ratio_phi1_phi0"),
         _run_ratio),
@@ -631,12 +670,12 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         "packet-energy autocorrelation persistence and half-life scaling",
         {"N_list": Key([127], _N_LIST), "beta_list": Key([50.0, 100.0, 200.0], _BETAS),
          "A": _A, "n_samples": Key(384, _int(3)),
-         "profile": Key(DEFAULT_PROFILE_SPEC, _profile), "dt": _DT,
+         "profile": Key(DEFAULT_PROFILE_SPEC, _admissible), "dt": _DT,
          "t_grid": Key(None, _t_grid), "horizon_factor": Key(6.5, _positive),
          "persistence_betas": Key([100.0], _list(_positive))},
         ("N", "beta", "t", "corr", "corr_stderr", "corr_normalized",
          "corr_normalized_stderr", "sigma2"),
-        _run_autocorr),
+        _run_autocorr, _autocorr_joint),
     "lemma3-scan": ExperimentSpec(
         "normalized variance band over (N, beta) for P_s observables",
         {"N_list": Key([63, 127, 255], _N_LIST),
@@ -645,16 +684,19 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
          "kinds": Key(["Phi0", "H1", "Phi1"], _list(_one_of("Phi0", "H1", "Phi1")))},
         ("kind", "s", "N", "beta", "n_samples", "variance", "variance_stderr",
          "plus_norm", "normalized", "normalized_stderr"),
-        _run_lemma3),
+        _run_lemma3, _lemma3_joint),
     "chebyshev": ExperimentSpec(
         "exceedance probability of packet drift vs the Chebyshev bound",
         {"N_list": Key([127], _N_LIST), "beta_list": Key([50.0, 100.0, 200.0], _BETAS),
          "A": _A, "n_samples": Key(1500, _COUNT),
-         "profile": Key(CHEBYSHEV_PROFILE_SPEC, _profile), "dt": _DT, "a": _DRIFT_EXPONENT},
+         "profile": Key(CHEBYSHEV_PROFILE_SPEC, _admissible), "dt": _DT,
+         "a": _DRIFT_EXPONENT},
         ("N", "beta", "a", "t", "threshold", "n_samples", "empirical_prob",
          "prob_stderr", "chebyshev_bound", "bound_stderr", "increment_variance",
          "sigma_phi0"),
-        _run_chebyshev),
+        _run_chebyshev,
+        lambda cfg: _whole_steps("beta_list", [b ** (1.0 - cfg.a) for b in cfg.beta_list],
+                                 cfg.dt)),
     "multi-packet": ExperimentSpec(
         "joint drift and persistence of K disjoint packets",
         {"N_list": Key([127], _N_LIST), "beta_list": Key([100.0], _BETAS), "A": _A,
@@ -662,7 +704,10 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
          "K": Key(4, _int(1, 16))},
         ("N", "beta", "a", "K", "packet", "exceed_rate", "exceed_stderr",
          "joint_rate", "joint_stderr", "sum_individual", "corr_quarter_beta"),
-        _run_multipacket),
+        _run_multipacket,
+        lambda cfg: _whole_steps("beta_list", [t for b in cfg.beta_list
+                                               for t in (b ** (1.0 - cfg.a), b / 4.0)],
+                                 cfg.dt)),
     "theorem2-h1": ExperimentSpec(
         "h1/(c0+c2) bounded on the admissible family, divergent for g(x)=x",
         {"grid_sizes": Key([256, 1024, 2048, 4096], _list(_int(2), distinct=2)),

@@ -52,7 +52,7 @@ class PacketObservable:
 
     paired says whether coeffs[:, 7-m] == -coeffs[:, m] holds bit for bit
     (tau -> -tau flips the signs of tau.nu, tau.omega and tau1*tau2*tau3).
-    phi1 and its gradient sum patterns 0..3 only and refuse an unpaired table.
+    The corrector pass sums patterns 0..3 only and refuses an unpaired table.
     """
 
     N: int
@@ -132,64 +132,18 @@ def _check_size(state: ChainState, packet: PacketObservable) -> None:
         raise ValueError(f"state has N = {state.n}, packet built for N = {packet.N}")
 
 
+def _phi0(ms: spectral.SpectralState, nu_k: np.ndarray) -> np.ndarray:
+    """sum_k nu_k I_k of transformed states: () for one state, (B,) for B."""
+    # a stacked dot per row rounds like nu_k @ actions; actions @ nu_k does not
+    return (spectral.actions(ms)[..., None, :] @ nu_k[:, None])[..., 0, 0]
+
+
 def phi0(state: ChainState, packet: PacketObservable) -> float | np.ndarray:
     """sum_k nu_k I_k; nonnegative whenever nu >= 0.  A float for one state,
     a (B,) array for a (B, N) ensemble."""
     _check_size(state, packet)
-    # a stacked dot per row rounds like nu_k @ actions; actions @ nu_k does not
-    acts = spectral.actions(state)
-    val = (acts[..., None, :] @ packet.nu_k[:, None])[..., 0, 0]
+    val = _phi0(spectral.to_modes(state), packet.nu_k)
     return float(val) if val.ndim == 0 else val
-
-
-def _legs(state: ChainState, packet: PacketObservable):
-    """xi at the three legs of every triple; eta there is the conjugate."""
-    if not packet.paired:
-        raise PacketError("corrector table breaks the conjugate pairing "
-                          "coeffs[:, 7-m] == -coeffs[:, m]")
-    xi = spectral.to_complex(state)
-    return xi[packet.k1 - 1], xi[packet.k2 - 1], xi[packet.k3 - 1]
-
-
-def phi1(state: ChainState, packet: PacketObservable) -> float:
-    """Evaluate the corrector by direct summation over the stored triples.
-
-    Pattern 7-m has the conjugate monomial and the opposite coefficient of
-    pattern m, so its term is -conj(term_m), exactly.  Only patterns 0..3 are
-    summed; the eight terms are added in pattern order, which gives the bits
-    of the full 8-pattern sum, and the real part is Phi1.  A table without
-    that pairing raises PacketError.
-    """
-    _check_size(state, packet)
-    x1, x2, x3 = _legs(state, packet)
-    y2, y3 = np.conj(x2), np.conj(x3)
-    terms = []
-    for m in range(4):
-        _, t2, t3 = TAU_PATTERNS[m]
-        f = x1 * (x2 if t2 > 0 else y2) * (x3 if t3 > 0 else y3)
-        # the 8-pattern loop's operands, one dot per pattern: another layout
-        # (a complex copy, a batched matrix) may sum in another order
-        terms.append(packet.coeffs[:, m] @ f)
-    total = 0.0j
-    for term in terms + [-np.conj(t) for t in reversed(terms)]:
-        total += term
-    val = 1j * total / np.sqrt(packet.N + 1)
-    return float(val.real)
-
-
-@dataclass
-class PhaseGradient:
-    """Gradient of a phase-space function in particle coordinates."""
-
-    dq: np.ndarray
-    dp: np.ndarray
-
-
-def poisson_bracket(grad_f: PhaseGradient, grad_g: PhaseGradient) -> float:
-    """Canonical bracket sum_j (df/dq_j dg/dp_j - df/dp_j dg/dq_j)."""
-    if grad_f.dq.shape != grad_g.dq.shape:
-        raise ValueError("gradient dimension mismatch")
-    return float(grad_f.dq @ grad_g.dp - grad_f.dp @ grad_g.dq)
 
 
 def _binned(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
@@ -198,18 +152,30 @@ def _binned(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
             + 1j * np.bincount(idx, weights=vals.imag, minlength=n))
 
 
-def _grad_phi0_modes(state: ChainState, packet: PacketObservable):
+def _corrector_pass(state: ChainState, packet: PacketObservable, gradient: bool):
+    """(Phi0, Phi1, d0, d1) of one state, from one forward transform of p and
+    q and one loop over the sign patterns 0..3.
+
+    Phi1 is summed directly over the stored triples.  Pattern 7-m has the
+    conjugate monomial and the opposite coefficient of pattern m, so its term
+    is -conj(term_m), exactly; the eight terms are added in pattern order,
+    which gives the bits of the full 8-pattern sum, and the real part is
+    Phi1.  A table without that pairing raises PacketError.
+
+    With gradient, d0 and d1 are the mode-space gradients of Phi0 and Phi1,
+    each a (d/dq_hat, d/dp_hat) pair; without, they are None.
+    """
+    _check_size(state, packet)
+    if not packet.paired:
+        raise PacketError("corrector table breaks the conjugate pairing "
+                          "coeffs[:, 7-m] == -coeffs[:, m]")
     ms = spectral.to_modes(state)
-    return packet.g_k * ms.omega**2 * ms.q_hat, packet.g_k * ms.p_hat
-
-
-def _grad_phi1_modes(state: ChainState, packet: PacketObservable):
-    x1, x2, x3 = _legs(state, packet)
-    y2, y3 = np.conj(x2), np.conj(x3)
-    i1 = packet.k1 - 1
-    i2 = packet.k2 - 1
-    i3 = packet.k3 - 1
     n = packet.N
+    i1, i2, i3 = packet.k1 - 1, packet.k2 - 1, packet.k3 - 1
+    xi = spectral.to_complex(ms)      # eta is its conjugate
+    x1, x2, x3 = xi[i1], xi[i2], xi[i3]
+    y2, y3 = np.conj(x2), np.conj(x3)
+    terms = []
     # per pattern 0..3 and leg: (row of d it lands on, vector); row 0 is
     # d/d_xi, row 1 d/d_eta
     adds = []
@@ -218,9 +184,20 @@ def _grad_phi1_modes(state: ChainState, packet: PacketObservable):
         f2 = x2 if t2 > 0 else y2
         f3 = x3 if t3 > 0 else y3
         c = packet.coeffs[:, m]
-        adds.append(((0, _binned(i1, c * f2 * f3, n)),
-                     (int(t2 < 0), _binned(i2, c * x1 * f3, n)),
-                     (int(t3 < 0), _binned(i3, c * x1 * f2, n))))
+        # the 8-pattern loop's operands, one dot per pattern: another layout
+        # (a complex copy, a batched matrix) may sum in another order
+        terms.append(c @ (x1 * f2 * f3))
+        if gradient:
+            adds.append(((0, _binned(i1, c * f2 * f3, n)),
+                         (int(t2 < 0), _binned(i2, c * x1 * f3, n)),
+                         (int(t3 < 0), _binned(i3, c * x1 * f2, n))))
+    total = 0.0j
+    for term in terms + [-np.conj(t) for t in reversed(terms)]:
+        total += term
+    v0 = float(_phi0(ms, packet.nu_k))
+    v1 = float((1j * total / np.sqrt(n + 1)).real)
+    if not gradient:
+        return v0, v1, None, None
     # pattern 7-m adds -conj(vector) of pattern m to the other row; the
     # additions keep the order m = 0..7 of the full 8-pattern loop
     d = np.zeros((2, n), dtype=complex)
@@ -230,80 +207,51 @@ def _grad_phi1_modes(state: ChainState, packet: PacketObservable):
     for legs in reversed(adds):
         for row, v in legs:
             d[1 - row] -= np.conj(v)
-    dxi, deta = d * (1j / np.sqrt(packet.N + 1))
-    # d/dp_hat = (d_xi + d_eta)/sqrt(2); d/dq_hat = i omega (d_xi - d_eta)/sqrt(2)
-    dqh = (1j * packet.omega * (dxi - deta) / np.sqrt(2.0)).real
-    dph = ((dxi + deta) / np.sqrt(2.0)).real
-    return dqh, dph
+    dxi, deta = d * (1j / np.sqrt(n + 1))
+    # d/dp_hat = (d_xi + d_eta)/sqrt(2); d/dq_hat = i omega (d_xi - d_eta)/sqrt(2).
+    # Both stay .real views: a strided row rounds differently from a
+    # contiguous copy in the transform's matrix product
+    d1 = ((1j * packet.omega * (dxi - deta) / np.sqrt(2.0)).real,
+          ((dxi + deta) / np.sqrt(2.0)).real)
+    d0 = packet.g_k * ms.omega**2 * ms.q_hat, packet.g_k * ms.p_hat
+    return v0, v1, d0, d1
 
 
-def grad_phi(state: ChainState, packet: PacketObservable,
-             which: str = "phi") -> PhaseGradient:
-    """Analytic gradient of Phi0, Phi1 or Phi = Phi0 + Phi1 in particle
-    coordinates (chain rule through the orthogonal transform)."""
-    _check_size(state, packet)
-    if which == "phi0":
-        dqh, dph = _grad_phi0_modes(state, packet)
-    elif which == "phi1":
-        dqh, dph = _grad_phi1_modes(state, packet)
-    elif which == "phi":
-        dqh0, dph0 = _grad_phi0_modes(state, packet)
-        dqh1, dph1 = _grad_phi1_modes(state, packet)
-        dqh, dph = dqh0 + dqh1, dph0 + dph1
-    else:
-        raise ValueError(f"which must be 'phi0', 'phi1' or 'phi', got {which!r}")
-    return PhaseGradient(dq=spectral.sine_transform(dqh),
-                         dp=spectral.sine_transform(dph))
+def phi1(state: ChainState, packet: PacketObservable) -> float:
+    """The corrector Phi1 at one state, by direct summation over the stored
+    triples (the corrector pass without its gradient)."""
+    return _corrector_pass(state, packet, gradient=False)[1]
 
 
-def grad_hamiltonian(state: ChainState, params: ChainParams,
-                     parts: str = "all") -> PhaseGradient:
-    """Gradient of a selected part of H.
+def phi_dot(state: ChainState, packet: PacketObservable, params: ChainParams
+            ) -> tuple[float, float, float]:
+    """(Phi0, Phi1, Phi-dot) of one state; Phi-dot = {Phi0 + Phi1, H} comes
+    from analytic gradients.
 
-    parts: 'all', 'h0' or 'h1'.  Momentum derivatives appear only when the
-    kinetic part (h0) is included.
+    By the homological identity Phi-dot equals {Phi1, H1+H2} + {Phi0, H2}.
     """
+    v0, v1, d0, d1 = _corrector_pass(state, packet, gradient=True)
+    # mode gradients summed, then transformed: the particle-space gradient of Phi
+    dq, dp = (spectral.sine_transform(a + b) for a, b in zip(d0, d1))
     r = bond_extensions(state.q)
-    A = params.A
-    if parts == "all":
-        w = r * (1.0 + r * (1.0 + A * r))
-    elif parts == "h0":
-        w = r
-    elif parts == "h1":
-        w = r * r
-    else:
-        raise ValueError(f"unknown parts {parts!r}")
-    dq = -np.diff(w)
-    dp = state.p if parts in ("all", "h0") else np.zeros_like(state.p)
-    return PhaseGradient(dq=dq, dp=dp)
-
-
-def phi_dot(state: ChainState, packet: PacketObservable, params: ChainParams,
-            harmonic_only: bool = False) -> float:
-    """Time derivative {Phi, H} from analytic gradients.
-
-    By the homological identity this equals {Phi1, H1+H2} + {Phi0, H2}; with
-    harmonic_only it degenerates to {Phi0, H0} = 0.
-    """
-    if harmonic_only:
-        return poisson_bracket(grad_phi(state, packet, "phi0"),
-                               grad_hamiltonian(state, params, "h0"))
-    return poisson_bracket(grad_phi(state, packet, "phi"),
-                           grad_hamiltonian(state, params, "all"))
+    dh_dq = -np.diff(r * (1.0 + r * (1.0 + params.A * r)))
+    # {Phi, H} = dPhi/dq . dH/dp - dPhi/dp . dH/dq, and dH/dp = p
+    return v0, v1, float(dq @ state.p - dp @ dh_dq)
 
 
 def homological_residual(state: ChainState, packet: PacketObservable) -> float:
     """|{H0, Phi1} + {H1, Phi0}| / (1 + |{H1, Phi0}|).
 
     The defining property of the corrector; vanishes to rounding when the
-    table is consistent.  Needs no chain parameters: H0 and H1 are A-free.
+    table is consistent.  Needs no chain parameters: H0 and H1 are A-free,
+    with gradients (d/dq, d/dp) = (-diff r, p) and (-diff r^2, 0).
     """
-    _check_size(state, packet)
-    params = ChainParams(N=packet.N, A=1.0, beta=1.0)  # A unused by h0/h1
-    b1 = poisson_bracket(grad_hamiltonian(state, params, "h0"),
-                         grad_phi(state, packet, "phi1"))
-    b2 = poisson_bracket(grad_hamiltonian(state, params, "h1"),
-                         grad_phi(state, packet, "phi0"))
+    _, _, d0, d1 = _corrector_pass(state, packet, gradient=True)
+    dq1, dp1 = map(spectral.sine_transform, d1)
+    dp0 = spectral.sine_transform(d0[1])
+    r = bond_extensions(state.q)
+    b1 = float(-np.diff(r) @ dp1 - state.p @ dq1)
+    b2 = float(-np.diff(r * r) @ dp0)
     return abs(b1 + b2) / (1.0 + abs(b2))
 
 
@@ -322,7 +270,7 @@ def ps_observable(kind: str, profile: NuProfile, N: int
         nu_k = profile.g(x) * omega
 
         def obs(state: ChainState) -> float:
-            return float(nu_k @ spectral.actions(state))
+            return float(_phi0(spectral.to_modes(state), nu_k))
 
         return obs, 2, float(np.abs(profile.g(x)).max())
     if kind == "Phi1":

@@ -64,13 +64,11 @@ def to_modes(state: ChainState) -> SpectralState:
     )
 
 
-def actions(state: ChainState) -> np.ndarray:
+def actions(ms: SpectralState) -> np.ndarray:
     """I_k = (p_hat_k^2 + omega_k^2 q_hat_k^2) / (2 omega_k); all >= 0."""
-    ms = to_modes(state)
     return (ms.p_hat**2 + (ms.omega * ms.q_hat) ** 2) / (2.0 * ms.omega)
 
 
-def to_complex(state: ChainState) -> np.ndarray:
+def to_complex(ms: SpectralState) -> np.ndarray:
     """xi_k = (p_hat_k + i omega_k q_hat_k) / sqrt(2); eta is its conjugate."""
-    ms = to_modes(state)
     return (ms.p_hat + 1j * ms.omega * ms.q_hat) / np.sqrt(2.0)

@@ -205,7 +205,7 @@ def _std_jackknife(x: np.ndarray) -> tuple[float, float]:
 
 
 def ratio_theorem1(packet: PacketObservable, params: ChainParams, n_samples: int,
-                   rng, harmonic_only: bool = False) -> Theorem1Ratio:
+                   rng) -> Theorem1Ratio:
     """||Phi-dot|| and sigma_Phi over the Gibbs ensemble, plus their ratio.
 
     Phi-dot comes from the analytic bracket, never from differencing, so the
@@ -217,10 +217,7 @@ def ratio_theorem1(packet: PacketObservable, params: ChainParams, n_samples: int
     v0 = np.empty(n_samples)
     v1 = np.empty(n_samples)
     for i in range(n_samples):
-        st = sampler.sample()
-        pd[i] = packet_mod.phi_dot(st, packet, params, harmonic_only=harmonic_only)
-        v0[i] = packet_mod.phi0(st, packet)
-        v1[i] = 0.0 if harmonic_only else packet_mod.phi1(st, packet)
+        v0[i], v1[i], pd[i] = packet_mod.phi_dot(sampler.sample(), packet, params)
     phidot, phidot_se = _rms_jackknife(pd)
     phi = v0 + v1
     sigma_phi, sigma_phi_se = _std_jackknife(phi)

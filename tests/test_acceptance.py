@@ -16,7 +16,7 @@ from fpu_packets.experiments import run, validate_config
 from fpu_packets.gibbs import GibbsSampler
 from fpu_packets.packet import bracket_norm_check
 from fpu_packets.profiles import DEFAULT_PROFILE_SPEC, make_profile
-from fpu_packets.spectral import actions, frequencies, sine_transform
+from fpu_packets.spectral import actions, frequencies, sine_transform, to_modes
 
 pytestmark = pytest.mark.acceptance
 
@@ -54,7 +54,7 @@ def test_criterion_02_transform_and_energy_identities():
         st = ChainState(rng.normal(size=N), rng.normal(size=N))
         h0 = 0.5 * float(st.p @ st.p) + 0.5 * float(
             (np.diff(st.q, prepend=0.0, append=0.0) ** 2).sum())
-        par_err = abs(frequencies(N) @ actions(st) - h0) / max(h0, 1.0)
+        par_err = abs(frequencies(N) @ actions(to_modes(st)) - h0) / max(h0, 1.0)
         ok &= inv_err <= 1e-10 and par_err <= 1e-10
         details.append(f"N={N}: involution {inv_err:.2e}, parseval {par_err:.2e}")
     params = ChainParams(N=255, beta=100.0)

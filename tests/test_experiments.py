@@ -90,12 +90,46 @@ def test_every_key_is_validated(tmp_path, experiment, key):
     ("chebyshev", "dt", 3.0),
     ("autocorrelation", "dt", 1.0),
     ("multi-packet", "dt", 2.5),
+    # an inadmissible profile where the corrector table is built
+    ("homological", "profile", {"kind": "linear"}),
+    ("ratio-scaling", "profile", {"kind": "linear"}),
+    ("autocorrelation", "profile", {"kind": "linear"}),
+    ("chebyshev", "profile", {"kind": "linear"}),
+    ("lemma3-scan", "profile", {"kind": "linear"}),
+    # a positive target time that rounds to zero integrator steps
+    ("chebyshev", "beta_list", [1e-4, 1.0, 2.0]),
+    ("multi-packet", "beta_list", [0.02]),
+    ("autocorrelation", "t_grid", [0.0, 0.001, 0.002, 0.004]),
+    ("autocorrelation", "horizon_factor", 0.001),
 ])
 def test_rejects_bad_or_vacuous_values(tmp_path, experiment, key, value):
     body = {"experiment": experiment, "seed": 1, key: value}
     with pytest.raises(ConfigError, match=f"field '{key}'"):
         validate_config(json.dumps(body))
     assert _exit_codes(tmp_path, body) == (2, 2)
+
+
+@pytest.mark.parametrize("body", [
+    {"experiment": "homological", "seed": 1, "N_list": [7], "n_samples": 3,
+     "profile": {"kind": "linear"}},
+    {"experiment": "multi-packet", "seed": 1, "N_list": [15], "beta_list": [0.02],
+     "n_samples": 50, "K": 2},
+    {"experiment": "autocorrelation", "seed": 1, "N_list": [7],
+     "beta_list": [50.0, 100.0], "t_grid": [0, 0.001, 0.002, 0.004]},
+], ids=["inadmissible-corrector", "zero-step-quarter-beta", "zero-step-t-grid"])
+def test_refused_before_any_output(tmp_path, body):
+    assert _exit_codes(tmp_path, body) == (2, 2)
+    assert not (tmp_path / "out").exists()
+
+
+def test_inadmissible_profile_where_no_corrector_is_built(tmp_path):
+    body = {"experiment": "lemma3-scan", "seed": 1, "N_list": [7],
+            "beta_list": [50.0, 100.0], "n_samples": 5, "kinds": ["Phi0", "H1"],
+            "profile": {"kind": "linear"}}
+    assert _exit_codes(tmp_path, body)[0] == 0
+    assert (tmp_path / "out" / "lemma3-scan_results.csv").exists()
+    validate_config(json.dumps({"experiment": "theorem2-h1", "seed": 1,
+                                "profiles": [{"kind": "linear"}]}))
 
 
 def test_validate_unknown_profile_kind_lists_registry():

@@ -10,12 +10,10 @@ from fpu_packets.chain import (ChainParams, ChainState, bond_extensions, cubic_e
                                energies)
 from fpu_packets.gibbs import GibbsSampler
 from fpu_packets.packet import (_CUBIC_PREFACTOR, TAU_PATTERNS, PacketError,
-                                PhaseGradient, _grad_phi1_modes, bracket_norm_check,
-                                build_phi1_table, grad_hamiltonian, grad_phi,
-                                homological_residual, phi0, phi1, phi_dot,
-                                poisson_bracket, ps_observable)
+                                _corrector_pass, bracket_norm_check, build_phi1_table,
+                                homological_residual, phi0, phi1, phi_dot, ps_observable)
 from fpu_packets.profiles import DEFAULT_PROFILE_SPEC, eval_h1, make_profile
-from fpu_packets.spectral import frequencies, to_complex
+from fpu_packets.spectral import frequencies, sine_transform, to_complex, to_modes
 
 OMEGA_PROFILE = {"kind": "constant", "value": 1.0}   # nu = omega
 
@@ -38,20 +36,20 @@ def _ratios(pk):
     return pk.coeffs / (_CUBIC_PREFACTOR * weight * TAU_PATTERNS.prod(axis=1)[None, :])
 
 
-def _grad_h2(state, params):
-    """Gradient of the quartic energy H2."""
-    r = bond_extensions(state.q)
-    return PhaseGradient(dq=-np.diff(params.A * r**3), dp=np.zeros_like(state.p))
+def _grad_phi(state, pk):
+    """Particle-space gradient (d/dq, d/dp) of Phi0 and of Phi1."""
+    _, _, d0, d1 = _corrector_pass(state, pk, gradient=True)
+    return [sine_transform(g) for g in d0], [sine_transform(g) for g in d1]
 
 
 def _phi_dot_split(state, pk, params):
     """{Phi1, H1+H2} + {Phi0, H2}: the form of Phi-dot that the homological
-    identity reduces {Phi, H} to, an independent reference for phi_dot."""
+    identity reduces {Phi, H} to, an independent reference for phi_dot.  H1
+    and H2 carry no momentum, so {F, G} = -dF/dp . dG/dq for both."""
     r = bond_extensions(state.q)
-    h12 = PhaseGradient(dq=-np.diff(r * r * (1.0 + params.A * r)),
-                        dp=np.zeros_like(state.p))
-    return (poisson_bracket(grad_phi(state, pk, "phi1"), h12)
-            + poisson_bracket(grad_phi(state, pk, "phi0"), _grad_h2(state, params)))
+    (_, dp0), (_, dp1) = _grad_phi(state, pk)
+    return (-(dp1 @ -np.diff(r * r * (1.0 + params.A * r)))
+            - dp0 @ -np.diff(params.A * r**3))
 
 
 def test_triple_enumeration_n3():
@@ -167,7 +165,7 @@ def test_phi1_beta_scaling():
 
 def _phi1_reference(state, pk):
     """Phi1 summed over all 8 sign patterns."""
-    xi = to_complex(state)
+    xi = to_complex(to_modes(state))
     eta = np.conj(xi)
     i1, i2, i3 = pk.k1 - 1, pk.k2 - 1, pk.k3 - 1
     total = 0.0j
@@ -182,7 +180,7 @@ def _phi1_reference(state, pk):
 
 def _grad_phi1_reference(state, pk):
     """Mode-space gradient of Phi1, scattered from all 8 sign patterns."""
-    xi = to_complex(state)
+    xi = to_complex(to_modes(state))
     eta = np.conj(xi)
     i1, i2, i3 = pk.k1 - 1, pk.k2 - 1, pk.k3 - 1
     dxi = np.zeros(pk.N, dtype=complex)
@@ -212,8 +210,8 @@ def _grad_phi1_reference(state, pk):
 def _assert_matches_reference(pk, states):
     assert pk.paired
     for state in states:
-        assert phi1(state, pk) == _phi1_reference(state, pk)
-        dqh, dph = _grad_phi1_modes(state, pk)
+        _, value, _, (dqh, dph) = _corrector_pass(state, pk, gradient=True)
+        assert value == phi1(state, pk) == _phi1_reference(state, pk)
         ref_dqh, ref_dph = _grad_phi1_reference(state, pk)
         assert np.array_equal(dqh, ref_dqh)
         assert np.array_equal(dph, ref_dph)
@@ -258,6 +256,17 @@ def test_phi1_and_gradient_bit_identical_property(spec, N, seed):
     _assert_matches_reference(pk, [ChainState(rng.normal(size=N), rng.normal(size=N))])
 
 
+@settings(max_examples=40, deadline=None)
+@given(spec=st.one_of(_BUMP_SPECS, _POLY_SPECS).filter(lambda s: make_profile(s).admissible),
+       N=st.integers(3, 64), seed=st.integers(0, 2**32 - 1), exponent=st.floats(-2.0, 1.0))
+def test_homological_residual_property(spec, N, seed, exponent):
+    pk = build_phi1_table(make_profile(spec), N)
+    rng = np.random.default_rng(seed)
+    scale = 10.0**exponent
+    state = ChainState(scale * rng.normal(size=N), scale * rng.normal(size=N))
+    assert homological_residual(state, pk) <= 1e-9
+
+
 @pytest.mark.parametrize("column", [1, 6])
 def test_corrector_rejects_unpaired_table(column):
     pk = build_phi1_table(make_profile(DEFAULT_PROFILE_SPEC), 15)
@@ -270,39 +279,9 @@ def test_corrector_rejects_unpaired_table(column):
     with pytest.raises(PacketError, match="pairing"):
         phi1(state, broken)
     with pytest.raises(PacketError, match="pairing"):
-        grad_phi(state, broken, "phi1")
+        phi_dot(state, broken, ChainParams(N=15))
     with pytest.raises(PacketError, match="pairing"):
         homological_residual(state, broken)
-
-
-def test_poisson_bracket_basics():
-    n = 6
-    e2 = np.zeros(n)
-    e2[2] = 1.0
-    gq = PhaseGradient(dq=e2, dp=np.zeros(n))   # gradient of q_2
-    gp = PhaseGradient(dq=np.zeros(n), dp=e2)   # gradient of p_2
-    assert poisson_bracket(gq, gp) == 1.0
-    assert poisson_bracket(gp, gq) == -1.0
-    rng = np.random.default_rng(4)
-    g = PhaseGradient(dq=rng.normal(size=n), dp=rng.normal(size=n))
-    assert poisson_bracket(g, g) == 0.0
-    with pytest.raises(ValueError):
-        poisson_bracket(g, PhaseGradient(dq=np.zeros(3), dp=np.zeros(3)))
-
-
-def test_hamiltonian_self_bracket_vanishes():
-    params = ChainParams(N=21, A=1.4)
-    rng = np.random.default_rng(5)
-    for _ in range(5):
-        st = ChainState(rng.normal(size=21), rng.normal(size=21))
-        g_all = grad_hamiltonian(st, params, "all")
-        parts = [grad_hamiltonian(st, params, p) for p in ("h0", "h1")]
-        parts.append(_grad_h2(st, params))
-        summed = PhaseGradient(dq=sum(p.dq for p in parts), dp=sum(p.dp for p in parts))
-        assert np.abs(summed.dq - g_all.dq).max() < 1e-12
-        val = poisson_bracket(g_all, summed)
-        scale = np.abs(g_all.dq).max() * np.abs(g_all.dp).max() * 21
-        assert abs(val) < 1e-10 * max(scale, 1.0)
 
 
 def test_grad_phi_matches_finite_differences():
@@ -316,7 +295,8 @@ def test_grad_phi_matches_finite_differences():
 
     for _ in range(100):
         st = ChainState(0.5 * rng.normal(size=N), 0.5 * rng.normal(size=N))
-        g = grad_phi(st, pk, "phi")
+        _, _, d0, d1 = _corrector_pass(st, pk, gradient=True)
+        dq, dp = (sine_transform(a + b) for a, b in zip(d0, d1))
         fd_q = np.empty(N)
         fd_p = np.empty(N)
         for j in range(N):
@@ -328,22 +308,22 @@ def test_grad_phi_matches_finite_differences():
             pp[j] += h
             pm[j] -= h
             fd_p[j] = (f(ChainState(pp, st.q)) - f(ChainState(pm, st.q))) / (2 * h)
-        scale = max(np.abs(g.dq).max(), np.abs(g.dp).max(), 1e-12)
-        assert np.abs(g.dq - fd_q).max() <= 1e-6 * scale
-        assert np.abs(g.dp - fd_p).max() <= 1e-6 * scale
+        scale = max(np.abs(dq).max(), np.abs(dp).max(), 1e-12)
+        assert np.abs(dq - fd_q).max() <= 1e-6 * scale
+        assert np.abs(dp - fd_p).max() <= 1e-6 * scale
 
 
 def test_grad_phi1_zero_state():
     pk = build_phi1_table(make_profile(DEFAULT_PROFILE_SPEC), 15)
-    g = grad_phi(ChainState(np.zeros(15), np.zeros(15)), pk, "phi1")
-    assert np.abs(g.dq).max() == 0.0
-    assert np.abs(g.dp).max() == 0.0
+    _, (dq, dp) = _grad_phi(ChainState(np.zeros(15), np.zeros(15)), pk)
+    assert np.abs(dq).max() == 0.0
+    assert np.abs(dp).max() == 0.0
 
 
 def test_phi_dot_zero_state():
     pk = build_phi1_table(make_profile(DEFAULT_PROFILE_SPEC), 15)
     params = ChainParams(N=15)
-    assert phi_dot(ChainState(np.zeros(15), np.zeros(15)), pk, params) == 0.0
+    assert phi_dot(ChainState(np.zeros(15), np.zeros(15)), pk, params) == (0.0, 0.0, 0.0)
 
 
 def test_phi_dot_matches_trajectory_derivative():
@@ -356,7 +336,7 @@ def test_phi_dot_matches_trajectory_derivative():
         snaps = integrate(st, params, dt, 2 * dt)
         f = [phi0(s, pk) + phi1(s, pk) for _, s in snaps]
         fd = (f[2] - f[0]) / (2 * dt)
-        an = phi_dot(snaps[1][1], pk, params)
+        an = phi_dot(snaps[1][1], pk, params)[2]
         assert abs(fd - an) <= 1e-4 * max(abs(an), 1e-12)
 
 
@@ -365,9 +345,18 @@ def test_phi_dot_equals_split_form():
     params = ChainParams(N=N, beta=100.0)
     pk = build_phi1_table(make_profile(DEFAULT_PROFILE_SPEC), N)
     for st in random_gibbs_states(N, 100.0, 10, seed=8):
-        full = phi_dot(st, pk, params)
+        full = phi_dot(st, pk, params)[2]
         split = _phi_dot_split(st, pk, params)
         assert abs(full - split) <= 1e-9 * max(abs(full), 1e-12)
+
+
+def test_phi_dot_values_are_phi0_and_phi1():
+    N = 31
+    params = ChainParams(N=N, beta=100.0)
+    pk = build_phi1_table(make_profile(DEFAULT_PROFILE_SPEC), N)
+    for st in random_gibbs_states(N, 100.0, 5, seed=11):
+        v0, v1, _ = phi_dot(st, pk, params)
+        assert (v0, v1) == (phi0(st, pk), phi1(st, pk))
 
 
 def test_homological_residual_machine_precision():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import from_modes
 
 from fpu_packets.chain import ChainParams, ChainState, energies
@@ -32,6 +34,14 @@ def test_involution_and_norm(N):
     assert abs(np.linalg.norm(w) - np.linalg.norm(v)) < 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(N=st.integers(1, 256), B=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_involution_property(N, B, seed):
+    # B = 0 draws one (N,) vector, B > 0 a (B, N) block
+    v = np.random.default_rng(seed).normal(size=(B, N) if B else N)
+    assert np.abs(sine_transform(sine_transform(v)) - v).max() <= 1e-12 * np.abs(v).max()
+
+
 def test_single_site_identity():
     assert sine_transform(np.array([3.5]))[0] == pytest.approx(3.5, rel=1e-15)
 
@@ -52,10 +62,10 @@ def test_actions_single_mode():
     for k in (1, 7, N):
         e = np.zeros(N)
         e[k - 1] = 1.0
-        I = actions(from_modes(e, np.zeros(N)))
+        I = actions(to_modes(from_modes(e, np.zeros(N))))
         assert I[k - 1] == pytest.approx(1.0 / (2 * om[k - 1]), rel=1e-12)
         assert np.abs(np.delete(I, k - 1)).max() < 1e-15
-        I = actions(from_modes(np.zeros(N), e))
+        I = actions(to_modes(from_modes(np.zeros(N), e)))
         assert I[k - 1] == pytest.approx(om[k - 1] / 2, rel=1e-12)
 
 
@@ -64,30 +74,31 @@ def test_parseval(N):
     rng = np.random.default_rng(N + 1)
     st = ChainState(rng.normal(size=N), rng.normal(size=N))
     h0 = energies(st, ChainParams(N=N))[0]
-    assert abs(frequencies(N) @ actions(st) - h0) < 1e-10 * max(h0, 1.0)
+    assert abs(frequencies(N) @ actions(to_modes(st)) - h0) < 1e-10 * max(h0, 1.0)
 
 
 def test_to_complex_identities():
     N = 33
     rng = np.random.default_rng(2)
     st = ChainState(rng.normal(size=N), rng.normal(size=N))
-    xi = to_complex(st)
+    xi = to_complex(to_modes(st))
     om = frequencies(N)
-    I = actions(st)
+    I = actions(to_modes(st))
     assert np.abs(xi * np.conj(xi) - om * I).max() < 1e-12 * max(1.0, np.abs(om * I).max())
     h0 = energies(st, ChainParams(N=N))[0]
     assert abs((xi * np.conj(xi)).sum().real - h0) < 1e-10 * max(h0, 1.0)
     e = np.zeros(N)
     e[4] = 1.0
-    assert to_complex(from_modes(e, np.zeros(N)))[4] == pytest.approx(1 / np.sqrt(2))
+    xi = to_complex(to_modes(from_modes(e, np.zeros(N))))
+    assert xi[4] == pytest.approx(1 / np.sqrt(2))
 
 
 def test_actions_invariant_under_harmonic_flow():
     params = ChainParams(N=31, beta=50.0)
     st = GibbsSampler(params, np.random.default_rng(7)).sample()
-    I0 = actions(st)
+    I0 = actions(to_modes(st))
     for t in (0.3, 7.0, 111.0):
-        It = actions(advance_harmonic(st, t))
+        It = actions(to_modes(advance_harmonic(st, t)))
         assert np.abs(It - I0).max() < 1e-12 * max(1.0, I0.max())
 
 

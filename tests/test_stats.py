@@ -3,12 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from fpu_packets.chain import ChainParams
+from fpu_packets.chain import ChainParams, bond_extensions
 from fpu_packets.experiments import _lemma3_cell, validate_config
 from fpu_packets.gibbs import GibbsSampler, sample_momenta
-from fpu_packets.packet import build_phi1_table, phi0
+from fpu_packets.packet import _corrector_pass, build_phi1_table, phi0
 from fpu_packets.profiles import DEFAULT_PROFILE_SPEC, disjoint_profiles, make_profile
-from fpu_packets.spectral import actions, sine_transform
+from fpu_packets.spectral import actions, sine_transform, to_modes
 from fpu_packets.stats import (CorrelationCurve, autocorrelation, chebyshev_experiment,
                                estimate_from_samples, fit_power_law, half_life,
                                half_life_jackknife, multi_packet_experiment,
@@ -70,8 +70,8 @@ def test_autocorrelation_harmonic_hook_action_is_flat():
     N = 15
     k = 4
     states = gibbs_states(N, 50.0, 30, seed=4)
-    curve = autocorrelation(lambda s: actions(s)[:, k], states, ChainParams(N=N), 0.02,
-                            [0.0, 5.0, 20.0, 50.0], harmonic_only=True)
+    curve = autocorrelation(lambda s: actions(to_modes(s))[:, k], states, ChainParams(N=N),
+                            0.02, [0.0, 5.0, 20.0, 50.0], harmonic_only=True)
     for v, se in zip(curve.normalized[1:], curve.normalized_stderrs[1:]):
         assert abs(v - 1.0) <= max(3 * se, 1e-3)
 
@@ -123,11 +123,20 @@ def test_fit_power_law():
 
 
 def test_ratio_theorem1_harmonic_hook_vanishes():
+    # {Phi0, H0} = 0 on the states ratio_theorem1 draws: Phi0 is conserved by
+    # the harmonic flow, so its drift there is rounding
     N = 31
     pk = build_phi1_table(make_profile(OMEGA_PROFILE), N)
-    res = ratio_theorem1(pk, ChainParams(N=N, beta=100.0), 50,
-                         np.random.default_rng(7), harmonic_only=True)
-    assert res.ratio <= 1e-10
+    sampler = GibbsSampler(ChainParams(N=N, beta=100.0), np.random.default_rng(7))
+    brackets = np.empty(50)
+    values = np.empty(50)
+    for i in range(50):
+        st = sampler.sample()
+        values[i], _, d0, _ = _corrector_pass(st, pk, gradient=True)
+        dq, dp = (sine_transform(g) for g in d0)
+        # grad H0 = (-diff r, p)
+        brackets[i] = dq @ st.p - dp @ -np.diff(bond_extensions(st.q))
+    assert np.sqrt(np.mean(brackets**2)) / values.std() <= 1e-10
 
 
 def test_ratio_theorem1_inadmissible_profile_inflates_corrector():

@@ -4,7 +4,8 @@ It looks up `GibbsSampler.sample_states` by name, binds the `burn_in`
 argument of `GibbsSampler.__init__` and reads the ensemble and the step
 targets that `chain.evolve_batch` is called with; this checks that installing
 it and running under it still work, since perfbench's own tests are not part
-of this suite.
+of this suite.  A traced ratio-scaling run also pins the corrector to one
+forward transform of each observed state.
 """
 
 import json
@@ -26,12 +27,10 @@ def test_perfbench_tracer_installs():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_traced_run_counts_steps_and_keeps_the_csv(tmp_path):
-    # a traced run goes through the wrapped evolve_batch, whose step counter
-    # reads its (B, N) ensemble argument
-    body = {"experiment": "autocorrelation", "seed": 3, "N_list": [7],
-            "beta_list": [100.0], "persistence_betas": [100.0], "n_samples": 4,
-            "t_grid": [0.0, 1.0]}
+def _traced_run(tmp_path, body) -> tuple[int, dict]:
+    """Run `body` under the installed tracer into tmp_path/traced and untraced
+    into tmp_path/plain; assert both wrote the same CSV bytes and return the
+    traced run's exit code and counters."""
     code = (f"import sys, json; sys.path[:0] = [{str(ROOT / 'perfbench')!r}, {str(ROOT / 'src')!r}]\n"
             "import tracing\n"
             "from fpu_packets import experiments\n"
@@ -44,8 +43,27 @@ def test_traced_run_counts_steps_and_keeps_the_csv(tmp_path):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["code"] == 0
-    assert result["counters"]["chain.particle_steps"] == 4 * 7 * 50   # B * N * max step
-    assert run(validate_config(json.dumps(body)), tmp_path / "plain") == 0
-    name = "autocorrelation_results.csv"
+    assert run(validate_config(json.dumps(body)), tmp_path / "plain") == result["code"]
+    name = f"{body['experiment']}_results.csv"
     assert (tmp_path / "traced" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+    return result["code"], result["counters"]
+
+
+def test_traced_run_counts_steps_and_keeps_the_csv(tmp_path):
+    # a traced run goes through the wrapped evolve_batch, whose step counter
+    # reads its (B, N) ensemble argument
+    body = {"experiment": "autocorrelation", "seed": 3, "N_list": [7],
+            "beta_list": [100.0], "persistence_betas": [100.0], "n_samples": 4,
+            "t_grid": [0.0, 1.0]}
+    code, counters = _traced_run(tmp_path, body)
+    assert code == 0
+    assert counters["chain.particle_steps"] == 4 * 7 * 50   # B * N * max step
+
+
+def test_traced_ratio_run_transforms_each_state_once(tmp_path):
+    # phi_dot transforms p and q forward once and its two gradient rows back:
+    # 4 sine-transform rows per observed state
+    body = {"experiment": "ratio-scaling", "seed": 3, "N_list": [15],
+            "beta_list": [50.0, 100.0, 200.0], "n_samples": 4}
+    _, counters = _traced_run(tmp_path, body)
+    assert counters["spectral.transform_rows"] == 4 * 12   # 3 betas x 4 states
