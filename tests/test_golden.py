@@ -1,5 +1,6 @@
-"""Golden CSVs: a small seed-7 config of every experiment must reproduce
-`tests/golden/<experiment>.csv` byte for byte.
+"""Golden outputs: a small seed-7 config of every experiment must reproduce
+`tests/golden/<experiment>.csv` and `tests/golden/<experiment>_summary.txt`
+byte for byte.
 
 A change that leaves the random streams alone must keep these files.  A change
 that alters a stream on purpose regenerates them and says so:
@@ -31,22 +32,34 @@ CONFIGS = {
 }
 
 
-def _csv(experiment, out_dir) -> bytes:
+def _outputs(experiment, out_dir) -> dict[str, bytes]:
+    """The golden file name -> bytes of the run of CONFIGS[experiment]."""
     body = dict(CONFIGS[experiment], experiment=experiment, seed=7)
     run(validate_config(json.dumps(body)), out_dir)
-    return (Path(out_dir) / f"{experiment}_results.csv").read_bytes()
+    out = Path(out_dir)
+    return {f"{experiment}.csv": (out / f"{experiment}_results.csv").read_bytes(),
+            f"{experiment}_summary.txt": (out / f"{experiment}_summary.txt").read_bytes()}
 
 
 @pytest.mark.parametrize("experiment", sorted(CONFIGS))
 def test_csv_matches_golden(tmp_path, experiment):
-    assert _csv(experiment, tmp_path) == (GOLDEN / f"{experiment}.csv").read_bytes()
+    name = f"{experiment}.csv"
+    assert _outputs(experiment, tmp_path)[name] == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("experiment", sorted(CONFIGS))
+def test_summary_matches_golden(tmp_path, experiment):
+    # the PASS/FAIL lines, which the CSV bytes alone do not pin
+    name = f"{experiment}_summary.txt"
+    assert _outputs(experiment, tmp_path)[name] == (GOLDEN / name).read_bytes()
 
 
 if __name__ == "__main__":
     import tempfile
 
     GOLDEN.mkdir(exist_ok=True)
-    for name in sorted(CONFIGS):
+    for experiment in sorted(CONFIGS):
         with tempfile.TemporaryDirectory() as tmp:
-            (GOLDEN / f"{name}.csv").write_bytes(_csv(name, tmp))
-        print(f"wrote {GOLDEN / name}.csv", file=sys.stderr)
+            for name, data in _outputs(experiment, tmp).items():
+                (GOLDEN / name).write_bytes(data)
+                print(f"wrote {GOLDEN / name}", file=sys.stderr)
