@@ -1,6 +1,6 @@
 """FPU chain simulator and verification harness for adiabatic mode-packet invariants."""
 
-from .chain import BlowupError, ChainParams, ChainState, energies, potential_v
+from .chain import BlowupError, ChainParams, ChainState, potential_v
 from .gibbs import (GibbsSampler, TiltedDensity, bonds_to_state, make_tilted_density,
                     sample_momenta, solve_theta, tilted_moments)
 from .packet import (PacketObservable, build_phi1_table, homological_residual, phi0,
@@ -13,7 +13,7 @@ from .stats import (CorrelationCurve, Estimate, autocorrelation, fit_power_law,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlowupError", "ChainParams", "ChainState", "energies", "potential_v",
+    "BlowupError", "ChainParams", "ChainState", "potential_v",
     "GibbsSampler", "TiltedDensity", "bonds_to_state", "make_tilted_density",
     "sample_momenta", "solve_theta", "tilted_moments",
     "PacketObservable", "build_phi1_table", "homological_residual", "phi0", "phi1",

@@ -89,16 +89,6 @@ def bond_extensions(q: np.ndarray) -> np.ndarray:
     return np.diff(q, prepend=0.0, append=0.0)
 
 
-def energies(state: ChainState, params: ChainParams) -> tuple[float, float, float]:
-    """(H0, H1, H2): harmonic, cubic and quartic parts of the energy."""
-    r = bond_extensions(state.q)
-    h0 = 0.5 * float(state.p @ state.p) + 0.5 * float(r @ r)
-    r3 = r * r * r
-    h1 = float(r3.sum()) / 3.0
-    h2 = 0.25 * params.A * float((r3 * r).sum())
-    return h0, h1, h2
-
-
 def cubic_energy(state: ChainState) -> float:
     """H1 alone; independent of A and beta."""
     r = bond_extensions(state.q)

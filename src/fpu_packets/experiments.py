@@ -4,7 +4,9 @@ Each experiment is one ExperimentSpec in EXPERIMENTS: its description, the
 config keys its code reads (each with a default and a validator), its CSV
 columns, the function that computes its rows, checks and diagnostics, and a
 check of values wrong only together where there are such.  A config may set
-`experiment`, `seed` and its experiment's keys, nothing else.
+`experiment`, `seed` and its experiment's keys, nothing else.  An experiment
+over a grid of points runs one cell per point, and every cell returns the
+same shape: its CSV rows and a dict of diagnostics for the metadata.
 
 Every experiment's PASS thresholds live in THRESHOLDS, which the acceptance
 test suite imports, so there is a single source of truth.  (config, seed)
@@ -34,7 +36,7 @@ import numpy as np
 from . import packet as packet_mod
 from . import profiles as profiles_mod
 from . import stats as stats_mod
-from .chain import DEFAULT_DT, BlowupError, ChainParams
+from .chain import DEFAULT_DT, BlowupError, ChainParams, evolve_batch
 from .gibbs import (GibbsSampler, ThetaSolveError, make_tilted_density,
                     slab_rejection_bonds, solve_theta, tilted_moments)
 from .packet import PacketError, build_phi1_table, homological_residual, ps_observable
@@ -113,9 +115,10 @@ def _one_of(*options: str):
     return check
 
 
-def _list(item, distinct: int = 1, longest: int | None = None):
+def _list(item, distinct: int = 1, longest: int | None = None, repeats: bool = True):
     """A non-empty list whose entries pass `item`, with at least `distinct`
-    different entries and at most `longest` entries."""
+    different entries, at most `longest` entries and, unless `repeats`, no
+    entry twice."""
     def check(v):
         if not isinstance(v, list) or not v:
             raise ValueError(f"must be a non-empty list, got {v!r}")
@@ -129,6 +132,8 @@ def _list(item, distinct: int = 1, longest: int | None = None):
                 raise ValueError(f"entry {i}: {exc}") from None
         if distinct > 1 and len(set(out)) < distinct:
             raise ValueError(f"needs at least {distinct} different entries, got {v!r}")
+        if not repeats and len(set(out)) < len(out):
+            raise ValueError(f"must not repeat an entry, got {v!r}")
         return out
     return check
 
@@ -166,8 +171,9 @@ def _t_grid(v):
 
 
 _positive = _real(lambda v: v > 0, "a number > 0")
-_N_LIST = _list(_int(3))
-_BETAS = _list(_positive)
+# grid axes: a repeated entry would run one point twice under one metadata key
+_N_LIST = _list(_int(3), repeats=False)
+_BETAS = _list(_positive, repeats=False)
 _COUNT = _int(2)
 
 
@@ -241,16 +247,28 @@ def _run_cell(job):
     return cell(cfg, _cell_seed(cfg.seed, index), *point)
 
 
-def _grid(cell, cfg: ExperimentConfig, threads: int, axes=None) -> list:
-    """`cell(cfg, seed_sequence, *point)` for every point of the product of
-    `axes` (default N_list x beta_list), in order; cell i is seeded by index i,
-    so the results do not depend on `threads`."""
-    axes = (cfg.N_list, cfg.beta_list) if axes is None else axes
-    jobs = [(cell, cfg, i, point) for i, point in enumerate(product(*axes))]
+def _point_key(names, point) -> str:
+    """A cell's metadata key: `N=127,beta=100` or `kind=Phi0,N=127,beta=100`."""
+    return ",".join(f"{name}={v:g}" if isinstance(v, float) else f"{name}={v}"
+                    for name, v in zip(names, point))
+
+
+def _grid(cell, cfg: ExperimentConfig, threads: int, axes=None) -> tuple[list, dict]:
+    """`cell(cfg, seed_sequence, *point) -> (rows, diag)` for every point of the
+    product of `axes`, a name -> values dict (default N_list x beta_list), in
+    order; cell i is seeded by index i, so the results do not depend on
+    `threads`.  Returns the rows of every cell in cell order, and each cell's
+    diag under its point's key."""
+    axes = {"N": cfg.N_list, "beta": cfg.beta_list} if axes is None else axes
+    points = list(product(*axes.values()))
+    jobs = [(cell, cfg, i, point) for i, point in enumerate(points)]
     if threads <= 1 or len(jobs) < 2:
-        return [_run_cell(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(_run_cell, jobs))
+        cells = [_run_cell(job) for job in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            cells = list(pool.map(_run_cell, jobs))
+    return ([row for rows, _ in cells for row in rows],
+            {_point_key(axes, point): diag for point, (_, diag) in zip(points, cells)})
 
 
 # ---------------------------------------------------------------- homological
@@ -264,36 +282,53 @@ def _homological_cell(cfg, seed, N, beta):
     row = {"N": N, "beta": beta, "n_samples": cfg.n_samples,
            "max_residual": float(res.max()), "mean_residual": float(res.mean()),
            "min_denominator": pk.min_denominator}
-    return row, sampler.diagnostics()
+    return [row], sampler.diagnostics()
 
 
 def _run_homological(cfg: ExperimentConfig, threads: int):
-    cells = _grid(_homological_cell, cfg, threads)
-    rows = [row for row, _ in cells]
+    rows, diags = _grid(_homological_cell, cfg, threads)
     checks = []
     for r in rows:
         ok = r["max_residual"] <= THRESHOLDS["homological_residual"]
         checks.append((f"homological residual N={r['N']} beta={r['beta']:g} "
                        f"max={r['max_residual']:.3e} <= {THRESHOLDS['homological_residual']:g}",
                        ok))
-    return rows, checks, {f"cell{i}": diag for i, (_, diag) in enumerate(cells)}
+    return rows, checks, diags
 
 
 # --------------------------------------------------------------- ratio-scaling
 
 def _ratio_cell(cfg, seed, N, beta):
+    """||Phi-dot|| and sigma_Phi over the Gibbs ensemble, plus their ratio.
+
+    Phi-dot comes from the analytic bracket, never from differencing, so the
+    O(1/beta) ratio is not buried under finite-difference noise.  The
+    sigma_Phi1/sigma_Phi0 ratio is measured on the same samples.
+    """
     pk = build_phi1_table(make_profile(cfg.profile), N)
-    res = stats_mod.ratio_theorem1(pk, ChainParams(N=N, A=cfg.A, beta=beta),
-                                   cfg.n_samples, np.random.default_rng(seed))
-    return {"N": N, "beta": beta, "n_samples": cfg.n_samples,
-            "phidot_norm": res.phidot_norm, "phidot_stderr": res.phidot_norm_stderr,
-            "sigma_phi": res.sigma_phi, "sigma_phi_stderr": res.sigma_phi_stderr,
-            "ratio": res.ratio, "sigma_phi0": res.sigma_phi0,
-            "sigma_phi1": res.sigma_phi1, "ratio_phi1_phi0": res.ratio_phi1_phi0}
+    params = ChainParams(N=N, A=cfg.A, beta=beta)
+    sampler = GibbsSampler(params, np.random.default_rng(seed))
+    n = cfg.n_samples
+    pd = np.empty(n)
+    v0 = np.empty(n)
+    v1 = np.empty(n)
+    for i in range(n):
+        v0[i], v1[i], pd[i] = packet_mod.phi_dot(sampler.sample(), pk, params)
+    phidot, phidot_se = stats_mod.rms_jackknife(pd)
+    sigma_phi, sigma_phi_se = stats_mod.std_jackknife(v0 + v1)
+    sigma0, _ = stats_mod.std_jackknife(v0)
+    sigma1, _ = stats_mod.std_jackknife(v1)
+    row = {"N": N, "beta": beta, "n_samples": n,
+           "phidot_norm": phidot, "phidot_stderr": phidot_se,
+           "sigma_phi": sigma_phi, "sigma_phi_stderr": sigma_phi_se,
+           "ratio": phidot / sigma_phi if sigma_phi > 0 else math.inf,
+           "sigma_phi0": sigma0, "sigma_phi1": sigma1,
+           "ratio_phi1_phi0": sigma1 / sigma0 if sigma0 > 0 else math.inf}
+    return [row], sampler.diagnostics()
 
 
 def _run_ratio(cfg: ExperimentConfig, threads: int):
-    rows = _grid(_ratio_cell, cfg, threads)
+    rows, diags = _grid(_ratio_cell, cfg, threads)
     checks = []
     lo, hi = THRESHOLDS["ratio_slope"]
     lo2, hi2 = THRESHOLDS["phi1_phi0_slope"]
@@ -306,7 +341,7 @@ def _run_ratio(cfg: ExperimentConfig, threads: int):
         s2, se2 = stats_mod.fit_power_law(betas, [r["ratio_phi1_phi0"] for r in sub])
         checks.append((f"sigma_phi1/sigma_phi0 slope N={N}: {s2:.3f}+-{se2:.3f} "
                        f"in [{lo2}, {hi2}]", lo2 <= s2 <= hi2))
-    return rows, checks, {}
+    return rows, checks, diags
 
 
 # -------------------------------------------------------------- autocorrelation
@@ -317,7 +352,6 @@ def _autocorr_cell(cfg, seed, N, beta):
     sampler = GibbsSampler(ChainParams(N=N, A=cfg.A, beta=beta), rng)
     states = sampler.sample_states(cfg.n_samples)
     grid = _autocorr_times(cfg, beta)
-    horizon = float(grid.max())
     curve = stats_mod.autocorrelation(lambda s: packet_mod.phi0(s, pk), states,
                                       ChainParams(N=N, A=cfg.A, beta=beta), cfg.dt, grid)
     t_half, t_half_se = stats_mod.half_life_jackknife(curve)
@@ -326,9 +360,7 @@ def _autocorr_cell(cfg, seed, N, beta):
              "corr_normalized_stderr": float(vs), "sigma2": curve.sigma2}
             for t, c, se, v, vs in zip(curve.times, curve.values, curve.stderrs,
                                        curve.normalized, curve.normalized_stderrs)]
-    return {"rows": rows, "N": N, "beta": beta, "horizon": horizon,
-            "t_half": t_half, "t_half_stderr": t_half_se,
-            "diag": sampler.diagnostics()}
+    return rows, {"t_half": t_half, "t_half_stderr": t_half_se, **sampler.diagnostics()}
 
 
 def _autocorr_times(cfg, beta) -> np.ndarray:
@@ -347,35 +379,35 @@ def _autocorr_joint(cfg):
 
 
 def _run_autocorr(cfg: ExperimentConfig, threads: int):
-    results = _grid(_autocorr_cell, cfg, threads)
-    rows = [r for res in results for r in res["rows"]]
+    rows, diags = _grid(_autocorr_cell, cfg, threads)
     checks = []
     level = THRESHOLDS["persistence_level"]
-    for res in results:
-        if res["beta"] in cfg.persistence_betas:
-            within = [r for r in res["rows"] if r["t"] <= res["beta"] + 1e-9]
-            worst = min(r["corr_normalized"] for r in within)
-            checks.append((f"persistence N={res['N']} beta={res['beta']:g}: "
+    for N, beta in product(cfg.N_list, cfg.beta_list):
+        if beta in cfg.persistence_betas:
+            worst = min(r["corr_normalized"] for r in rows
+                        if r["N"] == N and r["beta"] == beta and r["t"] <= beta + 1e-9)
+            checks.append((f"persistence N={N} beta={beta:g}: "
                            f"min C/C0 over t<=beta = {worst:.3f} >= {level}",
                            worst >= level))
+    if len(cfg.beta_list) < 2:
+        return rows, checks, diags
+    b_lo, b_hi = min(cfg.beta_list), max(cfg.beta_list)
+    horizon_lo, horizon_hi = (float(_autocorr_times(cfg, b).max()) for b in (b_lo, b_hi))
+    target = THRESHOLDS["half_life_ratio"]
     for N in cfg.N_list:
-        sub = [r for r in results if r["N"] == N]
-        if len(sub) < 2:
-            continue
-        lo_cell = min(sub, key=lambda r: r["beta"])
-        hi_cell = max(sub, key=lambda r: r["beta"])
-        target = THRESHOLDS["half_life_ratio"]
+        lo_cell = diags[_point_key(("N", "beta"), (N, b_lo))]
+        hi_cell = diags[_point_key(("N", "beta"), (N, b_hi))]
         if lo_cell["t_half"] is None:
-            checks.append((f"half-life ratio N={N}: t_half(beta={lo_cell['beta']:g}) "
-                           f"not reached within horizon {lo_cell['horizon']:g}; inconclusive",
+            checks.append((f"half-life ratio N={N}: t_half(beta={b_lo:g}) "
+                           f"not reached within horizon {horizon_lo:g}; inconclusive",
                            False))
             continue
         th_lo = lo_cell["t_half"]
         se_lo = lo_cell["t_half_stderr"] or 0.0
         if hi_cell["t_half"] is None:
-            ratio_lb = hi_cell["horizon"] / th_lo
-            checks.append((f"half-life ratio N={N}: t_half(beta={hi_cell['beta']:g}) > "
-                           f"{hi_cell['horizon']:g}, t_half(beta={lo_cell['beta']:g}) = "
+            ratio_lb = horizon_hi / th_lo
+            checks.append((f"half-life ratio N={N}: t_half(beta={b_hi:g}) > "
+                           f"{horizon_hi:g}, t_half(beta={b_lo:g}) = "
                            f"{th_lo:.1f}; ratio > {ratio_lb:.2f} >= {target}",
                            ratio_lb >= target))
         else:
@@ -386,9 +418,6 @@ def _run_autocorr(cfg: ExperimentConfig, threads: int):
             ok = ratio >= target or (target - ratio) <= se_ratio
             checks.append((f"half-life ratio N={N}: {th_hi:.1f}/{th_lo:.1f} = "
                            f"{ratio:.2f}+-{se_ratio:.2f} >= {target}", ok))
-    diags = {f"N={r['N']},beta={r['beta']:g}":
-             {"t_half": r["t_half"], "t_half_stderr": r["t_half_stderr"], **r["diag"]}
-             for r in results}
     return rows, checks, diags
 
 
@@ -403,10 +432,11 @@ def _lemma3_cell(cfg, seed, kind, N, beta):
     vals = np.array([observable(sampler.sample()) for _ in range(cfg.n_samples)])
     est = stats_mod.estimate_from_samples(vals)
     scale = beta**s / (N * plus_norm**2)
-    return {"kind": kind, "s": s, "N": N, "beta": beta, "n_samples": cfg.n_samples,
-            "variance": est.variance, "variance_stderr": est.stderr_variance,
-            "plus_norm": plus_norm, "normalized": est.variance * scale,
-            "normalized_stderr": est.stderr_variance * scale}
+    row = {"kind": kind, "s": s, "N": N, "beta": beta, "n_samples": cfg.n_samples,
+           "variance": est.variance, "variance_stderr": est.stderr_variance,
+           "plus_norm": plus_norm, "normalized": est.variance * scale,
+           "normalized_stderr": est.stderr_variance * scale}
+    return [row], sampler.diagnostics()
 
 
 def _lemma3_joint(cfg):
@@ -416,7 +446,8 @@ def _lemma3_joint(cfg):
 
 
 def _run_lemma3(cfg: ExperimentConfig, threads: int):
-    rows = _grid(_lemma3_cell, cfg, threads, axes=(cfg.kinds, cfg.N_list, cfg.beta_list))
+    rows, diags = _grid(_lemma3_cell, cfg, threads,
+                        axes={"kind": cfg.kinds, "N": cfg.N_list, "beta": cfg.beta_list})
     checks = []
     band = THRESHOLDS["lemma3_band"]
     for kind in cfg.kinds:
@@ -424,20 +455,45 @@ def _run_lemma3(cfg: ExperimentConfig, threads: int):
         spread = max(vals) / min(vals) if min(vals) > 0 else math.inf
         checks.append((f"lemma3 band {kind}: max/min = {spread:.2f} <= {band}",
                        spread <= band))
-    return rows, checks, {}
+    return rows, checks, diags
 
 
 # ------------------------------------------------------------------- chebyshev
 
 def _chebyshev_cell(cfg, seed, N, beta):
+    """Empirical P(|Phi0(t) - Phi0| >= sigma beta^(-a/2)) at t = beta^(1-a).
+
+    Also returns the Chebyshev bound computed from the measured increment
+    variance, which no distribution can beat beyond sampling noise.
+    """
     pk = build_phi1_table(make_profile(cfg.profile), N)
-    return stats_mod.chebyshev_experiment(pk, ChainParams(N=N, A=cfg.A, beta=beta),
-                                          cfg.a, cfg.n_samples,
-                                          np.random.default_rng(seed), dt=cfg.dt)
+    params = ChainParams(N=N, A=cfg.A, beta=beta)
+    a, n = cfg.a, cfg.n_samples
+    t = beta ** (1.0 - a)
+    lam = beta ** (-a / 2.0)
+    sampler = GibbsSampler(params, np.random.default_rng(seed))
+    n_steps = int(round(t / cfg.dt))
+    states = sampler.sample_states(n)
+    before = packet_mod.phi0(states, pk)
+    (end,) = evolve_batch(states, params, cfg.dt, [n_steps])
+    after = packet_mod.phi0(end, pk)
+    sigma0 = float(before.std())
+    thr = lam * sigma0
+    inc = after - before
+    exceed = np.abs(inc) >= thr
+    p_emp = float(exceed.mean())
+    p_se = math.sqrt(max(p_emp * (1 - p_emp), 1e-300) / n)
+    inc_est = stats_mod.estimate_from_samples(inc)
+    row = {"N": N, "beta": beta, "a": a, "t": t, "threshold": thr, "n_samples": n,
+           "empirical_prob": p_emp, "prob_stderr": p_se,
+           "chebyshev_bound": inc_est.variance / thr**2,
+           "bound_stderr": inc_est.stderr_variance / thr**2,
+           "increment_variance": inc_est.variance, "sigma_phi0": sigma0}
+    return [row], sampler.diagnostics()
 
 
 def _run_chebyshev(cfg: ExperimentConfig, threads: int):
-    rows = _grid(_chebyshev_cell, cfg, threads)
+    rows, diags = _grid(_chebyshev_cell, cfg, threads)
     checks = []
     z = THRESHOLDS["cheb_z"]
     for r in rows:
@@ -455,43 +511,75 @@ def _run_chebyshev(cfg: ExperimentConfig, threads: int):
                            f"P(beta={nxt['beta']:g}) = {nxt['empirical_prob']:.4f} <= "
                            f"P(beta={prev['beta']:g}) = {prev['empirical_prob']:.4f} "
                            f"(+{slack:.4f})", ok))
-    return rows, checks, {}
+    return rows, checks, diags
 
 
 # ----------------------------------------------------------------- multi-packet
 
 def _multipacket_cell(cfg, seed, N, beta):
+    """Joint drift statistics for K disjoint packets on shared trajectories,
+    one row per packet.
+
+    Measures each packet's exceedance rate at t = beta^(1-a), the joint
+    rate that any packet exceeds (union-bound sanity), and each packet's
+    normalized autocorrelation at t = beta/4.
+    """
     packs = [build_phi1_table(p, N) for p in profiles_mod.disjoint_profiles(cfg.K)]
-    return stats_mod.multi_packet_experiment(packs, ChainParams(N=N, A=cfg.A, beta=beta),
-                                             cfg.a, cfg.n_samples,
-                                             np.random.default_rng(seed), dt=cfg.dt)
+    params = ChainParams(N=N, A=cfg.A, beta=beta)
+    a, n, dt = cfg.a, cfg.n_samples, cfg.dt
+    lam = beta ** (-a / 2.0)
+    drift_step = int(round(beta ** (1.0 - a) / dt))
+    corr_step = int(round(beta / 4.0 / dt))
+    steps = sorted({drift_step, corr_step})
+    i_drift = steps.index(drift_step)
+    i_corr = steps.index(corr_step)
+    K = len(packs)
+    sampler = GibbsSampler(params, np.random.default_rng(seed))
+    states = sampler.sample_states(n)
+    snaps = evolve_batch(states, params, dt, steps)
+    v0 = np.empty((n, K))
+    vt = np.empty((n, K, len(steps)))
+    for l, pk in enumerate(packs):
+        v0[:, l] = packet_mod.phi0(states, pk)
+        for m, snap in enumerate(snaps):
+            vt[:, l, m] = packet_mod.phi0(snap, pk)
+    # std over axis 0 of the (n, K) array: a 1-D std of one column sums in
+    # another order, and the CSV bytes follow that sum
+    sigma = v0.std(axis=0)
+    exceed = np.abs(vt[:, :, i_drift] - v0) >= lam * sigma[None, :]
+    rates = exceed.mean(axis=0)
+    rate_se = np.sqrt(np.maximum(rates * (1 - rates), 1e-300) / n)
+    joint = float(exceed.any(axis=1).mean())
+    joint_se = math.sqrt(max(joint * (1 - joint), 1e-300) / n)
+    corr_norm = np.empty(K)
+    for l in range(K):
+        c = np.cov(v0[:, l], vt[:, l, i_corr], ddof=0)
+        corr_norm[l] = c[0, 1] / c[0, 0]
+    rows = [{"N": N, "beta": beta, "a": a, "K": K, "packet": l, "exceed_rate": rate,
+             "exceed_stderr": rate_stderr, "joint_rate": joint, "joint_stderr": joint_se,
+             "sum_individual": float(rates.sum()), "corr_quarter_beta": corr}
+            for l, (rate, rate_stderr, corr) in enumerate(zip(
+                rates.tolist(), rate_se.tolist(), corr_norm.tolist()))]
+    return rows, sampler.diagnostics()
 
 
 def _run_multipacket(cfg: ExperimentConfig, threads: int):
-    results = _grid(_multipacket_cell, cfg, threads)
-    rows = []
+    rows, diags = _grid(_multipacket_cell, cfg, threads)
     checks = []
     level = THRESHOLDS["persistence_level"]
-    for res in results:
-        for l in range(res["K"]):
-            rows.append({"N": res["N"], "beta": res["beta"], "a": res["a"],
-                         "K": res["K"], "packet": l,
-                         "exceed_rate": res["rates"][l],
-                         "exceed_stderr": res["rate_stderrs"][l],
-                         "joint_rate": res["joint_rate"],
-                         "joint_stderr": res["joint_stderr"],
-                         "sum_individual": res["sum_individual"],
-                         "corr_quarter_beta": res["corr_quarter_beta"][l]})
-        slack = THRESHOLDS["cheb_z"] * res["joint_stderr"]
-        ok = res["joint_rate"] <= res["sum_individual"] + slack
-        checks.append((f"union bound N={res['N']} beta={res['beta']:g}: joint = "
-                       f"{res['joint_rate']:.4f} <= sum = {res['sum_individual']:.4f} "
+    for i in range(0, len(rows), cfg.K):    # K rows per cell
+        cell = rows[i:i + cfg.K]
+        r = cell[0]
+        slack = THRESHOLDS["cheb_z"] * r["joint_stderr"]
+        ok = r["joint_rate"] <= r["sum_individual"] + slack
+        checks.append((f"union bound N={r['N']} beta={r['beta']:g}: joint = "
+                       f"{r['joint_rate']:.4f} <= sum = {r['sum_individual']:.4f} "
                        f"(+{slack:.4f})", ok))
-        worst = min(res["corr_quarter_beta"])
-        checks.append((f"all {res['K']} packets persist at t=beta/4, "
-                       f"N={res['N']} beta={res['beta']:g}: min C/C0 = {worst:.3f} "
+        worst = min(c["corr_quarter_beta"] for c in cell)
+        checks.append((f"all {cfg.K} packets persist at t=beta/4, "
+                       f"N={r['N']} beta={r['beta']:g}: min C/C0 = {worst:.3f} "
                        f">= {level}", worst >= level))
-    return rows, checks, {}
+    return rows, checks, diags
 
 
 # ------------------------------------------------------------------ theorem2-h1
@@ -556,14 +644,10 @@ def _run_sampler_validation(cfg: ExperimentConfig, threads: int):
         params = ChainParams(N=N, A=cfg.A, beta=beta)
         theta = solve_theta(beta, cfg.A)
         td = make_tilted_density(beta, cfg.A, theta)
-        sampler = GibbsSampler(params, next(rngs))
-        site = np.empty((cfg.n_samples, 4))
-        worst_sum = 0.0
-        for i in range(cfg.n_samples):
-            sampler.sweep(sampler.stride)
-            r0 = sampler.r[0]
-            worst_sum = max(worst_sum, abs(float(sampler.r.sum())))
-            site[i] = [r0, r0**2, r0**3, r0**4]
+        # r0, ..., r0^4 and |sum r| per draw
+        site, sampler = _bond_draws(next(rngs), params, cfg.n_samples, lambda r: (
+            r[0], r[0]**2, r[0]**3, r[0]**4, abs(float(r.sum()))))
+        worst_sum = float(site[:, 4].max())
         diags[f"moments N={N} beta={beta:g}"] = {"theta": theta, "q_theta": td.q_gamma,
                                                  **sampler.diagnostics()}
         for n in range(1, 5):
@@ -589,12 +673,9 @@ def _run_sampler_validation(cfg: ExperimentConfig, threads: int):
         N = cfg.slab_N
         beta = cfg.beta_list[0]
         params = ChainParams(N=N, A=cfg.A, beta=beta)
-        sampler = GibbsSampler(params, next(rngs))
-        mc = np.empty((cfg.slab_samples, 5))
-        for i in range(cfg.slab_samples):
-            sampler.sweep(sampler.stride)
-            r0 = sampler.r[0]
-            mc[i] = [r0, r0**2, r0**3, r0**4, r0 * sampler.r[1]]
+        mc, sampler = _bond_draws(next(rngs), params, cfg.slab_samples, lambda r: (
+            r[0], r[0]**2, r[0]**3, r[0]**4, r[0] * r[1]))
+        diags[f"slab N={N} beta={beta:g}"] = sampler.diagnostics()
         ref = slab_rejection_bonds(next(rngs), params, cfg.slab_samples)
         ref_cols = [ref[:, 0] ** n for n in range(1, 5)] + [ref[:, 0] * ref[:, 1]]
         labels = [f"<r^{n}>" for n in range(1, 5)] + ["<r0 r1>"]
@@ -613,8 +694,15 @@ def _run_sampler_validation(cfg: ExperimentConfig, threads: int):
         beta = cfg.beta_list[0]
         covs = {}
         for N in cfg.lemma5_N:
-            params = ChainParams(N=N, A=cfg.A, beta=beta)
-            cov, se = _disjoint_pair_covariance(next(rngs), params, cfg.lemma5_samples)
+            # disjoint-site covariance averaged over site pairs (valid by
+            # exchangeability; single-site means vanish exactly on the constraint)
+            m = (N + 1) // 2 * 2
+            xs, sampler = _bond_draws(next(rngs), ChainParams(N=N, A=cfg.A, beta=beta),
+                                      cfg.lemma5_samples,
+                                      lambda r: float((r[0:m:2] * r[1:m:2]).mean()))
+            diags[f"lemma5 N={N} beta={beta:g}"] = sampler.diagnostics()
+            est = stats_mod.estimate_from_samples(xs)
+            cov, se = est.mean, est.stderr_mean
             covs[N] = (cov, se)
             rows.append({"check": "lemma5", "N": N, "beta": beta,
                          "quantity": "disjoint-site cov", "value": cov,
@@ -632,19 +720,15 @@ def _run_sampler_validation(cfg: ExperimentConfig, threads: int):
     return rows, checks, diags
 
 
-def _disjoint_pair_covariance(rng, params: ChainParams, n_samples: int
-                              ) -> tuple[float, float]:
-    """Disjoint-site covariance averaged over site pairs (valid by
-    exchangeability; single-site means vanish exactly on the constraint)."""
+def _bond_draws(rng, params: ChainParams, n: int, f) -> tuple[np.ndarray, GibbsSampler]:
+    """`f(bonds)` after each of n decorrelated draws of one new sampler, as an
+    array with one entry or row per draw, and the sampler."""
     sampler = GibbsSampler(params, rng)
-    m = (params.N + 1) // 2 * 2
-    xs = np.empty(n_samples)
-    for i in range(n_samples):
+    draws = []
+    for _ in range(n):
         sampler.sweep(sampler.stride)
-        r = sampler.r
-        xs[i] = float((r[0:m:2] * r[1:m:2]).mean())
-    est = stats_mod.estimate_from_samples(xs)
-    return est.mean, est.stderr_mean
+        draws.append(f(sampler.r))
+    return np.array(draws), sampler
 
 
 # -------------------------------------------------------------------- registry
@@ -660,7 +744,8 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
     "ratio-scaling": ExperimentSpec(
         "drift-to-spread ratio and corrector-size slopes vs beta",
         {"N_list": Key([127], _N_LIST),
-         "beta_list": Key([25.0, 50.0, 100.0, 200.0], _list(_positive, distinct=3)),
+         "beta_list": Key([25.0, 50.0, 100.0, 200.0],
+                          _list(_positive, distinct=3, repeats=False)),
          "A": _A,
          "n_samples": Key(4000, _COUNT), "profile": Key(RATIO_PROFILE_SPEC, _admissible)},
         ("N", "beta", "n_samples", "phidot_norm", "phidot_stderr", "sigma_phi",
@@ -681,7 +766,8 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         {"N_list": Key([63, 127, 255], _N_LIST),
          "beta_list": Key([50.0, 100.0, 200.0], _BETAS), "A": _A,
          "n_samples": Key(600, _COUNT), "profile": Key(DEFAULT_PROFILE_SPEC, _profile),
-         "kinds": Key(["Phi0", "H1", "Phi1"], _list(_one_of("Phi0", "H1", "Phi1")))},
+         "kinds": Key(["Phi0", "H1", "Phi1"],
+                      _list(_one_of("Phi0", "H1", "Phi1"), repeats=False))},
         ("kind", "s", "N", "beta", "n_samples", "variance", "variance_stderr",
          "plus_norm", "normalized", "normalized_stderr"),
         _run_lemma3, _lemma3_joint),
@@ -720,7 +806,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         {"beta_list": Key([100.0], _list(_positive, longest=1)), "A": _A,
          "n_samples": Key(10000, _COUNT),
          "moments_N": Key(128, _int(3)), "slab_N": Key(8, _int(3)),
-         "lemma5_N": Key([64, 256], _list(_int(3), distinct=2)),
+         "lemma5_N": Key([64, 256], _list(_int(3), distinct=2, repeats=False)),
          "lemma5_samples": Key(20000, _COUNT), "slab_samples": Key(8000, _COUNT),
          "checks": Key(["moments", "slab", "lemma5"],
                        _list(_one_of("moments", "slab", "lemma5")))},

@@ -281,23 +281,3 @@ def ps_observable(kind: str, profile: NuProfile, N: int
 
         return obs, 3, float(np.abs(packet.coeffs).max())
     raise ValueError(f"unknown test-function kind {kind!r}")
-
-
-def bracket_norm_check(profile: NuProfile, N: int) -> tuple[float, float]:
-    """Plus-norm of the {Phi0, H1} coefficient table against the product bound.
-
-    {Phi0, .} multiplies each cubic monomial coefficient by -i (tau.nu), so
-    the bracket's table is explicit.  Returns (norm, 2^4 max(s,r) |f|+ |g|+).
-    """
-    packet = build_phi1_table(profile, N)
-    nu3 = np.stack([packet.nu_k[packet.k1 - 1],
-                    packet.nu_k[packet.k2 - 1],
-                    packet.nu_k[packet.k3 - 1]], axis=1)
-    tau_nu = nu3 @ TAU_PATTERNS.T
-    h1_coeffs = (_CUBIC_PREFACTOR * np.where(packet.wrap, _WRAP_SIGN, 3.0)[:, None]
-                 * _TAU_PROD[None, :])
-    bracket_norm = float(np.abs(h1_coeffs * tau_nu).max())
-    f_norm = float(np.abs(packet.g_k).max())      # Phi0 in P_2
-    g_norm = float(np.abs(h1_coeffs).max())       # H1 in P_3
-    bound = 2.0**4 * max(2, 3) * f_norm * g_norm
-    return bracket_norm, bound

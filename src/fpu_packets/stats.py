@@ -1,10 +1,12 @@
-"""Monte Carlo estimators and the theorem-level experiments built on them.
+"""Monte Carlo estimators: moments, jackknife errors, the time
+autocorrelation of an ensemble, its half-life and log-log slopes.
 
 Averages are Gibbs-ensemble averages: many independent initial conditions,
 each evolved by the chain flow where time enters.  Error bars are jackknife
 over initial conditions; trajectories from one initial condition are never
 treated as independent.  All scaling claims are reported as fitted log-log
-slopes because the underlying constants are not quantified.
+slopes because the underlying constants are not quantified.  The experiments
+that draw the samples and call these estimators live in `experiments`.
 """
 
 from __future__ import annotations
@@ -15,10 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import chain as chain_mod
-from . import packet as packet_mod
 from .chain import ChainParams
-from .gibbs import GibbsSampler
-from .packet import PacketObservable
 
 
 @dataclass(frozen=True)
@@ -57,8 +56,8 @@ class CorrelationCurve:
     """Time autocorrelation C_F(t) over a Gibbs ensemble.
 
     sigma2 is C_F(0) computed with the same estimator on the same samples.
-    samples holds the raw per-state observable records (n_states, n_times),
-    which downstream jackknives (half-life errors) reuse.
+    delete_one holds the delete-one covariances (n_states, n_times) of the
+    time-0 values with each grid time, which the half-life jackknife reuses.
     """
 
     times: np.ndarray
@@ -67,7 +66,7 @@ class CorrelationCurve:
     sigma2: float
     normalized: np.ndarray
     normalized_stderrs: np.ndarray
-    samples: np.ndarray = field(repr=False)
+    delete_one: np.ndarray = field(repr=False)
 
 
 def _cov_columns(f0: np.ndarray, F: np.ndarray):
@@ -120,7 +119,7 @@ def autocorrelation(observable, states, params: ChainParams, dt: float,
     norm_se = np.sqrt((n - 1) / n * ((del_norm - del_norm.mean(axis=0)) ** 2).sum(axis=0))
     return CorrelationCurve(times=t_grid.copy(), values=cov, stderrs=se,
                             sigma2=sigma2, normalized=cov / sigma2,
-                            normalized_stderrs=norm_se, samples=F)
+                            normalized_stderrs=norm_se, delete_one=del_cov)
 
 
 def half_life(curve: CorrelationCurve) -> float | None:
@@ -144,19 +143,17 @@ def _half_life_from_series(times, v) -> float | None:
 def half_life_jackknife(curve: CorrelationCurve) -> tuple[float | None, float | None]:
     """(t_half, stderr) with delete-one recomputation of the whole curve.
 
-    stderr is None when the crossing is not reached on the full curve or on
-    any delete-one replica.
+    stderr is None when the grid does not start at t = 0, or when the crossing
+    is not reached on the full curve or on any delete-one replica.
     """
     t_half = half_life(curve)
     if t_half is None:
         return None, None
-    F = curve.samples
-    f0 = F[:, 0] if curve.times[0] == 0 else None
-    if f0 is None:
+    if curve.times[0] != 0:
         return t_half, None
-    _, del_cov = _cov_columns(f0, F)
+    del_cov = curve.delete_one
     vals = []
-    for i in range(F.shape[0]):
+    for i in range(del_cov.shape[0]):
         v = del_cov[i] / del_cov[i, 0]
         th = _half_life_from_series(curve.times, v)
         if th is None:
@@ -168,22 +165,8 @@ def half_life_jackknife(curve: CorrelationCurve) -> tuple[float | None, float | 
     return t_half, se
 
 
-@dataclass(frozen=True)
-class Theorem1Ratio:
-    """Ensemble norms entering the drift-to-spread ratio of the main bound."""
-
-    phidot_norm: float
-    phidot_norm_stderr: float
-    sigma_phi: float
-    sigma_phi_stderr: float
-    ratio: float
-    sigma_phi0: float
-    sigma_phi1: float
-    ratio_phi1_phi0: float
-    n_samples: int
-
-
-def _rms_jackknife(x: np.ndarray) -> tuple[float, float]:
+def rms_jackknife(x: np.ndarray) -> tuple[float, float]:
+    """Root mean square of x and its delete-one jackknife error."""
     n = x.size
     s2 = float(x @ x)
     rms = math.sqrt(s2 / n)
@@ -192,7 +175,8 @@ def _rms_jackknife(x: np.ndarray) -> tuple[float, float]:
     return rms, se
 
 
-def _std_jackknife(x: np.ndarray) -> tuple[float, float]:
+def std_jackknife(x: np.ndarray) -> tuple[float, float]:
+    """Population standard deviation of x and its delete-one jackknife error."""
     n = x.size
     s1 = float(x.sum())
     s2 = float(x @ x)
@@ -202,118 +186,6 @@ def _std_jackknife(x: np.ndarray) -> tuple[float, float]:
     del_std = np.sqrt(var_i)
     se = math.sqrt((n - 1) / n * float(((del_std - del_std.mean()) ** 2).sum()))
     return std, se
-
-
-def ratio_theorem1(packet: PacketObservable, params: ChainParams, n_samples: int,
-                   rng) -> Theorem1Ratio:
-    """||Phi-dot|| and sigma_Phi over the Gibbs ensemble, plus their ratio.
-
-    Phi-dot comes from the analytic bracket, never from differencing, so the
-    O(1/beta) ratio is not buried under finite-difference noise.  The
-    sigma_Phi1/sigma_Phi0 ratio is measured on the same samples.
-    """
-    sampler = GibbsSampler(params, rng)
-    pd = np.empty(n_samples)
-    v0 = np.empty(n_samples)
-    v1 = np.empty(n_samples)
-    for i in range(n_samples):
-        v0[i], v1[i], pd[i] = packet_mod.phi_dot(sampler.sample(), packet, params)
-    phidot, phidot_se = _rms_jackknife(pd)
-    phi = v0 + v1
-    sigma_phi, sigma_phi_se = _std_jackknife(phi)
-    sigma0, _ = _std_jackknife(v0)
-    sigma1, _ = _std_jackknife(v1)
-    return Theorem1Ratio(
-        phidot_norm=phidot, phidot_norm_stderr=phidot_se,
-        sigma_phi=sigma_phi, sigma_phi_stderr=sigma_phi_se,
-        ratio=phidot / sigma_phi if sigma_phi > 0 else math.inf,
-        sigma_phi0=sigma0, sigma_phi1=sigma1,
-        ratio_phi1_phi0=sigma1 / sigma0 if sigma0 > 0 else math.inf,
-        n_samples=n_samples)
-
-
-def chebyshev_experiment(packet: PacketObservable, params: ChainParams,
-                         a: float, n_samples: int, rng,
-                         dt: float = chain_mod.DEFAULT_DT) -> dict:
-    """Empirical P(|Phi0(t) - Phi0| >= sigma beta^(-a/2)) at t = beta^(1-a).
-
-    Also returns the Chebyshev bound computed from the measured increment
-    variance, which no distribution can beat beyond sampling noise.
-    """
-    if not 0.0 <= a <= 0.5:
-        raise ValueError("a must be in [0, 1/2]")
-    beta = params.beta
-    t = beta ** (1.0 - a)
-    lam = beta ** (-a / 2.0)
-    sampler = GibbsSampler(params, rng)
-    n_steps = int(round(t / dt))
-    states = sampler.sample_states(n_samples)
-    before = packet_mod.phi0(states, packet)
-    (end,) = chain_mod.evolve_batch(states, params, dt, [n_steps])
-    after = packet_mod.phi0(end, packet)
-    sigma0 = float(before.std())
-    thr = lam * sigma0
-    inc = after - before
-    exceed = np.abs(inc) >= thr
-    p_emp = float(exceed.mean())
-    p_se = math.sqrt(max(p_emp * (1 - p_emp), 1e-300) / n_samples)
-    inc_est = estimate_from_samples(inc)
-    bound = inc_est.variance / thr**2
-    bound_se = inc_est.stderr_variance / thr**2
-    return {
-        "N": params.N, "beta": beta, "a": a, "t": t, "threshold": thr,
-        "n_samples": n_samples,
-        "empirical_prob": p_emp, "prob_stderr": p_se,
-        "chebyshev_bound": bound, "bound_stderr": bound_se,
-        "increment_variance": inc_est.variance,
-        "sigma_phi0": sigma0,
-    }
-
-
-def multi_packet_experiment(packets: list[PacketObservable], params: ChainParams,
-                            a: float, n_samples: int, rng,
-                            dt: float = chain_mod.DEFAULT_DT) -> dict:
-    """Joint drift statistics for several packets on shared trajectories.
-
-    Measures each packet's exceedance rate at t = beta^(1-a), the joint
-    rate that any packet exceeds (union-bound sanity), and each packet's
-    normalized autocorrelation at t = beta/4.
-    """
-    beta = params.beta
-    t_drift = beta ** (1.0 - a)
-    t_corr = beta / 4.0
-    lam = beta ** (-a / 2.0)
-    steps = sorted({int(round(t_drift / dt)), int(round(t_corr / dt))})
-    i_drift = steps.index(int(round(t_drift / dt)))
-    i_corr = steps.index(int(round(t_corr / dt)))
-    K = len(packets)
-    sampler = GibbsSampler(params, rng)
-    states = sampler.sample_states(n_samples)
-    snaps = chain_mod.evolve_batch(states, params, dt, steps)
-    v0 = np.empty((n_samples, K))
-    vt = np.empty((n_samples, K, len(steps)))
-    for l, pk in enumerate(packets):
-        v0[:, l] = packet_mod.phi0(states, pk)
-        for m, snap in enumerate(snaps):
-            vt[:, l, m] = packet_mod.phi0(snap, pk)
-    sigma = v0.std(axis=0)
-    exceed = np.abs(vt[:, :, i_drift] - v0) >= lam * sigma[None, :]
-    rates = exceed.mean(axis=0)
-    rate_se = np.sqrt(np.maximum(rates * (1 - rates), 1e-300) / n_samples)
-    joint = float(exceed.any(axis=1).mean())
-    joint_se = math.sqrt(max(joint * (1 - joint), 1e-300) / n_samples)
-    corr_norm = np.empty(K)
-    for l in range(K):
-        c = np.cov(v0[:, l], vt[:, l, i_corr], ddof=0)
-        corr_norm[l] = c[0, 1] / c[0, 0]
-    return {
-        "K": K, "N": params.N, "beta": beta, "a": a,
-        "t_drift": t_drift, "t_corr": t_corr, "n_samples": n_samples,
-        "rates": rates.tolist(), "rate_stderrs": rate_se.tolist(),
-        "joint_rate": joint, "joint_stderr": joint_se,
-        "sum_individual": float(rates.sum()),
-        "corr_quarter_beta": corr_norm.tolist(),
-    }
 
 
 def fit_power_law(x_list, y_list) -> tuple[float, float]:

@@ -1,13 +1,15 @@
 """Reference functions that several test files compare the package against.
 
 None of them is part of the package: the package integrates only ensembles
-(`chain.evolve_batch`) and never needs the inverse mode transform or the
-total energy of one state.
+(`chain.evolve_batch`) and never needs the inverse mode transform, the energy
+of one state or the coefficient table of {Phi0, H1}.
 """
 
 import numpy as np
 
-from fpu_packets.chain import ChainState, energies, evolve_batch
+from fpu_packets.chain import ChainState, bond_extensions, evolve_batch
+from fpu_packets.packet import (_CUBIC_PREFACTOR, _TAU_PROD, _WRAP_SIGN, TAU_PATTERNS,
+                                build_phi1_table)
 from fpu_packets.spectral import sine_transform
 
 
@@ -15,6 +17,16 @@ def potential_dv(r, A):
     """V'(r) = r + r^2 + A r^3."""
     r = np.asarray(r, dtype=float)
     return r * (1.0 + r * (1.0 + A * r))
+
+
+def energies(state, params) -> tuple[float, float, float]:
+    """(H0, H1, H2): harmonic, cubic and quartic parts of the energy."""
+    r = bond_extensions(state.q)
+    h0 = 0.5 * float(state.p @ state.p) + 0.5 * float(r @ r)
+    r3 = r * r * r
+    h1 = float(r3.sum()) / 3.0
+    h2 = 0.25 * params.A * float((r3 * r).sum())
+    return h0, h1, h2
 
 
 def total_energy(state, params) -> float:
@@ -34,3 +46,23 @@ def integrate(state, params, dt, t_final, sample_stride=1, harmonic_only=False):
     ens = ChainState(state.p[None, :], state.q[None, :])
     snaps = evolve_batch(ens, params, dt, steps, harmonic_only)
     return [(step * dt, snap[0]) for step, snap in zip(steps, snaps)]
+
+
+def bracket_norm_check(profile, N: int) -> tuple[float, float]:
+    """Plus-norm of the {Phi0, H1} coefficient table against the product bound.
+
+    {Phi0, .} multiplies each cubic monomial coefficient by -i (tau.nu), so
+    the bracket's table is explicit.  Returns (norm, 2^4 max(s,r) |f|+ |g|+).
+    """
+    packet = build_phi1_table(profile, N)
+    nu3 = np.stack([packet.nu_k[packet.k1 - 1],
+                    packet.nu_k[packet.k2 - 1],
+                    packet.nu_k[packet.k3 - 1]], axis=1)
+    tau_nu = nu3 @ TAU_PATTERNS.T
+    h1_coeffs = (_CUBIC_PREFACTOR * np.where(packet.wrap, _WRAP_SIGN, 3.0)[:, None]
+                 * _TAU_PROD[None, :])
+    bracket_norm = float(np.abs(h1_coeffs * tau_nu).max())
+    f_norm = float(np.abs(packet.g_k).max())      # Phi0 in P_2
+    g_norm = float(np.abs(h1_coeffs).max())       # H1 in P_3
+    bound = 2.0**4 * max(2, 3) * f_norm * g_norm
+    return bracket_norm, bound

@@ -9,12 +9,11 @@ import json
 
 import numpy as np
 import pytest
-from oracles import integrate, total_energy
+from oracles import bracket_norm_check, integrate, total_energy
 
 from fpu_packets.chain import ChainParams, ChainState
 from fpu_packets.experiments import run, validate_config
 from fpu_packets.gibbs import GibbsSampler
-from fpu_packets.packet import bracket_norm_check
 from fpu_packets.profiles import DEFAULT_PROFILE_SPEC, make_profile
 from fpu_packets.spectral import actions, frequencies, sine_transform, to_modes
 

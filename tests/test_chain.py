@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import from_modes, integrate, potential_dv, total_energy
+from oracles import energies, from_modes, integrate, potential_dv, total_energy
 
 from fpu_packets import chain
 from fpu_packets.chain import (BlowupError, ChainParams, ChainState, bond_extensions,
-                               energies, potential_v)
+                               potential_v)
 from fpu_packets.gibbs import GibbsSampler
 from fpu_packets.packet import build_phi1_table, phi0
 from fpu_packets.profiles import DEFAULT_PROFILE_SPEC, make_profile

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import pytest
+from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 from fpu_packets.chain import BlowupError
 from fpu_packets.experiments import (EXPERIMENTS, ConfigError, experiment_schema, main,
@@ -101,6 +102,14 @@ def test_every_key_is_validated(tmp_path, experiment, key):
     ("multi-packet", "beta_list", [0.02]),
     ("autocorrelation", "t_grid", [0.0, 0.001, 0.002, 0.004]),
     ("autocorrelation", "horizon_factor", 0.001),
+    # a drift exponent outside [0, 1/2]
+    ("chebyshev", "a", 0.7),
+    ("multi-packet", "a", 0.7),
+    # a grid point twice, which would run twice under one metadata key
+    ("homological", "N_list", [15, 15]),
+    ("autocorrelation", "beta_list", [50.0, 50]),
+    ("lemma3-scan", "kinds", ["H1", "H1"]),
+    ("sampler-validation", "lemma5_N", [64, 64, 256]),
 ])
 def test_rejects_bad_or_vacuous_values(tmp_path, experiment, key, value):
     body = {"experiment": experiment, "seed": 1, key: value}
@@ -188,6 +197,49 @@ def test_run_threads_do_not_change_results(tmp_path):
     run(cfg, out2, threads=2)
     assert (out1 / "homological_results.csv").read_bytes() == \
         (out2 / "homological_results.csv").read_bytes()
+
+
+def test_run_threads_keep_the_rows_of_multi_row_cells(tmp_path):
+    # each multi-packet cell returns K rows, which come back through the pool
+    body = {"experiment": "multi-packet", "seed": 3, "N_list": [15],
+            "beta_list": [50.0, 100.0], "n_samples": 8, "K": 2}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(body))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        code = main(["run", str(path), "--out", str(out), "--threads", threads])
+        meta = json.loads((out / "multi-packet_metadata.json").read_text())
+        outputs.append((code, (out / "multi-packet_results.csv").read_bytes(),
+                        (out / "multi-packet_summary.txt").read_bytes(), meta["diagnostics"]))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1].count(b"\n") == 1 + 2 * 2
+
+
+@pytest.mark.parametrize("experiment", ["homological", "ratio-scaling", "autocorrelation",
+                                        "lemma3-scan", "chebyshev", "multi-packet"])
+def test_metadata_has_one_sampler_diag_per_cell(tmp_path, experiment):
+    body = dict(GOLDEN_CONFIGS[experiment], experiment=experiment, seed=7)
+    cfg = validate_config(json.dumps(body))
+    run(cfg, tmp_path)
+    diags = json.loads((tmp_path / f"{experiment}_metadata.json").read_text())["diagnostics"]
+    points = [f"N={N},beta={beta:g}" for N in cfg.N_list for beta in cfg.beta_list]
+    if experiment == "lemma3-scan":
+        points = [f"kind={kind},{p}" for kind in cfg.kinds for p in points]
+    assert [k for k in diags if k != "tilted_density"] == points
+    for p in points:
+        assert {"tau_int", "stride", "acceptance_rate"} <= set(diags[p])
+
+
+def test_sampler_validation_metadata_has_one_sampler_diag_per_check(tmp_path):
+    body = dict(GOLDEN_CONFIGS["sampler-validation"], experiment="sampler-validation", seed=7)
+    run(validate_config(json.dumps(body)), tmp_path)
+    diags = json.loads((tmp_path / "sampler-validation_metadata.json").read_text())["diagnostics"]
+    checks = ["moments N=16 beta=100", "slab N=8 beta=100", "lemma5 N=8 beta=100",
+              "lemma5 N=16 beta=100"]
+    assert [k for k in diags if k != "tilted_density"] == checks
+    for check in checks:
+        assert {"tau_int", "stride", "acceptance_rate"} <= set(diags[check])
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from oracles import energies
 from scipy.integrate import quad
 
-from fpu_packets.chain import ChainParams, energies
+from fpu_packets.chain import ChainParams
 from fpu_packets.gibbs import (GibbsSampler, ThetaSolveError, _InverseCdf,
                                bonds_to_state, make_tilted_density, sample_momenta,
                                slab_rejection_bonds, solve_theta, tilted_moments)

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import from_modes, integrate
+from oracles import bracket_norm_check, energies, from_modes, integrate
 
-from fpu_packets.chain import (ChainParams, ChainState, bond_extensions, cubic_energy,
-                               energies)
+from fpu_packets.chain import ChainParams, ChainState, bond_extensions, cubic_energy
 from fpu_packets.gibbs import GibbsSampler
 from fpu_packets.packet import (_CUBIC_PREFACTOR, TAU_PATTERNS, PacketError,
-                                _corrector_pass, bracket_norm_check, build_phi1_table,
+                                _corrector_pass, build_phi1_table,
                                 homological_residual, phi0, phi1, phi_dot, ps_observable)
 from fpu_packets.profiles import DEFAULT_PROFILE_SPEC, eval_h1, make_profile
 from fpu_packets.spectral import frequencies, sine_transform, to_complex, to_modes

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import from_modes
+from oracles import energies, from_modes
 
-from fpu_packets.chain import ChainParams, ChainState, energies
+from fpu_packets.chain import ChainParams, ChainState
 from fpu_packets.gibbs import GibbsSampler
 from fpu_packets.packet import build_phi1_table, phi0
 from fpu_packets.profiles import DEFAULT_PROFILE_SPEC, make_profile

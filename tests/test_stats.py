@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from fpu_packets.chain import ChainParams, bond_extensions
-from fpu_packets.experiments import _lemma3_cell, validate_config
+from fpu_packets.experiments import (_chebyshev_cell, _lemma3_cell, _multipacket_cell,
+                                     validate_config)
 from fpu_packets.gibbs import GibbsSampler, sample_momenta
-from fpu_packets.packet import _corrector_pass, build_phi1_table, phi0
-from fpu_packets.profiles import DEFAULT_PROFILE_SPEC, disjoint_profiles, make_profile
+from fpu_packets.packet import _corrector_pass, build_phi1_table, phi0, phi_dot
+from fpu_packets.profiles import DEFAULT_PROFILE_SPEC, make_profile
 from fpu_packets.spectral import actions, sine_transform, to_modes
-from fpu_packets.stats import (CorrelationCurve, autocorrelation, chebyshev_experiment,
-                               estimate_from_samples, fit_power_law, half_life,
-                               half_life_jackknife, multi_packet_experiment,
-                               ratio_theorem1)
+from fpu_packets.stats import (CorrelationCurve, autocorrelation, estimate_from_samples,
+                               fit_power_law, half_life, half_life_jackknife,
+                               std_jackknife)
 
 OMEGA_PROFILE = {"kind": "constant", "value": 1.0}
 
@@ -83,13 +83,13 @@ def test_half_life_synthetic_and_flat():
     curve = CorrelationCurve(times=times, values=vals, stderrs=np.zeros_like(vals),
                              sigma2=1.0, normalized=vals,
                              normalized_stderrs=np.zeros_like(vals),
-                             samples=np.zeros((3, times.size)))
+                             delete_one=np.zeros((3, times.size)))
     assert half_life(curve) == pytest.approx(tau * np.log(2), abs=times[1] - times[0])
     flat = CorrelationCurve(times=times, values=np.ones_like(vals),
                             stderrs=np.zeros_like(vals), sigma2=1.0,
                             normalized=np.ones_like(vals),
                             normalized_stderrs=np.zeros_like(vals),
-                            samples=np.zeros((3, times.size)))
+                            delete_one=np.zeros((3, times.size)))
     assert half_life(flat) is None
 
 
@@ -123,8 +123,8 @@ def test_fit_power_law():
 
 
 def test_ratio_theorem1_harmonic_hook_vanishes():
-    # {Phi0, H0} = 0 on the states ratio_theorem1 draws: Phi0 is conserved by
-    # the harmonic flow, so its drift there is rounding
+    # {Phi0, H0} = 0 on the states the ratio-scaling cell draws: Phi0 is
+    # conserved by the harmonic flow, so its drift there is rounding
     N = 31
     pk = build_phi1_table(make_profile(OMEGA_PROFILE), N)
     sampler = GibbsSampler(ChainParams(N=N, beta=100.0), np.random.default_rng(7))
@@ -147,9 +147,15 @@ def test_ratio_theorem1_inadmissible_profile_inflates_corrector():
     inadm = make_profile({"kind": "linear"})
     pk_a = build_phi1_table(adm, N)
     pk_i = build_phi1_table(inadm, N, require_admissible=False)
-    ra = ratio_theorem1(pk_a, params, 300, np.random.default_rng(8))
-    ri = ratio_theorem1(pk_i, params, 300, np.random.default_rng(9))
-    assert ri.ratio_phi1_phi0 >= 1.5 * ra.ratio_phi1_phi0
+
+    def sigma_phi1_over_sigma_phi0(pk, seed):
+        # validation refuses the inadmissible profile, so no config can reach
+        # the ratio-scaling cell with it: draw the cell's 300 states directly
+        sampler = GibbsSampler(params, np.random.default_rng(seed))
+        v0, v1, _ = np.array([phi_dot(sampler.sample(), pk, params) for _ in range(300)]).T
+        return std_jackknife(v1)[0] / std_jackknife(v0)[0]
+
+    assert sigma_phi1_over_sigma_phi0(pk_i, 9) >= 1.5 * sigma_phi1_over_sigma_phi0(pk_a, 8)
     assert np.abs(pk_i.coeffs).max() >= 10 * np.abs(pk_a.coeffs).max()
 
 
@@ -157,7 +163,7 @@ def test_lemma3_scan_rows():
     cfg = validate_config(json.dumps({"experiment": "lemma3-scan", "seed": 10,
                                       "n_samples": 200, "profile": OMEGA_PROFILE}))
     points = [(31, 50.0), (31, 100.0), (63, 50.0), (63, 100.0)]
-    rows = [_lemma3_cell(cfg, np.random.SeedSequence(10 + i), "Phi0", N, beta)
+    rows = [_lemma3_cell(cfg, np.random.SeedSequence(10 + i), "Phi0", N, beta)[0][0]
             for i, (N, beta) in enumerate(points)]
     for r in rows:
         assert r["kind"] == "Phi0" and r["s"] == 2
@@ -169,30 +175,29 @@ def test_lemma3_scan_rows():
 
 
 def test_chebyshev_bound_holds():
-    N = 63
-    pk = build_phi1_table(make_profile(DEFAULT_PROFILE_SPEC), N)
-    res = chebyshev_experiment(pk, ChainParams(N=N, beta=50.0), 0.4, 300,
-                               np.random.default_rng(11))
-    assert 0.0 <= res["empirical_prob"] <= 1.0
-    slack = 3 * np.hypot(res["prob_stderr"], res["bound_stderr"])
-    assert res["empirical_prob"] <= res["chebyshev_bound"] + slack
-    with pytest.raises(ValueError):
-        chebyshev_experiment(pk, ChainParams(N=N, beta=50.0), 0.7, 10,
-                             np.random.default_rng(0))
+    # a = 0.7 is refused by validation (test_rejects_bad_or_vacuous_values)
+    cfg = validate_config(json.dumps({"experiment": "chebyshev", "seed": 11, "a": 0.4,
+                                      "n_samples": 300, "profile": DEFAULT_PROFILE_SPEC}))
+    (row,), _ = _chebyshev_cell(cfg, np.random.SeedSequence(11), 63, 50.0)
+    assert 0.0 <= row["empirical_prob"] <= 1.0
+    slack = 3 * np.hypot(row["prob_stderr"], row["bound_stderr"])
+    assert row["empirical_prob"] <= row["chebyshev_bound"] + slack
+
+
+def _multipacket_rows(K, seed):
+    cfg = validate_config(json.dumps({"experiment": "multi-packet", "seed": seed, "a": 0.4,
+                                      "n_samples": 200, "K": K}))
+    rows, _ = _multipacket_cell(cfg, np.random.SeedSequence(seed), 63, 50.0)
+    assert [r["packet"] for r in rows] == list(range(K))
+    return rows
 
 
 def test_multi_packet_single_reduces_to_marginal():
-    N = 63
-    packs = [build_phi1_table(p, N) for p in disjoint_profiles(1)]
-    res = multi_packet_experiment(packs, ChainParams(N=N, beta=50.0), 0.4, 200,
-                                  np.random.default_rng(12))
-    assert res["joint_rate"] == res["rates"][0]
-    assert res["joint_rate"] <= res["sum_individual"] + 1e-12
+    (row,) = _multipacket_rows(1, 12)
+    assert row["joint_rate"] == row["exceed_rate"]
+    assert row["joint_rate"] <= row["sum_individual"] + 1e-12
 
 
 def test_multi_packet_union_bound():
-    N = 63
-    packs = [build_phi1_table(p, N) for p in disjoint_profiles(3)]
-    res = multi_packet_experiment(packs, ChainParams(N=N, beta=50.0), 0.4, 200,
-                                  np.random.default_rng(13))
-    assert res["joint_rate"] <= res["sum_individual"] + 3 * res["joint_stderr"]
+    row = _multipacket_rows(3, 13)[0]
+    assert row["joint_rate"] <= row["sum_individual"] + 3 * row["joint_stderr"]
