@@ -1,8 +1,8 @@
 """FPU chain simulator and verification harness for adiabatic mode-packet invariants."""
 
 from .chain import BlowupError, ChainParams, ChainState, potential_v
-from .gibbs import (GibbsSampler, TiltedDensity, bonds_to_state, make_tilted_density,
-                    sample_momenta, solve_theta, tilted_moments)
+from .gibbs import (GibbsSampler, TiltedDensity, bonds_to_state, sample_momenta,
+                    solve_theta, tilted_density)
 from .packet import (PacketObservable, build_phi1_table, homological_residual, phi0,
                      phi1, phi_dot, ps_observable)
 from .profiles import NuProfile, disjoint_profiles, eval_h1, make_profile, z_fold
@@ -14,8 +14,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlowupError", "ChainParams", "ChainState", "potential_v",
-    "GibbsSampler", "TiltedDensity", "bonds_to_state", "make_tilted_density",
-    "sample_momenta", "solve_theta", "tilted_moments",
+    "GibbsSampler", "TiltedDensity", "bonds_to_state", "sample_momenta",
+    "solve_theta", "tilted_density",
     "PacketObservable", "build_phi1_table", "homological_residual", "phi0", "phi1",
     "phi_dot", "ps_observable",
     "NuProfile", "disjoint_profiles", "eval_h1", "make_profile", "z_fold",

@@ -18,6 +18,7 @@ reduced in cell order no matter how many workers run.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import subprocess
@@ -37,8 +38,7 @@ from . import packet as packet_mod
 from . import profiles as profiles_mod
 from . import stats as stats_mod
 from .chain import DEFAULT_DT, BlowupError, ChainParams, evolve_batch
-from .gibbs import (GibbsSampler, ThetaSolveError, make_tilted_density,
-                    slab_rejection_bonds, solve_theta, tilted_moments)
+from .gibbs import GibbsSampler, ThetaSolveError, slab_rejection_bonds, tilted_density
 from .packet import PacketError, build_phi1_table, homological_residual, ps_observable
 from .profiles import DEFAULT_PROFILE_SPEC, eval_h1, make_profile
 
@@ -152,10 +152,16 @@ def _admissible(v):
     return v
 
 
+def _steps(t, dt: float) -> np.ndarray:
+    """The whole number of integrator steps of dt nearest to each time t
+    (halves round to even); every evolved ensemble is snapped by this rule."""
+    return np.rint(np.asarray(t, dtype=float) / dt).astype(int)
+
+
 def _whole_steps(key: str, times, dt: float) -> None:
     """Refuse a positive target time that rounds to 0 steps of dt: the run
     would measure the unevolved ensemble, and its checks would pass vacuously."""
-    short = [t for t in times if t > 0 and np.rint(t / dt) < 1]
+    short = [t for t in times if t > 0 and _steps(t, dt) < 1]
     if short:
         raise ConfigError(f"field {key!r}: target time t = {min(short):g} rounds to 0 "
                           f"steps of dt = {dt:g}")
@@ -349,11 +355,17 @@ def _run_ratio(cfg: ExperimentConfig, threads: int):
 def _autocorr_cell(cfg, seed, N, beta):
     rng = np.random.default_rng(seed)
     pk = build_phi1_table(make_profile(cfg.profile), N)
-    sampler = GibbsSampler(ChainParams(N=N, A=cfg.A, beta=beta), rng)
+    params = ChainParams(N=N, A=cfg.A, beta=beta)
+    sampler = GibbsSampler(params, rng)
     states = sampler.sample_states(cfg.n_samples)
     grid = _autocorr_times(cfg, beta)
-    curve = stats_mod.autocorrelation(lambda s: packet_mod.phi0(s, pk), states,
-                                      ChainParams(N=N, A=cfg.A, beta=beta), cfg.dt, grid)
+    steps = _steps(grid, cfg.dt)
+    # time 0 leads the snapshots even when the grid starts later
+    snaps = evolve_batch(states, params, cfg.dt, steps if grid[0] == 0 else [0, *steps])
+    # (times, n) transposed, not stacked along axis 1: the estimator's column
+    # sums follow the memory layout, and the CSV bytes follow those sums
+    vals = np.array([packet_mod.phi0(snap, pk) for snap in snaps]).T
+    curve = stats_mod.autocorrelation(vals, grid)
     t_half, t_half_se = stats_mod.half_life_jackknife(curve)
     rows = [{"N": N, "beta": beta, "t": float(t), "corr": float(c),
              "corr_stderr": float(se), "corr_normalized": float(v),
@@ -374,6 +386,10 @@ def _autocorr_times(cfg, beta) -> np.ndarray:
 
 
 def _autocorr_joint(cfg):
+    stray = [b for b in cfg.persistence_betas if b not in cfg.beta_list]
+    if stray:
+        raise ConfigError(f"field 'persistence_betas': entry {stray[0]:g} is not in "
+                          f"beta_list {cfg.beta_list}, so its persistence check would not run")
     _whole_steps("horizon_factor" if cfg.t_grid is None else "t_grid",
                  [t for beta in cfg.beta_list for t in _autocorr_times(cfg, beta)], cfg.dt)
 
@@ -472,7 +488,7 @@ def _chebyshev_cell(cfg, seed, N, beta):
     t = beta ** (1.0 - a)
     lam = beta ** (-a / 2.0)
     sampler = GibbsSampler(params, np.random.default_rng(seed))
-    n_steps = int(round(t / cfg.dt))
+    n_steps = int(_steps(t, cfg.dt))
     states = sampler.sample_states(n)
     before = packet_mod.phi0(states, pk)
     (end,) = evolve_batch(states, params, cfg.dt, [n_steps])
@@ -528,8 +544,7 @@ def _multipacket_cell(cfg, seed, N, beta):
     params = ChainParams(N=N, A=cfg.A, beta=beta)
     a, n, dt = cfg.a, cfg.n_samples, cfg.dt
     lam = beta ** (-a / 2.0)
-    drift_step = int(round(beta ** (1.0 - a) / dt))
-    corr_step = int(round(beta / 4.0 / dt))
+    drift_step, corr_step = _steps([beta ** (1.0 - a), beta / 4.0], dt).tolist()
     steps = sorted({drift_step, corr_step})
     i_drift = steps.index(drift_step)
     i_corr = steps.index(corr_step)
@@ -642,17 +657,16 @@ def _run_sampler_validation(cfg: ExperimentConfig, threads: int):
         N = cfg.moments_N
         beta = cfg.beta_list[0]
         params = ChainParams(N=N, A=cfg.A, beta=beta)
-        theta = solve_theta(beta, cfg.A)
-        td = make_tilted_density(beta, cfg.A, theta)
+        td = tilted_density(beta, cfg.A)
         # r0, ..., r0^4 and |sum r| per draw
         site, sampler = _bond_draws(next(rngs), params, cfg.n_samples, lambda r: (
             r[0], r[0]**2, r[0]**3, r[0]**4, abs(float(r.sum()))))
         worst_sum = float(site[:, 4].max())
-        diags[f"moments N={N} beta={beta:g}"] = {"theta": theta, "q_theta": td.q_gamma,
+        diags[f"moments N={N} beta={beta:g}"] = {"theta": td.theta, "q_theta": td.q_theta,
                                                  **sampler.diagnostics()}
         for n in range(1, 5):
             est = stats_mod.estimate_from_samples(site[:, n - 1])
-            oracle = tilted_moments(td, n)
+            oracle = float(td.moments[n])
             z = (est.mean - oracle) / est.stderr_mean
             rows.append({"check": "moments", "N": N, "beta": beta,
                          "quantity": f"<r^{n}>", "value": est.mean,
@@ -825,21 +839,12 @@ def experiment_schema() -> dict:
             for name, spec in EXPERIMENTS.items()}
 
 
-def _format_cell(v) -> str:
-    if isinstance(v, float):
-        out = repr(v)
-    else:
-        out = str(v)
-    if any(ch in out for ch in ",\"\n"):
-        out = '"' + out.replace('"', '""') + '"'
-    return out
-
-
 def _write_csv(path: Path, columns, rows: list[dict]) -> None:
-    lines = [",".join(columns)]
-    for r in rows:
-        lines.append(",".join(_format_cell(r.get(c, "")) for c in columns))
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, columns, restval="", extrasaction="ignore",
+                                lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def _git_describe() -> str:
@@ -885,9 +890,8 @@ def run(cfg: ExperimentConfig, out_dir: str | Path, threads: int = 1) -> int:
     if "beta_list" in spec.keys:    # the experiment samples the Gibbs measure
         tilted = {}
         for beta in cfg.beta_list:
-            theta = solve_theta(beta, cfg.A)
-            td = make_tilted_density(beta, cfg.A, theta)
-            tilted[f"beta={beta:g}"] = {"theta": theta, "q_theta": td.q_gamma}
+            td = tilted_density(beta, cfg.A)
+            tilted[f"beta={beta:g}"] = {"theta": td.theta, "q_theta": td.q_theta}
         diags = {**diags, "tilted_density": tilted}
     write_metadata(diagnostics=diags, wall_time_seconds=wall)
     if not checks:

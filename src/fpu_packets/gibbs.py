@@ -84,35 +84,22 @@ def _quad_moments(beta: float, gamma: float, V: Callable, n_max: int = 8,
 
 @dataclass(frozen=True)
 class TiltedDensity:
-    """One-bond density exp(-gamma r - beta V(r)) / q_gamma with cached moments."""
+    """One-bond density exp(-theta r - beta V(r)) / q_theta at the zero-mean
+    tilt theta; moments[n] is <r^n>, n = 0..8."""
 
     beta: float
     A: float
-    gamma: float
-    q_gamma: float
+    theta: float
+    q_theta: float
     moments: np.ndarray
 
-    @property
-    def mean(self) -> float:
-        return float(self.moments[1])
 
-    @property
-    def variance(self) -> float:
-        return float(self.moments[2] - self.moments[1] ** 2)
-
-
-def make_tilted_density(beta: float, A: float, gamma: float) -> TiltedDensity:
-    q, mom = _quad_moments(beta, gamma, _default_potential(A))
+def tilted_density(beta: float, A: float) -> TiltedDensity:
+    theta = solve_theta(beta, A)
+    q, mom = _quad_moments(beta, theta, _default_potential(A))
     mom = mom.copy()
     mom.setflags(write=False)
-    return TiltedDensity(beta=beta, A=A, gamma=gamma, q_gamma=q, moments=mom)
-
-
-def tilted_moments(density: TiltedDensity, n: int) -> float:
-    """<r^n> under the tilted density, n <= 8."""
-    if not 0 <= n < density.moments.size:
-        raise ValueError(f"moment order must be in 0..{density.moments.size - 1}")
-    return float(density.moments[n])
+    return TiltedDensity(beta=beta, A=A, theta=theta, q_theta=q, moments=mom)
 
 
 def solve_theta(beta: float, A: float, potential: Callable | None = None,

@@ -1,12 +1,14 @@
-"""Monte Carlo estimators: moments, jackknife errors, the time
+"""Monte Carlo estimators on arrays: moments, jackknife errors, the time
 autocorrelation of an ensemble, its half-life and log-log slopes.
 
 Averages are Gibbs-ensemble averages: many independent initial conditions,
-each evolved by the chain flow where time enters.  Error bars are jackknife
-over initial conditions; trajectories from one initial condition are never
-treated as independent.  All scaling claims are reported as fitted log-log
-slopes because the underlying constants are not quantified.  The experiments
-that draw the samples and call these estimators live in `experiments`.
+each evolved by the chain flow where time enters.  Error bars are delete-one
+jackknife over initial conditions (one formula, `_jackknife_se`);
+trajectories from one initial condition are never treated as independent.
+All scaling claims are reported as fitted log-log slopes because the
+underlying constants are not quantified.  This module imports no other module
+of the package: the cells in `experiments` draw and evolve the ensembles and
+pass the observed values here.
 """
 
 from __future__ import annotations
@@ -15,9 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from . import chain as chain_mod
-from .chain import ChainParams
 
 
 @dataclass(frozen=True)
@@ -29,6 +28,22 @@ class Estimate:
     stderr_mean: float
     stderr_variance: float
     n_samples: int
+
+
+def _jackknife_se(d: np.ndarray):
+    """Jackknife standard error from the delete-one values d (along axis 0)."""
+    n = d.shape[0]
+    return np.sqrt((n - 1) / n * ((d - d.mean(axis=0)) ** 2).sum(axis=0))
+
+
+def _population_variance(x: np.ndarray) -> tuple[float, np.ndarray]:
+    """Population variance of x, and of x with each entry left out in turn,
+    in closed form from the sums."""
+    n = x.size
+    s1 = float(x.sum())
+    s2 = float(x @ x)
+    del_var = (s2 - x * x) / (n - 1) - ((s1 - x) / (n - 1)) ** 2
+    return s2 / n - (s1 / n) ** 2, del_var
 
 
 def estimate_from_samples(x: np.ndarray) -> Estimate:
@@ -45,7 +60,7 @@ def estimate_from_samples(x: np.ndarray) -> Estimate:
         # delete-one unbiased variances, in closed form
         mean_i = (s1 - x) / (n - 1)
         var_i = ((s2 - x * x) - (n - 1) * mean_i**2) / (n - 2)
-        se_var = math.sqrt((n - 1) / n * float(((var_i - var_i.mean()) ** 2).sum()))
+        se_var = float(_jackknife_se(var_i))
     else:
         se_var = var * math.sqrt(2.0 / (n - 1))
     return Estimate(mean, var, se_mean, se_var, n)
@@ -82,53 +97,37 @@ def _cov_columns(f0: np.ndarray, F: np.ndarray):
     return cov, del_cov
 
 
-def autocorrelation(observable, states, params: ChainParams, dt: float,
-                    t_grid, harmonic_only: bool = False) -> CorrelationCurve:
-    """C_F(t) = <F F(t)> - <F><F(t)> on the given time grid.
+def autocorrelation(vals: np.ndarray, times) -> CorrelationCurve:
+    """C_F(t) = <F F(t)> - <F><F(t)> on the grid `times`.
 
-    `states` is a (B, N) ensemble of initial states, and `observable` maps a
-    (B, N) ensemble to its B values.  The ensemble is integrated once up to
-    max(t_grid); grid times are snapped to whole integrator steps.
+    `vals` is the (n, k) array of F on n initial conditions: column 0 at time
+    0, then one column per grid time (k = len(times) + 1 when times[0] > 0).
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size == 0 or (np.diff(t_grid) <= 0).any() or t_grid[0] < 0:
-        raise ValueError("t_grid must be ascending and non-negative")
-    steps = np.rint(t_grid / dt).astype(int)
-    n = len(states)
+    times = np.asarray(times, dtype=float)
+    if times.size == 0 or (np.diff(times) <= 0).any() or times[0] < 0:
+        raise ValueError("times must be ascending and non-negative")
+    n = vals.shape[0]
     if n < 3:
         raise ValueError("need at least 3 initial conditions")
-    want0 = steps[0] == 0
-    targets = steps if want0 else np.concatenate([[0], steps])
-    snaps = chain_mod.evolve_batch(states, params, dt, targets,
-                                   harmonic_only=harmonic_only)
-    # (times, n) transposed, not stacked along axis 1: _cov_columns' column
-    # sums follow the memory layout, and the CSV bytes follow those sums
-    vals = np.array([observable(snap) for snap in snaps]).T  # (n, times)
+    want0 = times[0] == 0
+    if vals.shape[1] != times.size + (not want0):
+        raise ValueError("vals needs one column per grid time, plus one for "
+                         "time 0 when the grid starts later")
     f0 = vals[:, 0]
     F = vals if want0 else vals[:, 1:]
     cov, del_cov = _cov_columns(f0, F)
-    se = np.sqrt((n - 1) / n * ((del_cov - del_cov.mean(axis=0)) ** 2).sum(axis=0))
+    var0, del_var0 = _population_variance(f0)
     # same estimator, same samples: C(0) IS sigma^2 when the grid starts at 0
-    sigma2 = float(cov[0]) if want0 else \
-        float(f0 @ f0) / n - (float(f0.sum()) / n) ** 2
-    # delete-one sigma2 for the normalized-curve errors
-    s2 = float(f0 @ f0)
-    s1 = float(f0.sum())
-    del_sig = (s2 - f0**2) / (n - 1) - ((s1 - f0) / (n - 1)) ** 2
-    del_norm = del_cov / del_sig[:, None]
-    norm_se = np.sqrt((n - 1) / n * ((del_norm - del_norm.mean(axis=0)) ** 2).sum(axis=0))
-    return CorrelationCurve(times=t_grid.copy(), values=cov, stderrs=se,
+    sigma2 = float(cov[0]) if want0 else var0
+    return CorrelationCurve(times=times.copy(), values=cov, stderrs=_jackknife_se(del_cov),
                             sigma2=sigma2, normalized=cov / sigma2,
-                            normalized_stderrs=norm_se, delete_one=del_cov)
+                            normalized_stderrs=_jackknife_se(del_cov / del_var0[:, None]),
+                            delete_one=del_cov)
 
 
-def half_life(curve: CorrelationCurve) -> float | None:
-    """First time the normalized curve crosses 1/2 (linear interpolation);
-    None when it never does within the grid."""
-    return _half_life_from_series(curve.times, curve.normalized)
-
-
-def _half_life_from_series(times, v) -> float | None:
+def half_life(times, v) -> float | None:
+    """First time the series v crosses 1/2 (linear interpolation); None when
+    it never does within the grid."""
     below = np.nonzero(v < 0.5)[0]
     if below.size == 0:
         return None
@@ -141,12 +140,13 @@ def _half_life_from_series(times, v) -> float | None:
 
 
 def half_life_jackknife(curve: CorrelationCurve) -> tuple[float | None, float | None]:
-    """(t_half, stderr) with delete-one recomputation of the whole curve.
+    """(t_half, stderr) of the normalized curve, with delete-one recomputation
+    of the whole curve.
 
     stderr is None when the grid does not start at t = 0, or when the crossing
     is not reached on the full curve or on any delete-one replica.
     """
-    t_half = half_life(curve)
+    t_half = half_life(curve.times, curve.normalized)
     if t_half is None:
         return None, None
     if curve.times[0] != 0:
@@ -154,38 +154,26 @@ def half_life_jackknife(curve: CorrelationCurve) -> tuple[float | None, float | 
     del_cov = curve.delete_one
     vals = []
     for i in range(del_cov.shape[0]):
-        v = del_cov[i] / del_cov[i, 0]
-        th = _half_life_from_series(curve.times, v)
+        th = half_life(curve.times, del_cov[i] / del_cov[i, 0])
         if th is None:
             return t_half, None
         vals.append(th)
-    vals = np.array(vals)
-    n = vals.size
-    se = math.sqrt((n - 1) / n * float(((vals - vals.mean()) ** 2).sum()))
-    return t_half, se
+    return t_half, float(_jackknife_se(np.array(vals)))
 
 
 def rms_jackknife(x: np.ndarray) -> tuple[float, float]:
     """Root mean square of x and its delete-one jackknife error."""
     n = x.size
     s2 = float(x @ x)
-    rms = math.sqrt(s2 / n)
     del_rms = np.sqrt(np.maximum((s2 - x * x) / (n - 1), 0.0))
-    se = math.sqrt((n - 1) / n * float(((del_rms - del_rms.mean()) ** 2).sum()))
-    return rms, se
+    return math.sqrt(s2 / n), float(_jackknife_se(del_rms))
 
 
 def std_jackknife(x: np.ndarray) -> tuple[float, float]:
     """Population standard deviation of x and its delete-one jackknife error."""
-    n = x.size
-    s1 = float(x.sum())
-    s2 = float(x @ x)
-    std = math.sqrt(max(s2 / n - (s1 / n) ** 2, 0.0))
-    mean_i = (s1 - x) / (n - 1)
-    var_i = np.maximum((s2 - x * x) / (n - 1) - mean_i**2, 0.0)
-    del_std = np.sqrt(var_i)
-    se = math.sqrt((n - 1) / n * float(((del_std - del_std.mean()) ** 2).sum()))
-    return std, se
+    var, del_var = _population_variance(x)
+    del_std = np.sqrt(np.maximum(del_var, 0.0))
+    return math.sqrt(max(var, 0.0)), float(_jackknife_se(del_std))
 
 
 def fit_power_law(x_list, y_list) -> tuple[float, float]:

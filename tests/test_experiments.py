@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -125,7 +126,10 @@ def test_rejects_bad_or_vacuous_values(tmp_path, experiment, key, value):
      "n_samples": 50, "K": 2},
     {"experiment": "autocorrelation", "seed": 1, "N_list": [7],
      "beta_list": [50.0, 100.0], "t_grid": [0, 0.001, 0.002, 0.004]},
-], ids=["inadmissible-corrector", "zero-step-quarter-beta", "zero-step-t-grid"])
+    {"experiment": "autocorrelation", "seed": 1, "N_list": [7], "beta_list": [50.0, 200.0],
+     "n_samples": 4, "t_grid": [0.0, 1.0], "persistence_betas": [100.0]},
+], ids=["inadmissible-corrector", "zero-step-quarter-beta", "zero-step-t-grid",
+        "persistence-beta-not-run"])
 def test_refused_before_any_output(tmp_path, body):
     assert _exit_codes(tmp_path, body) == (2, 2)
     assert not (tmp_path / "out").exists()
@@ -309,13 +313,17 @@ def test_run_autocorrelation_custom_grid(tmp_path):
     assert times == [0.0, 1.0, 3.0]
 
 
-def test_run_without_any_check_fails(tmp_path, capsys):
-    # one beta, not in persistence_betas: no persistence and no half-life check
-    body = {"experiment": "autocorrelation", "seed": 1, "N_list": [15],
-            "beta_list": [20.0], "n_samples": 4, "t_grid": [0.0, 1.0]}
-    assert run(validate_config(json.dumps(body)), tmp_path) == 1
-    summary = (tmp_path / "autocorrelation_summary.txt").read_text()
-    assert summary == "FAIL  no check ran\nFAIL  overall: autocorrelation\n"
+def test_run_without_any_check_fails(tmp_path, capsys, monkeypatch):
+    # no valid config of a registered experiment reaches the fallback (the last
+    # one, a single beta outside persistence_betas, is refused), so an
+    # experiment whose compute returns no check stands in
+    spec = EXPERIMENTS["theorem2-h1"]
+    monkeypatch.setitem(EXPERIMENTS, "theorem2-h1", dataclasses.replace(
+        spec, compute=lambda cfg, threads: ([], [], {})))
+    cfg = validate_config(json.dumps({"experiment": "theorem2-h1", "seed": 1}))
+    assert run(cfg, tmp_path) == 1
+    summary = (tmp_path / "theorem2-h1_summary.txt").read_text()
+    assert summary == "FAIL  no check ran\nFAIL  overall: theorem2-h1\n"
     assert "first failing criterion: no check ran" in capsys.readouterr().err
 
 

@@ -5,8 +5,8 @@ from scipy.integrate import quad
 
 from fpu_packets.chain import ChainParams
 from fpu_packets.gibbs import (GibbsSampler, ThetaSolveError, _InverseCdf,
-                               bonds_to_state, make_tilted_density, sample_momenta,
-                               slab_rejection_bonds, solve_theta, tilted_moments)
+                               bonds_to_state, sample_momenta, slab_rejection_bonds,
+                               solve_theta, tilted_density)
 
 BETA, A = 100.0, 1.0
 
@@ -20,8 +20,10 @@ def test_theta_pin_and_independent_residual():
     assert theta == pytest.approx(THETA_PIN, abs=1e-9)
     val, _ = quad(lambda r: r * np.exp(-theta * r - BETA * (r**2 / 2 + r**3 / 3 + A * r**4 / 4)),
                   -2.0, 2.0, epsabs=1e-15)
-    td = make_tilted_density(BETA, A, theta)
-    assert abs(val) / td.q_gamma <= 1e-12 * np.sqrt(td.variance)
+    td = tilted_density(BETA, A)
+    assert td.theta == theta
+    # zero mean, so the variance is the second moment
+    assert abs(val) / td.q_theta <= 1e-12 * np.sqrt(td.moments[2])
 
 
 def test_theta_zero_for_symmetric_potential():
@@ -42,23 +44,20 @@ def test_theta_bracketing_failure_signals():
 
 
 def test_tilted_moments_basics():
-    theta = solve_theta(BETA, A)
-    td = make_tilted_density(BETA, A, theta)
-    assert tilted_moments(td, 0) == 1.0
-    assert abs(tilted_moments(td, 1)) <= 1e-12 * np.sqrt(td.variance)
-    assert tilted_moments(td, 2) == pytest.approx(1.0 / BETA, rel=0.15)
-    with pytest.raises(ValueError):
-        tilted_moments(td, 9)
+    td = tilted_density(BETA, A)
+    assert td.moments[0] == 1.0
+    assert abs(td.moments[1]) <= 1e-12 * np.sqrt(td.moments[2])
+    assert td.moments[2] == pytest.approx(1.0 / BETA, rel=0.15)
+    assert td.moments.size == 9    # <r^0> .. <r^8>
 
 
 def test_tilted_moments_against_scipy():
-    theta = solve_theta(BETA, A)
-    td = make_tilted_density(BETA, A, theta)
+    td = tilted_density(BETA, A)
     V = lambda r: r**2 / 2 + r**3 / 3 + A * r**4 / 4
     for n in (2, 4):
-        num, _ = quad(lambda r: r**n * np.exp(-theta * r - BETA * V(r)), -2, 2,
+        num, _ = quad(lambda r: r**n * np.exp(-td.theta * r - BETA * V(r)), -2, 2,
                       epsabs=1e-16)
-        assert tilted_moments(td, n) == pytest.approx(num / td.q_gamma, rel=1e-9)
+        assert td.moments[n] == pytest.approx(num / td.q_theta, rel=1e-9)
 
 
 def test_sample_momenta_statistics_and_determinism():
@@ -116,8 +115,7 @@ def test_single_site_moment_matches_quadrature():
     for i in range(n):
         sampler.sweep(sampler.stride)
         r2[i] = sampler.r[0] ** 2
-    theta = solve_theta(BETA, A)
-    oracle = tilted_moments(make_tilted_density(BETA, A, theta), 2)
+    oracle = tilted_density(BETA, A).moments[2]
     se = r2.std(ddof=1) / np.sqrt(n)
     assert abs(r2.mean() - oracle) <= 3 * se
 
@@ -137,9 +135,8 @@ def test_equipartition_and_seed_independence():
 def test_tilted_iid_marginal():
     theta = solve_theta(BETA, A)
     r = _InverseCdf(BETA, A, theta).draw(np.random.default_rng(10), 4000)
-    td = make_tilted_density(BETA, A, theta)
     se = r.std(ddof=1) / np.sqrt(r.size)
-    assert abs(r.mean() - td.mean) <= 4 * se
+    assert abs(r.mean() - tilted_density(BETA, A).moments[1]) <= 4 * se
 
 
 def test_slab_rejection_matches_constrained_sampler():

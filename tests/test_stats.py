@@ -3,22 +3,28 @@ import json
 import numpy as np
 import pytest
 
-from fpu_packets.chain import ChainParams, bond_extensions
+from fpu_packets.chain import ChainParams, bond_extensions, evolve_batch
 from fpu_packets.experiments import (_chebyshev_cell, _lemma3_cell, _multipacket_cell,
-                                     validate_config)
+                                     _steps, validate_config)
 from fpu_packets.gibbs import GibbsSampler, sample_momenta
 from fpu_packets.packet import _corrector_pass, build_phi1_table, phi0, phi_dot
 from fpu_packets.profiles import DEFAULT_PROFILE_SPEC, make_profile
 from fpu_packets.spectral import actions, sine_transform, to_modes
-from fpu_packets.stats import (CorrelationCurve, autocorrelation, estimate_from_samples,
-                               fit_power_law, half_life, half_life_jackknife,
-                               std_jackknife)
+from fpu_packets.stats import (autocorrelation, estimate_from_samples, fit_power_law,
+                               half_life, half_life_jackknife, std_jackknife)
 
 OMEGA_PROFILE = {"kind": "constant", "value": 1.0}
 
 
 def gibbs_states(N, beta, n, seed):
     return GibbsSampler(ChainParams(N=N, beta=beta), np.random.default_rng(seed)).sample_states(n)
+
+
+def measured_curve(observable, states, params, dt, times, harmonic_only=False):
+    """The autocorrelation curve of `observable` along the flow of `states`,
+    the grid starting at t = 0 and snapped to whole steps of dt."""
+    snaps = evolve_batch(states, params, dt, _steps(times, dt), harmonic_only)
+    return autocorrelation(np.array([observable(snap) for snap in snaps]).T, times)
 
 
 def test_mc_estimate_constant_observable():
@@ -58,8 +64,8 @@ def test_autocorrelation_t0_equals_sigma2():
     N = 31
     pk = build_phi1_table(make_profile(DEFAULT_PROFILE_SPEC), N)
     states = gibbs_states(N, 100.0, 40, seed=3)
-    curve = autocorrelation(lambda s: phi0(s, pk), states, ChainParams(N=N), 0.02,
-                            [0.0, 1.0, 2.0])
+    curve = measured_curve(lambda s: phi0(s, pk), states, ChainParams(N=N), 0.02,
+                           [0.0, 1.0, 2.0])
     assert curve.values[0] == curve.sigma2
     assert curve.normalized[0] == 1.0
     # Cauchy-Schwarz on the measured grid
@@ -70,8 +76,8 @@ def test_autocorrelation_harmonic_hook_action_is_flat():
     N = 15
     k = 4
     states = gibbs_states(N, 50.0, 30, seed=4)
-    curve = autocorrelation(lambda s: actions(to_modes(s))[:, k], states, ChainParams(N=N),
-                            0.02, [0.0, 5.0, 20.0, 50.0], harmonic_only=True)
+    curve = measured_curve(lambda s: actions(to_modes(s))[:, k], states, ChainParams(N=N),
+                           0.02, [0.0, 5.0, 20.0, 50.0], harmonic_only=True)
     for v, se in zip(curve.normalized[1:], curve.normalized_stderrs[1:]):
         assert abs(v - 1.0) <= max(3 * se, 1e-3)
 
@@ -79,26 +85,40 @@ def test_autocorrelation_harmonic_hook_action_is_flat():
 def test_half_life_synthetic_and_flat():
     times = np.linspace(0.0, 10.0, 101)
     tau = 2.0
-    vals = np.exp(-times / tau)
-    curve = CorrelationCurve(times=times, values=vals, stderrs=np.zeros_like(vals),
-                             sigma2=1.0, normalized=vals,
-                             normalized_stderrs=np.zeros_like(vals),
-                             delete_one=np.zeros((3, times.size)))
-    assert half_life(curve) == pytest.approx(tau * np.log(2), abs=times[1] - times[0])
-    flat = CorrelationCurve(times=times, values=np.ones_like(vals),
-                            stderrs=np.zeros_like(vals), sigma2=1.0,
-                            normalized=np.ones_like(vals),
-                            normalized_stderrs=np.zeros_like(vals),
-                            delete_one=np.zeros((3, times.size)))
-    assert half_life(flat) is None
+    assert half_life(times, np.exp(-times / tau)) == pytest.approx(tau * np.log(2),
+                                                                  abs=times[1] - times[0])
+    assert half_life(times, np.ones_like(times)) is None
+
+
+def test_autocorrelation_grid_after_zero():
+    # a grid that starts after t = 0 takes one extra leading column, the time-0 values
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=40)
+    vals = np.array([x, 0.8 * x + 0.2 * rng.normal(size=40),
+                     0.1 * x + rng.normal(size=40)]).T    # (n, 3)
+    full = autocorrelation(vals, [0.0, 1.0, 2.0])
+    late = autocorrelation(vals, [1.0, 2.0])
+    np.testing.assert_array_equal(late.times, [1.0, 2.0])
+    np.testing.assert_array_equal(late.values, full.values[1:])
+    np.testing.assert_array_equal(late.stderrs, full.stderrs[1:])
+    assert late.sigma2 == pytest.approx(vals[:, 0].var(), rel=1e-12)
+    t_half, se = half_life_jackknife(late)
+    assert 1.0 < t_half < 2.0
+    assert se is None
+    with pytest.raises(ValueError):
+        autocorrelation(vals, [0.0, 1.0])      # a column too many
+    with pytest.raises(ValueError):
+        autocorrelation(vals, [2.0, 1.0])      # not ascending
+    with pytest.raises(ValueError):
+        autocorrelation(vals[:2], [0.0, 1.0, 2.0])    # fewer than 3 states
 
 
 def test_half_life_jackknife_on_measured_curve():
     N = 31
     pk = build_phi1_table(make_profile({"kind": "bump", "center": 0.5, "width": 0.2}), N)
     states = gibbs_states(N, 25.0, 60, seed=5)
-    curve = autocorrelation(lambda s: phi0(s, pk), states, ChainParams(N=N, beta=25.0),
-                            0.02, np.linspace(0.0, 120.0, 13))
+    curve = measured_curve(lambda s: phi0(s, pk), states, ChainParams(N=N, beta=25.0),
+                           0.02, np.linspace(0.0, 120.0, 13))
     th, se = half_life_jackknife(curve)
     if th is not None and se is not None:
         assert se >= 0.0
