@@ -69,6 +69,9 @@ THEOREM2_FAMILY = [
     {"kind": "bump", "center": 0.5, "width": 0.5, "amplitude": 1.0},
 ]
 
+# run() records these in the metadata and re-raises; main() exits 3 on them
+NUMERICAL_FAILURES = (BlowupError, ThetaSolveError, PacketError)
+
 
 class ConfigError(ValueError):
     pass
@@ -390,8 +393,16 @@ def _autocorr_joint(cfg):
     if stray:
         raise ConfigError(f"field 'persistence_betas': entry {stray[0]:g} is not in "
                           f"beta_list {cfg.beta_list}, so its persistence check would not run")
-    _whole_steps("horizon_factor" if cfg.t_grid is None else "t_grid",
-                 [t for beta in cfg.beta_list for t in _autocorr_times(cfg, beta)], cfg.dt)
+    key = "horizon_factor" if cfg.t_grid is None else "t_grid"
+    grids = [_autocorr_times(cfg, beta) for beta in cfg.beta_list]
+    _whole_steps(key, [t for times in grids for t in times], cfg.dt)
+    for times in grids:    # two times on one step would write two rows of one value
+        steps = _steps(times, cfg.dt)
+        same = np.flatnonzero(np.diff(steps) == 0)
+        if same.size:
+            t, u = times[same[0]:same[0] + 2]
+            raise ConfigError(f"field {key!r}: times t = {t:g} and t = {u:g} both round to "
+                              f"step {steps[same[0]]} of dt = {cfg.dt:g}")
 
 
 def _run_autocorr(cfg: ExperimentConfig, threads: int):
@@ -882,7 +893,7 @@ def run(cfg: ExperimentConfig, out_dir: str | Path, threads: int = 1) -> int:
     t0 = time.time()
     try:
         rows, checks, diags = spec.compute(cfg, threads)
-    except (BlowupError, ThetaSolveError, PacketError) as exc:
+    except NUMERICAL_FAILURES as exc:
         write_metadata(failure={"exception": type(exc).__name__, "message": str(exc)})
         raise
     wall = time.time() - t0
@@ -953,7 +964,7 @@ def main(argv=None) -> int:
         return 0
     try:
         return run(cfg, args.out, threads=args.threads)
-    except (BlowupError, ThetaSolveError, PacketError) as exc:
+    except NUMERICAL_FAILURES as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

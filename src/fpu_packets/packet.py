@@ -15,12 +15,15 @@ orthogonal sine convention used here the cubic energy expands as
 
 an identity checked to machine precision by the tests; the corrector inherits
 the same prefactors, which is what makes the homological residual vanish.
+
+The table stores the four sign patterns tau with tau1 = +1; -tau has the same
+ratio, the conjugate monomial and the opposite coefficient.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,10 +31,9 @@ from . import spectral
 from .chain import ChainParams, ChainState, bond_extensions, cubic_energy
 from .profiles import NuProfile
 
-# all 8 sign patterns, fixed order; conjugation symmetry maps row t to row 7-t,
-# and rows 0..3 are the patterns with tau1 = +1
-TAU_PATTERNS = np.array([[t1, t2, t3]
-                         for t1 in (1, -1) for t2 in (1, -1) for t3 in (1, -1)])
+# the 4 sign patterns with tau1 = +1, fixed order; pattern -tau conjugates
+# the monomial of pattern tau and negates its coefficient
+TAU_PATTERNS = np.array([[1, t2, t3] for t2 in (1, -1) for t3 in (1, -1)])
 _TAU_PROD = TAU_PATTERNS.prod(axis=1).astype(float)          # tau1*tau2*tau3
 _WRAP_SIGN = -1.0
 _CUBIC_PREFACTOR = 1.0 / 12.0
@@ -45,43 +47,41 @@ class PacketError(RuntimeError):
 class PacketObservable:
     """Tabulated profile weights plus the corrector coefficient table.
 
-    coeffs[t, m] is the real coefficient multiplying the monomial with sign
-    pattern TAU_PATTERNS[m] on triple t, such that
-    Phi1 = Re[(i / sqrt(N+1)) * sum_{t,m} coeffs[t,m] * Xi^3].
+    coeffs[t, m] is the real coefficient multiplying the monomial Xi^3 with
+    sign pattern TAU_PATTERNS[m] (tau1 = +1) on triple t, a wrap triple when
+    k1 + k2 > N.  Pattern -tau has the monomial conj(Xi^3) and coefficient
+    -coeffs[t, m] (tau -> -tau flips tau.nu, tau.omega and tau1*tau2*tau3), so
+    Phi1 = Re[(i / sqrt(N+1)) * sum_{t,m} coeffs[t,m] * (Xi^3 - conj(Xi^3))].
     Immutable after construction and safe to share across workers.
-
-    paired says whether coeffs[:, 7-m] == -coeffs[:, m] holds bit for bit
-    (tau -> -tau flips the signs of tau.nu, tau.omega and tau1*tau2*tau3).
-    The corrector pass sums patterns 0..3 only and refuses an unpaired table.
     """
 
     N: int
-    profile: NuProfile = field(compare=False)
     nu_k: np.ndarray
     g_k: np.ndarray
     omega: np.ndarray
     k1: np.ndarray
     k2: np.ndarray
     k3: np.ndarray
-    wrap: np.ndarray
     coeffs: np.ndarray
     min_denominator: float
-    paired: bool = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "paired",
-                           bool(np.array_equal(self.coeffs[:, ::-1], -self.coeffs)))
 
     @property
     def n_triples(self) -> int:
         return self.k1.size
 
 
+def _mode_weights(profile: NuProfile, N: int) -> tuple[np.ndarray, ...]:
+    """(g_k, nu_k = g_k omega_k, omega_k) at the mode numbers k = 1..N."""
+    omega = spectral.frequencies(N)
+    g_k = profile.g(np.arange(1, N + 1) / (N + 1))
+    return g_k, g_k * omega, omega
+
+
 def build_phi1_table(profile: NuProfile, N: int,
                      require_admissible: bool = True) -> PacketObservable:
     """Enumerate the O(N^2) resonant triples and store the corrector ratios.
 
-    For every triple and every sign pattern the stored ratio is
+    For every triple and each sign pattern with tau1 = +1 the stored ratio is
     (tau.nu)/(tau.omega).  Denominators are strictly nonzero at finite N (the
     smallest ones scale like (N+1)^-3); the minimum seen is recorded rather
     than thresholded.
@@ -92,24 +92,16 @@ def build_phi1_table(profile: NuProfile, N: int,
             "pass require_admissible=False to build anyway")
     if N < 3:
         raise ValueError("N must be >= 3")
-    omega = spectral.frequencies(N)
-    x = np.arange(1, N + 1) / (N + 1)
-    g_k = profile.g(x)
-    nu_k = g_k * omega
+    g_k, nu_k, omega = _mode_weights(profile, N)
 
     ka = np.arange(1, N + 1)
-    k1g, k2g = np.meshgrid(ka, ka, indexing="ij")
-    k1g = k1g.ravel()
-    k2g = k2g.ravel()
+    k1g, k2g = (a.ravel() for a in np.meshgrid(ka, ka, indexing="ij"))
     s = k1g + k2g
-    sum_mask = s <= N
-    wrap_mask = s >= N + 2
+    sum_mask, wrap_mask = s <= N, s >= N + 2
 
     k1 = np.concatenate([k1g[sum_mask], k1g[wrap_mask]])
     k2 = np.concatenate([k2g[sum_mask], k2g[wrap_mask]])
     k3 = np.concatenate([s[sum_mask], 2 * (N + 1) - s[wrap_mask]])
-    wrap = np.concatenate([np.zeros(sum_mask.sum(), dtype=bool),
-                           np.ones(wrap_mask.sum(), dtype=bool)])
 
     om3 = np.stack([omega[k1 - 1], omega[k2 - 1], omega[k3 - 1]], axis=1)
     nu3 = np.stack([nu_k[k1 - 1], nu_k[k2 - 1], nu_k[k3 - 1]], axis=1)
@@ -118,13 +110,12 @@ def build_phi1_table(profile: NuProfile, N: int,
     min_den = float(np.abs(den).min()) if den.size else np.inf
     if min_den < 1e-300:
         raise PacketError(f"denominator underflow: min |tau.omega| = {min_den:g}")
-    signed_w = np.where(wrap, _WRAP_SIGN, 3.0)
+    signed_w = np.where(k1 + k2 > N, _WRAP_SIGN, 3.0)
     coeffs = _CUBIC_PREFACTOR * (num / den) * signed_w[:, None] * _TAU_PROD[None, :]
-    for a in (nu_k, g_k, omega, k1, k2, k3, wrap, coeffs):
+    for a in (nu_k, g_k, omega, k1, k2, k3, coeffs):
         a.setflags(write=False)
-    return PacketObservable(N=N, profile=profile, nu_k=nu_k, g_k=g_k, omega=omega,
-                            k1=k1, k2=k2, k3=k3, wrap=wrap, coeffs=coeffs,
-                            min_denominator=min_den)
+    return PacketObservable(N=N, nu_k=nu_k, g_k=g_k, omega=omega, k1=k1, k2=k2, k3=k3,
+                            coeffs=coeffs, min_denominator=min_den)
 
 
 def _check_size(state: ChainState, packet: PacketObservable) -> None:
@@ -154,21 +145,18 @@ def _binned(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
 
 def _corrector_pass(state: ChainState, packet: PacketObservable, gradient: bool):
     """(Phi0, Phi1, d0, d1) of one state, from one forward transform of p and
-    q and one loop over the sign patterns 0..3.
+    q and one loop over the four stored sign patterns.
 
-    Phi1 is summed directly over the stored triples.  Pattern 7-m has the
-    conjugate monomial and the opposite coefficient of pattern m, so its term
-    is -conj(term_m), exactly; the eight terms are added in pattern order,
-    which gives the bits of the full 8-pattern sum, and the real part is
-    Phi1.  A table without that pairing raises PacketError.
+    Phi1 is summed directly over the stored triples.  The pattern -tau of
+    stored pattern m has the conjugate monomial and the opposite coefficient,
+    so its term is -conj(term_m), exactly; the eight terms are added in the
+    order m = 0..3 and then the negated patterns from m = 3 down to 0, which
+    gives the bits of the full 8-pattern sum, and the real part is Phi1.
 
     With gradient, d0 and d1 are the mode-space gradients of Phi0 and Phi1,
     each a (d/dq_hat, d/dp_hat) pair; without, they are None.
     """
     _check_size(state, packet)
-    if not packet.paired:
-        raise PacketError("corrector table breaks the conjugate pairing "
-                          "coeffs[:, 7-m] == -coeffs[:, m]")
     ms = spectral.to_modes(state)
     n = packet.N
     i1, i2, i3 = packet.k1 - 1, packet.k2 - 1, packet.k3 - 1
@@ -176,7 +164,7 @@ def _corrector_pass(state: ChainState, packet: PacketObservable, gradient: bool)
     x1, x2, x3 = xi[i1], xi[i2], xi[i3]
     y2, y3 = np.conj(x2), np.conj(x3)
     terms = []
-    # per pattern 0..3 and leg: (row of d it lands on, vector); row 0 is
+    # per stored pattern and leg: (row of d it lands on, vector); row 0 is
     # d/d_xi, row 1 d/d_eta
     adds = []
     for m in range(4):
@@ -198,8 +186,8 @@ def _corrector_pass(state: ChainState, packet: PacketObservable, gradient: bool)
     v1 = float((1j * total / np.sqrt(n + 1)).real)
     if not gradient:
         return v0, v1, None, None
-    # pattern 7-m adds -conj(vector) of pattern m to the other row; the
-    # additions keep the order m = 0..7 of the full 8-pattern loop
+    # pattern -tau adds -conj(vector) of pattern tau to the other row; the
+    # additions keep the order of the full 8-pattern loop
     d = np.zeros((2, n), dtype=complex)
     for legs in adds:
         for row, v in legs:
@@ -265,14 +253,12 @@ def ps_observable(kind: str, profile: NuProfile, N: int
     if kind == "H1":
         return cubic_energy, 3, 0.25
     if kind == "Phi0":
-        omega = spectral.frequencies(N)
-        x = np.arange(1, N + 1) / (N + 1)
-        nu_k = profile.g(x) * omega
+        g_k, nu_k, _ = _mode_weights(profile, N)
 
         def obs(state: ChainState) -> float:
             return float(_phi0(spectral.to_modes(state), nu_k))
 
-        return obs, 2, float(np.abs(profile.g(x)).max())
+        return obs, 2, float(np.abs(g_k).max())
     if kind == "Phi1":
         packet = build_phi1_table(profile, N)
 

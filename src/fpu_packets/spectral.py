@@ -38,8 +38,10 @@ def _transform_matrix(n: int) -> np.ndarray:
 def sine_transform(v: np.ndarray) -> np.ndarray:
     """Apply the orthogonal sine transform (its own inverse) along the last
     axis, as the explicit O(N^2) matrix product.  Each row is a stacked
-    (1, N) @ (N, N) product, which keeps the bits of the 1-d `row @ M`; a
-    plain (B, N) @ (N, N) product sums in another order."""
+    (1, N) @ (N, N) product, which keeps the bits of the 1-d `row @ M` for
+    contiguous rows (a strided row, such as the `.real` view of a complex
+    array, may round otherwise); a plain (B, N) @ (N, N) product sums in
+    another order."""
     v = np.asarray(v, dtype=float)
     n = v.shape[-1]
     if n < 1:

@@ -2,14 +2,14 @@
 
 None of them is part of the package: the package integrates only ensembles
 (`chain.evolve_batch`) and never needs the inverse mode transform, the energy
-of one state or the coefficient table of {Phi0, H1}.
+of one state, the corrector table over all 8 sign patterns or the coefficient
+table of {Phi0, H1}.
 """
 
 import numpy as np
 
 from fpu_packets.chain import ChainState, bond_extensions, evolve_batch
-from fpu_packets.packet import (_CUBIC_PREFACTOR, _TAU_PROD, _WRAP_SIGN, TAU_PATTERNS,
-                                build_phi1_table)
+from fpu_packets.packet import _CUBIC_PREFACTOR, _WRAP_SIGN, build_phi1_table
 from fpu_packets.spectral import sine_transform
 
 
@@ -48,6 +48,33 @@ def integrate(state, params, dt, t_final, sample_stride=1, harmonic_only=False):
     return [(step * dt, snap[0]) for step, snap in zip(steps, snaps)]
 
 
+# all 8 sign patterns, fixed order: row 7-m is -(row m), rows 0..3 have tau1 = +1
+TAU8 = np.array([[t1, t2, t3] for t1 in (1, -1) for t2 in (1, -1) for t3 in (1, -1)])
+_TAU8_PROD = TAU8.prod(axis=1).astype(float)
+
+
+def _signed_weights(packet):
+    """(T, 1): the H1 weight of each triple, +3 (sum) or -1 (wrap, k1 + k2 > N)."""
+    return np.where(packet.k1 + packet.k2 > packet.N, _WRAP_SIGN, 3.0)[:, None]
+
+
+def _tau_dot(packet, weights):
+    """tau.w over the legs of each triple, for all 8 sign patterns."""
+    w3 = np.stack([weights[packet.k1 - 1], weights[packet.k2 - 1],
+                   weights[packet.k3 - 1]], axis=1)
+    return w3 @ TAU8.T
+
+
+def full_corrector_table(packet) -> tuple[np.ndarray, np.ndarray]:
+    """(coeffs8, den8): the corrector coefficients and the denominators
+    tau.omega on the packet's triples for all 8 sign patterns, from their
+    definition coeffs = H1 coefficient * (tau.nu)/(tau.omega)."""
+    den = _tau_dot(packet, packet.omega)
+    num = _tau_dot(packet, packet.nu_k)
+    coeffs = _CUBIC_PREFACTOR * (num / den) * _signed_weights(packet) * _TAU8_PROD[None, :]
+    return coeffs, den
+
+
 def bracket_norm_check(profile, N: int) -> tuple[float, float]:
     """Plus-norm of the {Phi0, H1} coefficient table against the product bound.
 
@@ -55,12 +82,8 @@ def bracket_norm_check(profile, N: int) -> tuple[float, float]:
     the bracket's table is explicit.  Returns (norm, 2^4 max(s,r) |f|+ |g|+).
     """
     packet = build_phi1_table(profile, N)
-    nu3 = np.stack([packet.nu_k[packet.k1 - 1],
-                    packet.nu_k[packet.k2 - 1],
-                    packet.nu_k[packet.k3 - 1]], axis=1)
-    tau_nu = nu3 @ TAU_PATTERNS.T
-    h1_coeffs = (_CUBIC_PREFACTOR * np.where(packet.wrap, _WRAP_SIGN, 3.0)[:, None]
-                 * _TAU_PROD[None, :])
+    tau_nu = _tau_dot(packet, packet.nu_k)
+    h1_coeffs = _CUBIC_PREFACTOR * _signed_weights(packet) * _TAU8_PROD[None, :]
     bracket_norm = float(np.abs(h1_coeffs * tau_nu).max())
     f_norm = float(np.abs(packet.g_k).max())      # Phi0 in P_2
     g_norm = float(np.abs(h1_coeffs).max())       # H1 in P_3

@@ -128,11 +128,31 @@ def test_rejects_bad_or_vacuous_values(tmp_path, experiment, key, value):
      "beta_list": [50.0, 100.0], "t_grid": [0, 0.001, 0.002, 0.004]},
     {"experiment": "autocorrelation", "seed": 1, "N_list": [7], "beta_list": [50.0, 200.0],
      "n_samples": 4, "t_grid": [0.0, 1.0], "persistence_betas": [100.0]},
+    {"experiment": "autocorrelation", "seed": 1, "N_list": [7], "beta_list": [20.0],
+     "n_samples": 5, "t_grid": [0.0, 0.02, 0.025, 0.04], "persistence_betas": [20.0]},
 ], ids=["inadmissible-corrector", "zero-step-quarter-beta", "zero-step-t-grid",
-        "persistence-beta-not-run"])
+        "persistence-beta-not-run", "two-times-one-step"])
 def test_refused_before_any_output(tmp_path, body):
     assert _exit_codes(tmp_path, body) == (2, 2)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"t_grid": [0.0, 0.02, 0.025, 0.04]},
+     "field 't_grid': times t = 0.02 and t = 0.025 both round to step 1 of dt = 0.02"),
+    # the default grid at beta = 0.15 spaces its near times 0.015 apart
+    ({"beta_list": [20.0, 0.15], "persistence_betas": [20.0]},
+     "field 'horizon_factor': times t = 0.03 and t = 0.045 both round to step 2 of dt = 0.02"),
+    # a time that rounds to step 0 keeps the zero-step message
+    ({"t_grid": [0.0, 0.001, 0.04]},
+     "field 't_grid': target time t = 0.001 rounds to 0 steps of dt = 0.02"),
+])
+def test_autocorrelation_refuses_two_times_on_one_step(extra, message):
+    body = {"experiment": "autocorrelation", "seed": 1, "beta_list": [20.0],
+            "persistence_betas": [20.0], **extra}
+    with pytest.raises(ConfigError) as exc:
+        validate_config(json.dumps(body))
+    assert str(exc.value) == message
 
 
 def test_inadmissible_profile_where_no_corrector_is_built(tmp_path):

@@ -1,18 +1,67 @@
-"""The estimators in `stats` work on arrays alone: the module imports no
-other module of the package, so no flow or sampler hides behind an error bar."""
+"""The package's modules form layers, and each imports only the package
+modules listed for it here.  `chain`, `profiles` and `stats` are leaves: the
+estimators work on arrays alone, so no flow or sampler hides behind an error
+bar.  `spectral` and `gibbs` sit on `chain`, `packet` on `chain`, `spectral`
+and `profiles`, and only `experiments` and the package's `__init__` see
+everything below them."""
 
 import ast
 from pathlib import Path
 
-STATS = Path(__file__).resolve().parents[1] / "src" / "fpu_packets" / "stats.py"
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "fpu_packets"
+_BELOW_RUNNER = {"chain", "gibbs", "packet", "profiles", "spectral", "stats"}
+LAYERS = {
+    "chain": set(),
+    "profiles": set(),
+    "stats": set(),
+    "spectral": {"chain"},
+    "gibbs": {"chain"},
+    "packet": {"chain", "spectral", "profiles"},
+    "experiments": _BELOW_RUNNER,
+    "__init__": _BELOW_RUNNER,
+}
 
 
-def test_stats_imports_no_package_module():
-    imported = []
-    for node in ast.walk(ast.parse(STATS.read_text())):
+def package_imports(source: str) -> set[str]:
+    """The package modules a source imports anywhere in its body, by name;
+    `import fpu_packets` counts as `__init__`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
-            imported.append("." * node.level + (node.module or ""))
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                if parts[0] != "fpu_packets":
+                    continue
+                parts = parts[1:]
+            if parts and parts[0]:
+                found.add(parts[0])
+            else:                         # from . import spectral
+                found.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
-            imported.extend(alias.name for alias in node.names)
-    assert imported    # the walk sees the module's imports
-    assert not [m for m in imported if m.startswith(".") or m.split(".")[0] == "fpu_packets"]
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "fpu_packets":
+                    found.add(parts[1] if len(parts) > 1 else "__init__")
+    return found
+
+
+def test_package_imports_sees_every_import_form():
+    source = ("import numpy as np\nfrom dataclasses import dataclass\n"
+              "from . import spectral\nfrom .chain import ChainState\n"
+              "import fpu_packets\nimport fpu_packets.gibbs\n"
+              "from fpu_packets import stats\nfrom fpu_packets.profiles import g\n"
+              "def f():\n    from .packet import phi1\n")
+    assert package_imports(source) == {"spectral", "chain", "__init__", "gibbs",
+                                       "stats", "profiles", "packet"}
+
+
+def test_every_module_has_a_layer():
+    assert {p.stem for p in SRC.glob("*.py")} == set(LAYERS)
+
+
+@pytest.mark.parametrize("module", sorted(LAYERS))
+def test_module_imports_only_its_layers(module):
+    imported = package_imports((SRC / f"{module}.py").read_text())
+    assert imported <= LAYERS[module], f"{module} imports {sorted(imported - LAYERS[module])}"

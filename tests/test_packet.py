@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import bracket_norm_check, energies, from_modes, integrate
+from oracles import (TAU8, bracket_norm_check, energies, from_modes, full_corrector_table,
+                     integrate)
 
 from fpu_packets.chain import ChainParams, ChainState, bond_extensions, cubic_energy
 from fpu_packets.gibbs import GibbsSampler
-from fpu_packets.packet import (_CUBIC_PREFACTOR, TAU_PATTERNS, PacketError,
-                                _corrector_pass, build_phi1_table,
-                                homological_residual, phi0, phi1, phi_dot, ps_observable)
+from fpu_packets.packet import (_CUBIC_PREFACTOR, TAU_PATTERNS, _corrector_pass,
+                                build_phi1_table, homological_residual, phi0, phi1, phi_dot,
+                                ps_observable)
 from fpu_packets.profiles import DEFAULT_PROFILE_SPEC, eval_h1, make_profile
 from fpu_packets.spectral import frequencies, sine_transform, to_complex, to_modes
 
@@ -24,14 +25,14 @@ def random_gibbs_states(N, beta, n, seed):
 
 def _triples(pk):
     """The table's triples as (k1, k2, k3, 'sum' or 'wrap') tuples."""
-    return {(int(a), int(b), int(c), "wrap" if w else "sum")
-            for a, b, c, w in zip(pk.k1, pk.k2, pk.k3, pk.wrap)}
+    return {(int(a), int(b), int(c), "wrap" if a + b > pk.N else "sum")
+            for a, b, c in zip(pk.k1, pk.k2, pk.k3)}
 
 
 def _ratios(pk):
     """(tau.nu)/(tau.omega) per triple and sign pattern, recovered from the
     coefficients: coeffs = prefactor * ratio * (3 or -1) * tau1 tau2 tau3."""
-    weight = np.where(pk.wrap, -1.0, 3.0)[:, None]
+    weight = np.where(pk.k1 + pk.k2 > pk.N, -1.0, 3.0)[:, None]
     return pk.coeffs / (_CUBIC_PREFACTOR * weight * TAU_PATTERNS.prod(axis=1)[None, :])
 
 
@@ -74,9 +75,11 @@ def test_triple_enumeration_matches_bruteforce():
 
 
 def test_triple_count_scaling():
-    n63 = build_phi1_table(make_profile(OMEGA_PROFILE), 63).n_triples
-    n127 = build_phi1_table(make_profile(OMEGA_PROFILE), 127).n_triples
-    assert 3.6 <= n127 / n63 <= 4.4
+    # the full (k1, k2) grid without the anti-diagonal k1 + k2 = N + 1
+    for N in (3, 63, 127):
+        pk = build_phi1_table(make_profile(OMEGA_PROFILE), N)
+        assert pk.n_triples == N * N - N
+        assert pk.coeffs.shape == (N * N - N, 4)
 
 
 def test_ratios_unity_for_nu_equals_omega():
@@ -162,23 +165,24 @@ def test_phi1_beta_scaling():
     assert med[400.0] <= 0.6 * med[100.0]
 
 
-def _phi1_reference(state, pk):
-    """Phi1 summed over all 8 sign patterns."""
+def _phi1_reference(state, pk, coeffs8):
+    """Phi1 summed over all 8 sign patterns of the full table coeffs8."""
     xi = to_complex(to_modes(state))
     eta = np.conj(xi)
     i1, i2, i3 = pk.k1 - 1, pk.k2 - 1, pk.k3 - 1
     total = 0.0j
     for m in range(8):
-        t1, t2, t3 = TAU_PATTERNS[m]
+        t1, t2, t3 = TAU8[m]
         f = ((xi if t1 > 0 else eta)[i1]
              * (xi if t2 > 0 else eta)[i2]
              * (xi if t3 > 0 else eta)[i3])
-        total += pk.coeffs[:, m] @ f
+        total += coeffs8[:, m] @ f
     return float((1j * total / np.sqrt(pk.N + 1)).real)
 
 
-def _grad_phi1_reference(state, pk):
-    """Mode-space gradient of Phi1, scattered from all 8 sign patterns."""
+def _grad_phi1_reference(state, pk, coeffs8):
+    """Mode-space gradient of Phi1, scattered from all 8 sign patterns of the
+    full table coeffs8."""
     xi = to_complex(to_modes(state))
     eta = np.conj(xi)
     i1, i2, i3 = pk.k1 - 1, pk.k2 - 1, pk.k3 - 1
@@ -190,11 +194,11 @@ def _grad_phi1_reference(state, pk):
                  + 1j * np.bincount(idx, weights=vals.imag, minlength=pk.N))
 
     for m in range(8):
-        t1, t2, t3 = TAU_PATTERNS[m]
+        t1, t2, t3 = TAU8[m]
         f1 = (xi if t1 > 0 else eta)[i1]
         f2 = (xi if t2 > 0 else eta)[i2]
         f3 = (xi if t3 > 0 else eta)[i3]
-        c = pk.coeffs[:, m]
+        c = coeffs8[:, m]
         scatter_add(dxi if t1 > 0 else deta, i1, c * f2 * f3)
         scatter_add(dxi if t2 > 0 else deta, i2, c * f1 * f3)
         scatter_add(dxi if t3 > 0 else deta, i3, c * f1 * f2)
@@ -207,11 +211,11 @@ def _grad_phi1_reference(state, pk):
 
 
 def _assert_matches_reference(pk, states):
-    assert pk.paired
+    coeffs8, _ = full_corrector_table(pk)
     for state in states:
         _, value, _, (dqh, dph) = _corrector_pass(state, pk, gradient=True)
-        assert value == phi1(state, pk) == _phi1_reference(state, pk)
-        ref_dqh, ref_dph = _grad_phi1_reference(state, pk)
+        assert value == phi1(state, pk) == _phi1_reference(state, pk, coeffs8)
+        ref_dqh, ref_dph = _grad_phi1_reference(state, pk, coeffs8)
         assert np.array_equal(dqh, ref_dqh)
         assert np.array_equal(dph, ref_dph)
 
@@ -222,6 +226,19 @@ _REFERENCE_SPECS = [
     {"kind": "cosine", "amplitude": 1.0},
     DEFAULT_PROFILE_SPEC,
 ]
+
+
+@pytest.mark.parametrize("spec", _REFERENCE_SPECS, ids=lambda spec: spec["kind"])
+def test_table_is_the_tau1_half_of_the_full_table(spec):
+    # the stored 4 patterns are the tau1 = +1 columns of the 8-pattern table
+    # built from its definition, bit for bit, and the other 4 are their negatives
+    assert np.array_equal(TAU_PATTERNS, TAU8[:4])
+    for N in (3, 4, 15, 64, 127, 255, 511):
+        pk = build_phi1_table(make_profile(spec), N)
+        coeffs8, den8 = full_corrector_table(pk)
+        assert np.array_equal(coeffs8[:, :4], pk.coeffs)
+        assert np.array_equal(coeffs8[:, 4:], -pk.coeffs[:, ::-1])
+        assert float(np.abs(den8).min()) == pk.min_denominator
 
 
 @pytest.mark.parametrize("N", [3, 4, 15, 64, 127, 255])
@@ -264,23 +281,6 @@ def test_homological_residual_property(spec, N, seed, exponent):
     scale = 10.0**exponent
     state = ChainState(scale * rng.normal(size=N), scale * rng.normal(size=N))
     assert homological_residual(state, pk) <= 1e-9
-
-
-@pytest.mark.parametrize("column", [1, 6])
-def test_corrector_rejects_unpaired_table(column):
-    pk = build_phi1_table(make_profile(DEFAULT_PROFILE_SPEC), 15)
-    bad = pk.coeffs.copy()
-    bad[0, column] *= 2.0  # breaks the conjugation pairing
-    broken = dataclasses.replace(pk, coeffs=bad)
-    assert pk.paired and not broken.paired
-    rng = np.random.default_rng(3)
-    state = ChainState(rng.normal(size=15), rng.normal(size=15))
-    with pytest.raises(PacketError, match="pairing"):
-        phi1(state, broken)
-    with pytest.raises(PacketError, match="pairing"):
-        phi_dot(state, broken, ChainParams(N=15))
-    with pytest.raises(PacketError, match="pairing"):
-        homological_residual(state, broken)
 
 
 def test_grad_phi_matches_finite_differences():
@@ -369,8 +369,7 @@ def test_homological_residual_machine_precision():
 def test_homological_residual_detects_corruption():
     pk = build_phi1_table(make_profile(DEFAULT_PROFILE_SPEC), 15)
     bad = pk.coeffs.copy()
-    bad[0, 1] *= 2.0
-    bad[0, 6] *= 2.0  # conjugate pattern, keeps Phi1 real but wrong
+    bad[0, 1] *= 2.0  # the pass pairs it with its conjugate pattern: real but wrong
     broken = dataclasses.replace(pk, coeffs=bad)
     rng = np.random.default_rng(10)
     residuals = [homological_residual(ChainState(rng.normal(size=15), rng.normal(size=15)),
