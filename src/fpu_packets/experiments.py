@@ -267,7 +267,8 @@ def _grid(cell, cfg: ExperimentConfig, threads: int, axes=None) -> tuple[list, d
     product of `axes`, a name -> values dict (default N_list x beta_list), in
     order; cell i is seeded by index i, so the results do not depend on
     `threads`.  Returns the rows of every cell in cell order, and each cell's
-    diag under its point's key."""
+    diag under its point's key, with the cell's RNG provenance under "rng":
+    `_cell_seed(seed, *spawn_key)` rebuilds its seed sequence."""
     axes = {"N": cfg.N_list, "beta": cfg.beta_list} if axes is None else axes
     points = list(product(*axes.values()))
     jobs = [(cell, cfg, i, point) for i, point in enumerate(points)]
@@ -277,7 +278,8 @@ def _grid(cell, cfg: ExperimentConfig, threads: int, axes=None) -> tuple[list, d
         with ProcessPoolExecutor(max_workers=threads) as pool:
             cells = list(pool.map(_run_cell, jobs))
     return ([row for rows, _ in cells for row in rows],
-            {_point_key(axes, point): diag for point, (_, diag) in zip(points, cells)})
+            {_point_key(axes, point): {**diag, "rng": {"seed": cfg.seed, "spawn_key": [i]}}
+             for i, (point, (_, diag)) in enumerate(zip(points, cells))})
 
 
 # ---------------------------------------------------------------- homological
@@ -333,7 +335,7 @@ def _ratio_cell(cfg, seed, N, beta):
            "ratio": phidot / sigma_phi if sigma_phi > 0 else math.inf,
            "sigma_phi0": sigma0, "sigma_phi1": sigma1,
            "ratio_phi1_phi0": sigma1 / sigma0 if sigma0 > 0 else math.inf}
-    return [row], sampler.diagnostics()
+    return [row], {**sampler.diagnostics(), "min_denominator": pk.min_denominator}
 
 
 def _run_ratio(cfg: ExperimentConfig, threads: int):
@@ -662,19 +664,29 @@ def _run_sampler_validation(cfg: ExperimentConfig, threads: int):
     checks = []
     diags = {}
     zmax = THRESHOLDS["moment_z"]
-    # streams are numbered in the order the enabled checks take them
-    rngs = (np.random.default_rng(_cell_seed(cfg.seed, i)) for i in count())
+    # streams are numbered in the order the enabled checks take them; each
+    # diag entry records under "rng" the spawn keys of those it drew from
+    streams = count()
+
+    def stream():
+        i = next(streams)
+        return i, np.random.default_rng(_cell_seed(cfg.seed, i))
+
+    def rng_record(*indices):
+        return {"seed": cfg.seed, "spawn_keys": [[i] for i in indices]}
+
     if "moments" in cfg.checks:
         N = cfg.moments_N
         beta = cfg.beta_list[0]
         params = ChainParams(N=N, A=cfg.A, beta=beta)
         td = tilted_density(beta, cfg.A)
         # r0, ..., r0^4 and |sum r| per draw
-        site, sampler = _bond_draws(next(rngs), params, cfg.n_samples, lambda r: (
+        i, rng = stream()
+        site, sampler = _bond_draws(rng, params, cfg.n_samples, lambda r: (
             r[0], r[0]**2, r[0]**3, r[0]**4, abs(float(r.sum()))))
         worst_sum = float(site[:, 4].max())
         diags[f"moments N={N} beta={beta:g}"] = {"theta": td.theta, "q_theta": td.q_theta,
-                                                 **sampler.diagnostics()}
+                                                 **sampler.diagnostics(), "rng": rng_record(i)}
         for n in range(1, 5):
             est = stats_mod.estimate_from_samples(site[:, n - 1])
             oracle = float(td.moments[n])
@@ -698,10 +710,13 @@ def _run_sampler_validation(cfg: ExperimentConfig, threads: int):
         N = cfg.slab_N
         beta = cfg.beta_list[0]
         params = ChainParams(N=N, A=cfg.A, beta=beta)
-        mc, sampler = _bond_draws(next(rngs), params, cfg.slab_samples, lambda r: (
+        i, rng = stream()
+        mc, sampler = _bond_draws(rng, params, cfg.slab_samples, lambda r: (
             r[0], r[0]**2, r[0]**3, r[0]**4, r[0] * r[1]))
-        diags[f"slab N={N} beta={beta:g}"] = sampler.diagnostics()
-        ref = slab_rejection_bonds(next(rngs), params, cfg.slab_samples)
+        j, ref_rng = stream()
+        ref = slab_rejection_bonds(ref_rng, params, cfg.slab_samples)
+        diags[f"slab N={N} beta={beta:g}"] = {**sampler.diagnostics(),
+                                              "rng": rng_record(i, j)}
         ref_cols = [ref[:, 0] ** n for n in range(1, 5)] + [ref[:, 0] * ref[:, 1]]
         labels = [f"<r^{n}>" for n in range(1, 5)] + ["<r0 r1>"]
         for col, (mc_col, lab) in enumerate(zip(mc.T, labels)):
@@ -722,10 +737,12 @@ def _run_sampler_validation(cfg: ExperimentConfig, threads: int):
             # disjoint-site covariance averaged over site pairs (valid by
             # exchangeability; single-site means vanish exactly on the constraint)
             m = (N + 1) // 2 * 2
-            xs, sampler = _bond_draws(next(rngs), ChainParams(N=N, A=cfg.A, beta=beta),
+            i, rng = stream()
+            xs, sampler = _bond_draws(rng, ChainParams(N=N, A=cfg.A, beta=beta),
                                       cfg.lemma5_samples,
                                       lambda r: float((r[0:m:2] * r[1:m:2]).mean()))
-            diags[f"lemma5 N={N} beta={beta:g}"] = sampler.diagnostics()
+            diags[f"lemma5 N={N} beta={beta:g}"] = {**sampler.diagnostics(),
+                                                    "rng": rng_record(i)}
             est = stats_mod.estimate_from_samples(xs)
             cov, se = est.mean, est.stderr_mean
             covs[N] = (cov, se)

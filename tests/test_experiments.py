@@ -2,12 +2,15 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 from fpu_packets.chain import BlowupError
-from fpu_packets.experiments import (EXPERIMENTS, ConfigError, experiment_schema, main,
-                                     run, validate_config)
+from fpu_packets.experiments import (EXPERIMENTS, ConfigError, _cell_seed, _ratio_cell,
+                                     experiment_schema, main, run, validate_config)
+from fpu_packets.packet import build_phi1_table
+from fpu_packets.profiles import make_profile
 
 MINIMAL = {"experiment": "homological", "seed": 1, "N_list": [15],
            "beta_list": [100.0], "n_samples": 5}
@@ -251,8 +254,38 @@ def test_metadata_has_one_sampler_diag_per_cell(tmp_path, experiment):
     if experiment == "lemma3-scan":
         points = [f"kind={kind},{p}" for kind in cfg.kinds for p in points]
     assert [k for k in diags if k != "tilted_density"] == points
-    for p in points:
+    for i, p in enumerate(points):
         assert {"tau_int", "stride", "acceptance_rate"} <= set(diags[p])
+        assert _rebuilds_cell_seed(diags[p]["rng"], [[i]])
+
+
+def _rebuilds_cell_seed(rng_record, spawn_keys) -> bool:
+    """The recorded master seed and spawn keys are `spawn_keys` and rebuild
+    `_cell_seed(7, i)` for each key (i,)."""
+    recorded = rng_record.get("spawn_keys", [rng_record.get("spawn_key")])
+    if rng_record["seed"] != 7 or recorded != spawn_keys:
+        return False
+    return all(np.array_equal(
+        np.random.SeedSequence(entropy=rng_record["seed"], spawn_key=key).generate_state(8),
+        _cell_seed(7, *want).generate_state(8)) for key, want in zip(recorded, spawn_keys))
+
+
+def test_ratio_cell_reruns_from_its_metadata(tmp_path):
+    # the recorded provenance reproduces a cell's sampler, and the recorded
+    # smallest denominator is its corrector table's
+    body = dict(GOLDEN_CONFIGS["ratio-scaling"], experiment="ratio-scaling", seed=7)
+    cfg = validate_config(json.dumps(body))
+    run(cfg, tmp_path)
+    diags = json.loads((tmp_path / "ratio-scaling_metadata.json").read_text())["diagnostics"]
+    N = cfg.N_list[0]
+    denominator = build_phi1_table(make_profile(cfg.profile), N).min_denominator
+    for beta in cfg.beta_list:
+        diag = diags[f"N={N},beta={beta:g}"]
+        assert diag["min_denominator"] == denominator
+        seed = np.random.SeedSequence(entropy=diag["rng"]["seed"],
+                                      spawn_key=diag["rng"]["spawn_key"])
+        _, rerun = _ratio_cell(cfg, seed, N, beta)
+        assert {**rerun, "rng": diag["rng"]} == diag
 
 
 def test_sampler_validation_metadata_has_one_sampler_diag_per_check(tmp_path):
@@ -264,6 +297,10 @@ def test_sampler_validation_metadata_has_one_sampler_diag_per_check(tmp_path):
     assert [k for k in diags if k != "tilted_density"] == checks
     for check in checks:
         assert {"tau_int", "stride", "acceptance_rate"} <= set(diags[check])
+    # the streams in the order the checks take them; slab also draws its reference
+    streams = [[[0]], [[1], [2]], [[3]], [[4]]]
+    for check, keys in zip(checks, streams):
+        assert _rebuilds_cell_seed(diags[check]["rng"], keys), check
 
 
 def test_cli_exit_codes(tmp_path, capsys):

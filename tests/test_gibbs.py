@@ -1,12 +1,20 @@
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from oracles import energies
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from fpu_packets.chain import ChainParams
-from fpu_packets.gibbs import (GibbsSampler, ThetaSolveError, _InverseCdf,
-                               bonds_to_state, sample_momenta, slab_rejection_bonds,
-                               solve_theta, tilted_density)
+from fpu_packets.experiments import validate_config
+from fpu_packets.gibbs import (GibbsSampler, ThetaSolveError, _brentq, _default_potential,
+                               _InverseCdf, _quad_moments, bonds_to_state, sample_momenta,
+                               slab_rejection_bonds, solve_theta, tilted_density)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 BETA, A = 100.0, 1.0
 
@@ -41,6 +49,85 @@ def test_theta_approaches_large_beta_limit():
 def test_theta_bracketing_failure_signals():
     with pytest.raises(ThetaSolveError):
         solve_theta(BETA, A, bracket=(5.0, 10.0))
+
+
+def _config_betas() -> list[float]:
+    """Every beta of `configs/*.json` (defaults filled in) and of the perfbench
+    workload configs."""
+    bodies = [p.read_text() for p in sorted((ROOT / "configs").glob("*.json"))]
+    workloads = json.loads((ROOT / "perfbench" / "workloads.json").read_text())["workloads"]
+    bodies += [json.dumps({**w["config"], "seed": 1}) for w in workloads.values()]
+    betas = set()
+    for body in bodies:
+        betas.update(getattr(validate_config(body), "beta_list", []))
+    return sorted(betas)
+
+
+def _same_bits(x: float, y: float) -> bool:
+    return float(x).hex() == float(y).hex()
+
+
+@pytest.mark.parametrize("A", [0.25, 1.0, 2.0, 5.0])
+def test_brentq_port_bit_identical_on_theta_mean(A):
+    # solve_theta's mean function and its call, against scipy's brentq
+    V = _default_potential(A)
+    for beta in _config_betas():
+        def mean_at(g):
+            return _quad_moments(beta, g, V, n_max=2)[1][1]
+        ours = _brentq(mean_at, -10.0, 10.0, xtol=1e-14, rtol=8.9e-16)
+        assert _same_bits(ours, brentq(mean_at, -10.0, 10.0, xtol=1e-14, rtol=8.9e-16))
+
+
+def _smooth_function(rng):
+    """A seeded smooth function of one of four shapes."""
+    a, b, c = rng.uniform(0.1, 5.0, 3)
+    s = rng.uniform(-3.0, 3.0)
+    kind = rng.integers(4)
+    if kind == 0:
+        return lambda x: math.exp(a * x) - c
+    if kind == 1:
+        return lambda x: x**3 - a * x - s
+    if kind == 2:
+        return lambda x: math.tanh(a * (x - s)) + b * 1e-3 * (x - s) - c * 1e-4
+    return lambda x: math.sin(a * x) + 0.5 * math.sin(b * x + c) + 0.3 * s
+
+
+@pytest.mark.parametrize("tols", [{"xtol": 1e-14, "rtol": 8.9e-16}, {}, {"xtol": 0.1}],
+                         ids=["solve_theta", "scipy-default", "coarse"])
+def test_brentq_port_bit_identical_on_random_brackets(tols):
+    # a coarse xtol makes the steps of size delta and the bound
+    # 3|sbis| - delta decide some iterations
+    rng = np.random.default_rng(20261018)
+    n = 0
+    while n < 1200:
+        f = _smooth_function(rng)
+        lo, hi = np.sort(rng.uniform(-4.0, 4.0, 2))
+        if f(lo) * f(hi) >= 0:
+            continue
+        ours = _brentq(f, lo, hi, **tols)
+        assert _same_bits(ours, brentq(f, lo, hi, **tols)), (n, lo, hi)
+        n += 1
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-170])
+def test_brentq_port_bit_identical_where_c_divides_by_zero(scale):
+    # f values this small underflow the extrapolation's denominator to 0,
+    # where C's inf or nan step makes brentq bisect
+    for f, lo, hi in [(lambda x: scale * (x**3 - 2 * x - 5), 2.0, 3.0),
+                      (lambda x: scale * (math.exp(x) - 3.0), -4.0, 7.0)]:
+        assert _same_bits(_brentq(f, lo, hi), brentq(f, lo, hi))
+
+
+@pytest.mark.parametrize("args, kwargs, error", [
+    ((lambda x: x * x + 1.0, -1.0, 1.0), {}, ValueError),              # same-sign bracket
+    ((lambda x: math.nan if abs(x) < 0.6 else x, -1.0, 1.0), {}, ValueError),  # NaN
+    ((lambda x: math.atan(x) - 0.5, -9.0, 11.0), {"maxiter": 3}, RuntimeError),
+], ids=["same-sign", "nan", "maxiter"])
+def test_brentq_port_refuses_as_scipy_does(args, kwargs, error):
+    with pytest.raises(error):
+        brentq(*args, **kwargs)
+    with pytest.raises(error):
+        _brentq(*args, **kwargs)
 
 
 def test_tilted_moments_basics():

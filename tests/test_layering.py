@@ -3,14 +3,19 @@ modules listed for it here.  `chain`, `profiles` and `stats` are leaves: the
 estimators work on arrays alone, so no flow or sampler hides behind an error
 bar.  `spectral` and `gibbs` sit on `chain`, `packet` on `chain`, `spectral`
 and `profiles`, and only `experiments` and the package's `__init__` see
-everything below them."""
+everything below them.  Outside the package, a module imports the standard
+library and numpy only; scipy and pytest are the tests' own dependencies."""
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fpu_packets"
+THIRD_PARTY = {"numpy"}
 _BELOW_RUNNER = {"chain", "gibbs", "packet", "profiles", "spectral", "stats"}
 LAYERS = {
     "chain": set(),
@@ -65,3 +70,43 @@ def test_every_module_has_a_layer():
 def test_module_imports_only_its_layers(module):
     imported = package_imports((SRC / f"{module}.py").read_text())
     assert imported <= LAYERS[module], f"{module} imports {sorted(imported - LAYERS[module])}"
+
+
+def outside_imports(source: str) -> set[str]:
+    """The top-level names of the absolute imports outside the package."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+    return found - {"fpu_packets"}
+
+
+def test_outside_imports_sees_every_import_form():
+    source = ("import numpy as np\nimport os.path\nfrom scipy.optimize import brentq\n"
+              "from . import spectral\nimport fpu_packets.gibbs\n"
+              "def f():\n    import json\n")
+    assert outside_imports(source) == {"numpy", "os", "scipy", "json"}
+
+
+@pytest.mark.parametrize("module", sorted(LAYERS))
+def test_module_imports_only_stdlib_and_numpy(module):
+    imported = outside_imports((SRC / f"{module}.py").read_text())
+    stray = imported - set(sys.stdlib_module_names) - THIRD_PARTY
+    assert not stray, f"{module} imports {sorted(stray)}"
+
+
+def test_run_loads_no_scipy(tmp_path):
+    body = {"experiment": "ratio-scaling", "seed": 3, "N_list": [15],
+            "beta_list": [50.0, 100.0, 200.0], "n_samples": 4}
+    code = (f"import sys, json; sys.path.insert(0, {str(SRC.parent)!r})\n"
+            "import fpu_packets\n"
+            "from fpu_packets import experiments\n"
+            f"cfg = experiments.validate_config({json.dumps(body)!r})\n"
+            f"experiments.run(cfg, {str(tmp_path)!r})\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
