@@ -38,7 +38,8 @@ from . import packet as packet_mod
 from . import profiles as profiles_mod
 from . import stats as stats_mod
 from .chain import DEFAULT_DT, BlowupError, ChainParams, evolve_batch
-from .gibbs import GibbsSampler, ThetaSolveError, slab_rejection_bonds, tilted_density
+from .gibbs import (GibbsSampler, ThetaSolveError, slab_rejection_bonds, stream_record,
+                    tilted_density)
 from .packet import PacketError, build_phi1_table, homological_residual, ps_observable
 from .profiles import DEFAULT_PROFILE_SPEC, eval_h1, make_profile
 
@@ -121,7 +122,7 @@ def _one_of(*options: str):
 def _list(item, distinct: int = 1, longest: int | None = None, repeats: bool = True):
     """A non-empty list whose entries pass `item`, with at least `distinct`
     different entries, at most `longest` entries and, unless `repeats`, no
-    entry twice."""
+    two entries that `_label` writes alike."""
     def check(v):
         if not isinstance(v, list) or not v:
             raise ValueError(f"must be a non-empty list, got {v!r}")
@@ -135,8 +136,9 @@ def _list(item, distinct: int = 1, longest: int | None = None, repeats: bool = T
                 raise ValueError(f"entry {i}: {exc}") from None
         if distinct > 1 and len(set(out)) < distinct:
             raise ValueError(f"needs at least {distinct} different entries, got {v!r}")
-        if not repeats and len(set(out)) < len(out):
-            raise ValueError(f"must not repeat an entry, got {v!r}")
+        if not repeats and len({_label(x) for x in out}) < len(out):
+            raise ValueError(f"must not repeat an entry, as metadata keys write it "
+                             f"(floats to 6 significant digits), got {v!r}")
         return out
     return check
 
@@ -180,7 +182,8 @@ def _t_grid(v):
 
 
 _positive = _real(lambda v: v > 0, "a number > 0")
-# grid axes: a repeated entry would run one point twice under one metadata key
+# grid axes: two entries that `_label` writes alike would put two cells under
+# one metadata key
 _N_LIST = _list(_int(3), repeats=False)
 _BETAS = _list(_positive, repeats=False)
 _COUNT = _int(2)
@@ -256,10 +259,14 @@ def _run_cell(job):
     return cell(cfg, _cell_seed(cfg.seed, index), *point)
 
 
+def _label(v) -> str:
+    """A grid value as metadata keys write it: floats to 6 significant digits."""
+    return f"{v:g}" if isinstance(v, float) else str(v)
+
+
 def _point_key(names, point) -> str:
     """A cell's metadata key: `N=127,beta=100` or `kind=Phi0,N=127,beta=100`."""
-    return ",".join(f"{name}={v:g}" if isinstance(v, float) else f"{name}={v}"
-                    for name, v in zip(names, point))
+    return ",".join(f"{name}={_label(v)}" for name, v in zip(names, point))
 
 
 def _grid(cell, cfg: ExperimentConfig, threads: int, axes=None) -> tuple[list, dict]:
@@ -267,8 +274,7 @@ def _grid(cell, cfg: ExperimentConfig, threads: int, axes=None) -> tuple[list, d
     product of `axes`, a name -> values dict (default N_list x beta_list), in
     order; cell i is seeded by index i, so the results do not depend on
     `threads`.  Returns the rows of every cell in cell order, and each cell's
-    diag under its point's key, with the cell's RNG provenance under "rng":
-    `_cell_seed(seed, *spawn_key)` rebuilds its seed sequence."""
+    diag under its point's key."""
     axes = {"N": cfg.N_list, "beta": cfg.beta_list} if axes is None else axes
     points = list(product(*axes.values()))
     jobs = [(cell, cfg, i, point) for i, point in enumerate(points)]
@@ -278,16 +284,14 @@ def _grid(cell, cfg: ExperimentConfig, threads: int, axes=None) -> tuple[list, d
         with ProcessPoolExecutor(max_workers=threads) as pool:
             cells = list(pool.map(_run_cell, jobs))
     return ([row for rows, _ in cells for row in rows],
-            {_point_key(axes, point): {**diag, "rng": {"seed": cfg.seed, "spawn_key": [i]}}
-             for i, (point, (_, diag)) in enumerate(zip(points, cells))})
+            {_point_key(axes, point): diag for point, (_, diag) in zip(points, cells)})
 
 
 # ---------------------------------------------------------------- homological
 
 def _homological_cell(cfg, seed, N, beta):
-    rng = np.random.default_rng(seed)
     pk = build_phi1_table(make_profile(cfg.profile), N)
-    sampler = GibbsSampler(ChainParams(N=N, A=cfg.A, beta=beta), rng)
+    sampler = GibbsSampler(ChainParams(N=N, A=cfg.A, beta=beta), seed)
     res = np.array([homological_residual(sampler.sample(), pk)
                     for _ in range(cfg.n_samples)])
     row = {"N": N, "beta": beta, "n_samples": cfg.n_samples,
@@ -318,7 +322,7 @@ def _ratio_cell(cfg, seed, N, beta):
     """
     pk = build_phi1_table(make_profile(cfg.profile), N)
     params = ChainParams(N=N, A=cfg.A, beta=beta)
-    sampler = GibbsSampler(params, np.random.default_rng(seed))
+    sampler = GibbsSampler(params, seed)
     n = cfg.n_samples
     pd = np.empty(n)
     v0 = np.empty(n)
@@ -358,10 +362,9 @@ def _run_ratio(cfg: ExperimentConfig, threads: int):
 # -------------------------------------------------------------- autocorrelation
 
 def _autocorr_cell(cfg, seed, N, beta):
-    rng = np.random.default_rng(seed)
     pk = build_phi1_table(make_profile(cfg.profile), N)
     params = ChainParams(N=N, A=cfg.A, beta=beta)
-    sampler = GibbsSampler(params, rng)
+    sampler = GibbsSampler(params, seed)
     states = sampler.sample_states(cfg.n_samples)
     grid = _autocorr_times(cfg, beta)
     steps = _steps(grid, cfg.dt)
@@ -456,8 +459,7 @@ def _lemma3_cell(cfg, seed, kind, N, beta):
     """Normalized variance sigma^2_f beta^s / (N |f|+^2) of one observable at
     one (N, beta); the variance bound asserts it stays below one constant."""
     observable, s, plus_norm = ps_observable(kind, make_profile(cfg.profile), N)
-    sampler = GibbsSampler(ChainParams(N=N, A=cfg.A, beta=beta),
-                           np.random.default_rng(seed.spawn(1)[0]))
+    sampler = GibbsSampler(ChainParams(N=N, A=cfg.A, beta=beta), seed.spawn(1)[0])
     vals = np.array([observable(sampler.sample()) for _ in range(cfg.n_samples)])
     est = stats_mod.estimate_from_samples(vals)
     scale = beta**s / (N * plus_norm**2)
@@ -500,7 +502,7 @@ def _chebyshev_cell(cfg, seed, N, beta):
     a, n = cfg.a, cfg.n_samples
     t = beta ** (1.0 - a)
     lam = beta ** (-a / 2.0)
-    sampler = GibbsSampler(params, np.random.default_rng(seed))
+    sampler = GibbsSampler(params, seed)
     n_steps = int(_steps(t, cfg.dt))
     states = sampler.sample_states(n)
     before = packet_mod.phi0(states, pk)
@@ -562,7 +564,7 @@ def _multipacket_cell(cfg, seed, N, beta):
     i_drift = steps.index(drift_step)
     i_corr = steps.index(corr_step)
     K = len(packs)
-    sampler = GibbsSampler(params, np.random.default_rng(seed))
+    sampler = GibbsSampler(params, seed)
     states = sampler.sample_states(n)
     snaps = evolve_batch(states, params, dt, steps)
     v0 = np.empty((n, K))
@@ -664,38 +666,41 @@ def _run_sampler_validation(cfg: ExperimentConfig, threads: int):
     checks = []
     diags = {}
     zmax = THRESHOLDS["moment_z"]
-    # streams are numbered in the order the enabled checks take them; each
-    # diag entry records under "rng" the spawn keys of those it drew from
-    streams = count()
+    beta = cfg.beta_list[0]
+    # streams are numbered in the order the enabled checks take them
+    streams = (_cell_seed(cfg.seed, i) for i in count())
 
-    def stream():
-        i = next(streams)
-        return i, np.random.default_rng(_cell_seed(cfg.seed, i))
+    def draws(N: int, n: int, f) -> tuple[np.ndarray, GibbsSampler]:
+        """`f(bonds)` after each of n decorrelated draws of a new sampler on the
+        next stream, as an array with one entry or row per draw, and the sampler."""
+        sampler = GibbsSampler(ChainParams(N=N, A=cfg.A, beta=beta), next(streams))
+        out = []
+        for _ in range(n):
+            sampler.sweep(sampler.stride)
+            out.append(f(sampler.r))
+        return np.array(out), sampler
 
-    def rng_record(*indices):
-        return {"seed": cfg.seed, "spawn_keys": [[i] for i in indices]}
+    def z_test(check: str, name: str, N: int, quantity: str, value: float,
+               stderr: float, reference: float) -> None:
+        """One CSV row and one check: `value` off `reference` by z standard errors."""
+        z = (value - reference) / stderr
+        rows.append({"check": check, "N": N, "beta": beta, "quantity": quantity,
+                     "value": value, "stderr": stderr, "reference": reference, "z": z})
+        checks.append((f"{name} {quantity} N={N}: z = {z:+.2f} within {zmax:g}",
+                       abs(z) <= zmax))
 
     if "moments" in cfg.checks:
         N = cfg.moments_N
-        beta = cfg.beta_list[0]
-        params = ChainParams(N=N, A=cfg.A, beta=beta)
         td = tilted_density(beta, cfg.A)
         # r0, ..., r0^4 and |sum r| per draw
-        i, rng = stream()
-        site, sampler = _bond_draws(rng, params, cfg.n_samples, lambda r: (
+        site, sampler = draws(N, cfg.n_samples, lambda r: (
             r[0], r[0]**2, r[0]**3, r[0]**4, abs(float(r.sum()))))
         worst_sum = float(site[:, 4].max())
-        diags[f"moments N={N} beta={beta:g}"] = {"theta": td.theta, "q_theta": td.q_theta,
-                                                 **sampler.diagnostics(), "rng": rng_record(i)}
+        diags[f"moments N={N} beta={beta:g}"] = sampler.diagnostics()
         for n in range(1, 5):
             est = stats_mod.estimate_from_samples(site[:, n - 1])
-            oracle = float(td.moments[n])
-            z = (est.mean - oracle) / est.stderr_mean
-            rows.append({"check": "moments", "N": N, "beta": beta,
-                         "quantity": f"<r^{n}>", "value": est.mean,
-                         "stderr": est.stderr_mean, "reference": oracle, "z": z})
-            checks.append((f"site moment <r^{n}> N={N}: z = {z:+.2f} within {zmax:g}",
-                           abs(z) <= zmax))
+            z_test("moments", "site moment", N, f"<r^{n}>", est.mean, est.stderr_mean,
+                   float(td.moments[n]))
         tol = THRESHOLDS["sum_r_tol"] * (N + 1)
         rows.append({"check": "moments", "N": N, "beta": beta, "quantity": "max|sum r|",
                      "value": worst_sum, "stderr": 0.0, "reference": tol,
@@ -708,41 +713,29 @@ def _run_sampler_validation(cfg: ExperimentConfig, threads: int):
 
     if "slab" in cfg.checks:
         N = cfg.slab_N
-        beta = cfg.beta_list[0]
-        params = ChainParams(N=N, A=cfg.A, beta=beta)
-        i, rng = stream()
-        mc, sampler = _bond_draws(rng, params, cfg.slab_samples, lambda r: (
+        mc, sampler = draws(N, cfg.slab_samples, lambda r: (
             r[0], r[0]**2, r[0]**3, r[0]**4, r[0] * r[1]))
-        j, ref_rng = stream()
-        ref = slab_rejection_bonds(ref_rng, params, cfg.slab_samples)
+        ref_rng = np.random.default_rng(next(streams))
+        ref = slab_rejection_bonds(ref_rng, sampler.params, cfg.slab_samples)
         diags[f"slab N={N} beta={beta:g}"] = {**sampler.diagnostics(),
-                                              "rng": rng_record(i, j)}
+                                              "reference_rng": stream_record(ref_rng)}
         ref_cols = [ref[:, 0] ** n for n in range(1, 5)] + [ref[:, 0] * ref[:, 1]]
         labels = [f"<r^{n}>" for n in range(1, 5)] + ["<r0 r1>"]
-        for col, (mc_col, lab) in enumerate(zip(mc.T, labels)):
+        for mc_col, ref_col, lab in zip(mc.T, ref_cols, labels):
             est = stats_mod.estimate_from_samples(mc_col)
-            est_ref = stats_mod.estimate_from_samples(ref_cols[col])
-            se = math.sqrt(est.stderr_mean**2 + est_ref.stderr_mean**2)
-            z = (est.mean - est_ref.mean) / se
-            rows.append({"check": "slab", "N": N, "beta": beta,
-                         "quantity": lab, "value": est.mean,
-                         "stderr": se, "reference": est_ref.mean, "z": z})
-            checks.append((f"slab reference {lab} N={N}: z = {z:+.2f} within {zmax:g}",
-                           abs(z) <= zmax))
+            est_ref = stats_mod.estimate_from_samples(ref_col)
+            z_test("slab", "slab reference", N, lab, est.mean,
+                   math.sqrt(est.stderr_mean**2 + est_ref.stderr_mean**2), est_ref.mean)
 
     if "lemma5" in cfg.checks:
-        beta = cfg.beta_list[0]
         covs = {}
         for N in cfg.lemma5_N:
             # disjoint-site covariance averaged over site pairs (valid by
             # exchangeability; single-site means vanish exactly on the constraint)
             m = (N + 1) // 2 * 2
-            i, rng = stream()
-            xs, sampler = _bond_draws(rng, ChainParams(N=N, A=cfg.A, beta=beta),
-                                      cfg.lemma5_samples,
-                                      lambda r: float((r[0:m:2] * r[1:m:2]).mean()))
-            diags[f"lemma5 N={N} beta={beta:g}"] = {**sampler.diagnostics(),
-                                                    "rng": rng_record(i)}
+            xs, sampler = draws(N, cfg.lemma5_samples,
+                                lambda r: float((r[0:m:2] * r[1:m:2]).mean()))
+            diags[f"lemma5 N={N} beta={beta:g}"] = sampler.diagnostics()
             est = stats_mod.estimate_from_samples(xs)
             cov, se = est.mean, est.stderr_mean
             covs[N] = (cov, se)
@@ -760,17 +753,6 @@ def _run_sampler_validation(cfg: ExperimentConfig, threads: int):
                        f"{shrink} |cov(N={n_lo})| = {shrink * abs(c_lo):.3e} "
                        f"(+{slack:.1e})", ok))
     return rows, checks, diags
-
-
-def _bond_draws(rng, params: ChainParams, n: int, f) -> tuple[np.ndarray, GibbsSampler]:
-    """`f(bonds)` after each of n decorrelated draws of one new sampler, as an
-    array with one entry or row per draw, and the sampler."""
-    sampler = GibbsSampler(params, rng)
-    draws = []
-    for _ in range(n):
-        sampler.sweep(sampler.stride)
-        draws.append(f(sampler.r))
-    return np.array(draws), sampler
 
 
 # -------------------------------------------------------------------- registry
@@ -869,8 +851,7 @@ def experiment_schema() -> dict:
 
 def _write_csv(path: Path, columns, rows: list[dict]) -> None:
     with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, columns, restval="", extrasaction="ignore",
-                                lineterminator="\n")
+        writer = csv.DictWriter(fh, columns, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
 

@@ -340,13 +340,24 @@ class GibbsSampler:
         return ChainState(np.stack([s.p for s in draws]), np.stack([s.q for s in draws]))
 
     def diagnostics(self) -> dict:
+        """The tuned proposal, acceptance, stride and sweep count, and under
+        "rng" the `stream_record` of the stream that drew every sweep and
+        momentum."""
         return {
             "sigma_prop": self.sigma_prop,
             "acceptance_rate": self.acceptance_rate,
             "tau_int": self.tau_int,
             "stride": self.stride,
             "n_sweeps": self.n_sweeps,
+            "rng": stream_record(self.rng),
         }
+
+
+def stream_record(rng: np.random.Generator) -> dict:
+    """The random stream of `rng` as JSON: `{"seed", "spawn_key"}`, from which
+    `default_rng(SeedSequence(seed, spawn_key=spawn_key))` rebuilds it."""
+    seq = rng.bit_generator.seed_seq
+    return {"seed": seq.entropy, "spawn_key": list(seq.spawn_key)}
 
 
 class _InverseCdf:
@@ -366,13 +377,13 @@ class _InverseCdf:
         return np.interp(rng.random(size), self.cdf, self.x)
 
 
-def slab_rejection_bonds(rng, params: ChainParams, n_samples: int) -> np.ndarray:
+def slab_rejection_bonds(rng: np.random.Generator, params: ChainParams,
+                         n_samples: int) -> np.ndarray:
     """Independent reference sampler: iid tilted bonds accepted on |sum r| <= slab.
 
     Exact up to O(slab) tilt bias, which is far below Monte Carlo resolution;
     feasible only for small N.  Returns (n_samples, N+1).
     """
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     theta = solve_theta(params.beta, params.A)
     inv = _InverseCdf(params.beta, params.A, theta)
     out = []

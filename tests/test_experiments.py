@@ -1,14 +1,18 @@
+import csv
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
-from fpu_packets.chain import BlowupError
-from fpu_packets.experiments import (EXPERIMENTS, ConfigError, _cell_seed, _ratio_cell,
+from fpu_packets import stats
+from fpu_packets.chain import BlowupError, ChainParams
+from fpu_packets.experiments import (EXPERIMENTS, ConfigError, _ratio_cell, _write_csv,
                                      experiment_schema, main, run, validate_config)
+from fpu_packets.gibbs import GibbsSampler, slab_rejection_bonds
 from fpu_packets.packet import build_phi1_table
 from fpu_packets.profiles import make_profile
 
@@ -133,8 +137,14 @@ def test_rejects_bad_or_vacuous_values(tmp_path, experiment, key, value):
      "n_samples": 4, "t_grid": [0.0, 1.0], "persistence_betas": [100.0]},
     {"experiment": "autocorrelation", "seed": 1, "N_list": [7], "beta_list": [20.0],
      "n_samples": 5, "t_grid": [0.0, 0.02, 0.025, 0.04], "persistence_betas": [20.0]},
+    # two betas that metadata keys, summary lines and tilted_density all write 100
+    {"experiment": "homological", "seed": 1, "N_list": [7],
+     "beta_list": [100.0, 100.0000001], "n_samples": 3},
+    {"experiment": "ratio-scaling", "seed": 1, "N_list": [7],
+     "beta_list": [50.0, 100.0, 100.0000001], "n_samples": 3},
 ], ids=["inadmissible-corrector", "zero-step-quarter-beta", "zero-step-t-grid",
-        "persistence-beta-not-run", "two-times-one-step"])
+        "persistence-beta-not-run", "two-times-one-step", "beta-keys-collide",
+        "ratio-beta-keys-collide"])
 def test_refused_before_any_output(tmp_path, body):
     assert _exit_codes(tmp_path, body) == (2, 2)
     assert not (tmp_path / "out").exists()
@@ -254,24 +264,50 @@ def test_metadata_has_one_sampler_diag_per_cell(tmp_path, experiment):
     if experiment == "lemma3-scan":
         points = [f"kind={kind},{p}" for kind in cfg.kinds for p in points]
     assert [k for k in diags if k != "tilted_density"] == points
+    # cell i draws from stream i of the master seed; a lemma3-scan cell from
+    # that stream's first child
+    child = [0] if experiment == "lemma3-scan" else []
     for i, p in enumerate(points):
         assert {"tau_int", "stride", "acceptance_rate"} <= set(diags[p])
-        assert _rebuilds_cell_seed(diags[p]["rng"], [[i]])
+        assert diags[p]["rng"] == {"seed": 7, "spawn_key": [i, *child]}
 
 
-def _rebuilds_cell_seed(rng_record, spawn_keys) -> bool:
-    """The recorded master seed and spawn keys are `spawn_keys` and rebuild
-    `_cell_seed(7, i)` for each key (i,)."""
-    recorded = rng_record.get("spawn_keys", [rng_record.get("spawn_key")])
-    if rng_record["seed"] != 7 or recorded != spawn_keys:
-        return False
-    return all(np.array_equal(
-        np.random.SeedSequence(entropy=rng_record["seed"], spawn_key=key).generate_state(8),
-        _cell_seed(7, *want).generate_state(8)) for key, want in zip(recorded, spawn_keys))
+def _stream(record) -> np.random.Generator:
+    """The generator a recorded `{"seed", "spawn_key"}` stream rebuilds."""
+    return np.random.default_rng(
+        np.random.SeedSequence(record["seed"], spawn_key=record["spawn_key"]))
+
+
+@pytest.mark.parametrize("experiment", [name for name, spec in EXPERIMENTS.items()
+                                        if "beta_list" in spec.keys])
+def test_recorded_streams_rebuild_their_samplers(tmp_path, experiment):
+    body = dict(GOLDEN_CONFIGS[experiment], experiment=experiment, seed=7)
+    cfg = validate_config(json.dumps(body))
+    run(cfg, tmp_path)
+    diags = json.loads((tmp_path / f"{experiment}_metadata.json").read_text())["diagnostics"]
+    samplers = {key: diag for key, diag in diags.items() if key != "tilted_density"}
+    assert samplers
+    for key, diag in samplers.items():
+        N, beta = re.search(r"N=(\d+)[, ]beta=([^, ]+)", key).groups()
+        params = ChainParams(N=int(N), A=cfg.A, beta=float(beta))
+        rebuilt = GibbsSampler(params, _stream(diag["rng"])).diagnostics()
+        for name in ("sigma_prop", "tau_int", "stride"):
+            assert rebuilt[name] == diag[name], (key, name)
+    if experiment == "sampler-validation":
+        beta = cfg.beta_list[0]
+        slab = diags[f"slab N={cfg.slab_N} beta={beta:g}"]
+        ref = slab_rejection_bonds(_stream(slab["reference_rng"]),
+                                   ChainParams(N=cfg.slab_N, A=cfg.A, beta=beta),
+                                   cfg.slab_samples)
+        cols = [ref[:, 0] ** n for n in range(1, 5)] + [ref[:, 0] * ref[:, 1]]
+        with (tmp_path / "sampler-validation_results.csv").open() as fh:
+            written = [float(row["reference"]) for row in csv.DictReader(fh)
+                       if row["check"] == "slab"]
+        assert written == [stats.estimate_from_samples(col).mean for col in cols]
 
 
 def test_ratio_cell_reruns_from_its_metadata(tmp_path):
-    # the recorded provenance reproduces a cell's sampler, and the recorded
+    # the recorded stream reproduces a cell's sampler, and the recorded
     # smallest denominator is its corrector table's
     body = dict(GOLDEN_CONFIGS["ratio-scaling"], experiment="ratio-scaling", seed=7)
     cfg = validate_config(json.dumps(body))
@@ -285,7 +321,7 @@ def test_ratio_cell_reruns_from_its_metadata(tmp_path):
         seed = np.random.SeedSequence(entropy=diag["rng"]["seed"],
                                       spawn_key=diag["rng"]["spawn_key"])
         _, rerun = _ratio_cell(cfg, seed, N, beta)
-        assert {**rerun, "rng": diag["rng"]} == diag
+        assert rerun == diag
 
 
 def test_sampler_validation_metadata_has_one_sampler_diag_per_check(tmp_path):
@@ -295,12 +331,18 @@ def test_sampler_validation_metadata_has_one_sampler_diag_per_check(tmp_path):
     checks = ["moments N=16 beta=100", "slab N=8 beta=100", "lemma5 N=8 beta=100",
               "lemma5 N=16 beta=100"]
     assert [k for k in diags if k != "tilted_density"] == checks
-    for check in checks:
+    # the streams in the order the checks take them; slab's reference takes 2
+    for check, stream in zip(checks, [0, 1, 3, 4]):
         assert {"tau_int", "stride", "acceptance_rate"} <= set(diags[check])
-    # the streams in the order the checks take them; slab also draws its reference
-    streams = [[[0]], [[1], [2]], [[3]], [[4]]]
-    for check, keys in zip(checks, streams):
-        assert _rebuilds_cell_seed(diags[check]["rng"], keys), check
+        assert diags[check]["rng"] == {"seed": 7, "spawn_key": [stream]}, check
+    assert diags["slab N=8 beta=100"]["reference_rng"] == {"seed": 7, "spawn_key": [2]}
+    # theta and q_theta are recorded once, under tilted_density
+    assert "theta" not in diags["moments N=16 beta=100"]
+
+
+def test_write_csv_refuses_a_key_outside_the_columns(tmp_path):
+    with pytest.raises(ValueError, match="not in fieldnames"):
+        _write_csv(tmp_path / "out.csv", ("N", "beta"), [{"N": 7, "beta": 1.0, "z": 0.0}])
 
 
 def test_cli_exit_codes(tmp_path, capsys):
