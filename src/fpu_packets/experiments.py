@@ -149,11 +149,19 @@ def _profile(v):
 
 
 def _admissible(v):
-    """A profile the corrector table accepts: g'(0) = 0."""
+    """A profile with g'(0) = 0, as the corrector table and packet estimates need."""
     prof = make_profile(v)
     if not prof.admissible:
-        raise ValueError(f"must be an admissible profile (g'(0) = 0) for the corrector, "
+        raise ValueError(f"must be an admissible profile (g'(0) = 0), "
                          f"got g'(0) = {prof.g_prime_at_zero:.3e}")
+    return v
+
+
+def _h1_bounded(v):
+    """A profile with c0 + c2 > 0; the bound h1 <= C (c0 + c2) says nothing otherwise."""
+    prof = make_profile(v)
+    if not prof.c0 + prof.c2 > 0:
+        raise ValueError(f"must have c0 + c2 > 0, got c0 = {prof.c0:g}, c2 = {prof.c2:g}")
     return v
 
 
@@ -362,7 +370,7 @@ def _run_ratio(cfg: ExperimentConfig, threads: int):
 # -------------------------------------------------------------- autocorrelation
 
 def _autocorr_cell(cfg, seed, N, beta):
-    pk = build_phi1_table(make_profile(cfg.profile), N)
+    nu_k = packet_mod.mode_weights(make_profile(cfg.profile), N)[1]
     params = ChainParams(N=N, A=cfg.A, beta=beta)
     sampler = GibbsSampler(params, seed)
     states = sampler.sample_states(cfg.n_samples)
@@ -372,7 +380,7 @@ def _autocorr_cell(cfg, seed, N, beta):
     snaps = evolve_batch(states, params, cfg.dt, steps if grid[0] == 0 else [0, *steps])
     # (times, n) transposed, not stacked along axis 1: the estimator's column
     # sums follow the memory layout, and the CSV bytes follow those sums
-    vals = np.array([packet_mod.phi0(snap, pk) for snap in snaps]).T
+    vals = np.array([packet_mod.phi0(snap, nu_k) for snap in snaps]).T
     curve = stats_mod.autocorrelation(vals, grid)
     t_half, t_half_se = stats_mod.half_life_jackknife(curve)
     rows = [{"N": N, "beta": beta, "t": float(t), "corr": float(c),
@@ -497,7 +505,7 @@ def _chebyshev_cell(cfg, seed, N, beta):
     Also returns the Chebyshev bound computed from the measured increment
     variance, which no distribution can beat beyond sampling noise.
     """
-    pk = build_phi1_table(make_profile(cfg.profile), N)
+    nu_k = packet_mod.mode_weights(make_profile(cfg.profile), N)[1]
     params = ChainParams(N=N, A=cfg.A, beta=beta)
     a, n = cfg.a, cfg.n_samples
     t = beta ** (1.0 - a)
@@ -505,9 +513,9 @@ def _chebyshev_cell(cfg, seed, N, beta):
     sampler = GibbsSampler(params, seed)
     n_steps = int(_steps(t, cfg.dt))
     states = sampler.sample_states(n)
-    before = packet_mod.phi0(states, pk)
+    before = packet_mod.phi0(states, nu_k)
     (end,) = evolve_batch(states, params, cfg.dt, [n_steps])
-    after = packet_mod.phi0(end, pk)
+    after = packet_mod.phi0(end, nu_k)
     sigma0 = float(before.std())
     thr = lam * sigma0
     inc = after - before
@@ -555,7 +563,7 @@ def _multipacket_cell(cfg, seed, N, beta):
     rate that any packet exceeds (union-bound sanity), and each packet's
     normalized autocorrelation at t = beta/4.
     """
-    packs = [build_phi1_table(p, N) for p in profiles_mod.disjoint_profiles(cfg.K)]
+    weights = [packet_mod.mode_weights(p, N)[1] for p in profiles_mod.disjoint_profiles(cfg.K)]
     params = ChainParams(N=N, A=cfg.A, beta=beta)
     a, n, dt = cfg.a, cfg.n_samples, cfg.dt
     lam = beta ** (-a / 2.0)
@@ -563,16 +571,16 @@ def _multipacket_cell(cfg, seed, N, beta):
     steps = sorted({drift_step, corr_step})
     i_drift = steps.index(drift_step)
     i_corr = steps.index(corr_step)
-    K = len(packs)
+    K = len(weights)
     sampler = GibbsSampler(params, seed)
     states = sampler.sample_states(n)
     snaps = evolve_batch(states, params, dt, steps)
     v0 = np.empty((n, K))
     vt = np.empty((n, K, len(steps)))
-    for l, pk in enumerate(packs):
-        v0[:, l] = packet_mod.phi0(states, pk)
+    for l, nu_k in enumerate(weights):
+        v0[:, l] = packet_mod.phi0(states, nu_k)
         for m, snap in enumerate(snaps):
-            vt[:, l, m] = packet_mod.phi0(snap, pk)
+            vt[:, l, m] = packet_mod.phi0(snap, nu_k)
     # std over axis 0 of the (n, K) array: a 1-D std of one column sums in
     # another order, and the CSV bytes follow that sum
     sigma = v0.std(axis=0)
@@ -667,6 +675,8 @@ def _run_sampler_validation(cfg: ExperimentConfig, threads: int):
     diags = {}
     zmax = THRESHOLDS["moment_z"]
     beta = cfg.beta_list[0]
+    # one theta solve serves the moments oracle and the slab reference
+    td = tilted_density(beta, cfg.A) if {"moments", "slab"} & set(cfg.checks) else None
     # streams are numbered in the order the enabled checks take them
     streams = (_cell_seed(cfg.seed, i) for i in count())
 
@@ -691,7 +701,6 @@ def _run_sampler_validation(cfg: ExperimentConfig, threads: int):
 
     if "moments" in cfg.checks:
         N = cfg.moments_N
-        td = tilted_density(beta, cfg.A)
         # r0, ..., r0^4 and |sum r| per draw
         site, sampler = draws(N, cfg.n_samples, lambda r: (
             r[0], r[0]**2, r[0]**3, r[0]**4, abs(float(r.sum()))))
@@ -716,7 +725,7 @@ def _run_sampler_validation(cfg: ExperimentConfig, threads: int):
         mc, sampler = draws(N, cfg.slab_samples, lambda r: (
             r[0], r[0]**2, r[0]**3, r[0]**4, r[0] * r[1]))
         ref_rng = np.random.default_rng(next(streams))
-        ref = slab_rejection_bonds(ref_rng, sampler.params, cfg.slab_samples)
+        ref = slab_rejection_bonds(ref_rng, td, N, cfg.slab_samples)
         diags[f"slab N={N} beta={beta:g}"] = {**sampler.diagnostics(),
                                               "reference_rng": stream_record(ref_rng)}
         ref_cols = [ref[:, 0] ** n for n in range(1, 5)] + [ref[:, 0] * ref[:, 1]]
@@ -821,7 +830,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
     "theorem2-h1": ExperimentSpec(
         "h1/(c0+c2) bounded on the admissible family, divergent for g(x)=x",
         {"grid_sizes": Key([256, 1024, 2048, 4096], _list(_int(2), distinct=2)),
-         "profiles": Key(THEOREM2_FAMILY, _list(_profile)),
+         "profiles": Key(THEOREM2_FAMILY, _list(_h1_bounded)),
          "divergence_profile": Key({"kind": "linear"}, _profile)},
         ("profile", "admissible", "grid", "h1", "c0", "c2", "ratio", "min_denominator"),
         _run_theorem2),

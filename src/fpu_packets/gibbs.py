@@ -1,9 +1,10 @@
-"""Exact sampling of the chain's Gibbs measure.
+"""Markov-chain sampling of the chain's Gibbs measure.
 
 Momenta are iid Gaussian.  The configurational measure factorizes over the
 bond variables r_j up to the single constraint sum_j r_j = 0, so bonds are
 sampled by a Metropolis chain of pair moves (r_i += delta, r_j -= delta) that
-preserve the constraint algebraically.  The analytic backbone is the tilted
+preserve the constraint algebraically; a stride of sweeps decorrelates its
+draws but does not make them independent.  The analytic backbone is the tilted
 one-bond density exp(-gamma r - beta V(r)) / q_gamma, whose quadrature moments
 at the zero-mean tilt gamma = theta serve as the oracle for the sampler's
 marginals (they agree up to O(1/N)).  The tilt is the root of the mean,
@@ -377,20 +378,19 @@ class _InverseCdf:
         return np.interp(rng.random(size), self.cdf, self.x)
 
 
-def slab_rejection_bonds(rng: np.random.Generator, params: ChainParams,
+def slab_rejection_bonds(rng: np.random.Generator, td: TiltedDensity, N: int,
                          n_samples: int) -> np.ndarray:
-    """Independent reference sampler: iid tilted bonds accepted on |sum r| <= slab.
+    """Independent reference sampler: iid bonds of `td` accepted on |sum r| <= slab.
 
     Exact up to O(slab) tilt bias, which is far below Monte Carlo resolution;
     feasible only for small N.  Returns (n_samples, N+1).
     """
-    theta = solve_theta(params.beta, params.A)
-    inv = _InverseCdf(params.beta, params.A, theta)
+    inv = _InverseCdf(td.beta, td.A, td.theta)
     out = []
     got = 0
     batch = max(10_000, 4 * n_samples)
     for _ in range(_SLAB_MAX_BATCHES):
-        r = inv.draw(rng, (batch, params.N + 1))
+        r = inv.draw(rng, (batch, N + 1))
         keep = np.abs(r.sum(axis=1)) <= _SLAB
         if keep.any():
             out.append(r[keep])

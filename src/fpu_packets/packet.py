@@ -70,7 +70,7 @@ class PacketObservable:
         return self.k1.size
 
 
-def _mode_weights(profile: NuProfile, N: int) -> tuple[np.ndarray, ...]:
+def mode_weights(profile: NuProfile, N: int) -> tuple[np.ndarray, ...]:
     """(g_k, nu_k = g_k omega_k, omega_k) at the mode numbers k = 1..N."""
     omega = spectral.frequencies(N)
     g_k = profile.g(np.arange(1, N + 1) / (N + 1))
@@ -92,7 +92,7 @@ def build_phi1_table(profile: NuProfile, N: int,
             "pass require_admissible=False to build anyway")
     if N < 3:
         raise ValueError("N must be >= 3")
-    g_k, nu_k, omega = _mode_weights(profile, N)
+    g_k, nu_k, omega = mode_weights(profile, N)
 
     ka = np.arange(1, N + 1)
     k1g, k2g = (a.ravel() for a in np.meshgrid(ka, ka, indexing="ij"))
@@ -118,22 +118,18 @@ def build_phi1_table(profile: NuProfile, N: int,
                             coeffs=coeffs, min_denominator=min_den)
 
 
-def _check_size(state: ChainState, packet: PacketObservable) -> None:
-    if state.n != packet.N:
-        raise ValueError(f"state has N = {state.n}, packet built for N = {packet.N}")
-
-
 def _phi0(ms: spectral.SpectralState, nu_k: np.ndarray) -> np.ndarray:
     """sum_k nu_k I_k of transformed states: () for one state, (B,) for B."""
     # a stacked dot per row rounds like nu_k @ actions; actions @ nu_k does not
     return (spectral.actions(ms)[..., None, :] @ nu_k[:, None])[..., 0, 0]
 
 
-def phi0(state: ChainState, packet: PacketObservable) -> float | np.ndarray:
-    """sum_k nu_k I_k; nonnegative whenever nu >= 0.  A float for one state,
-    a (B,) array for a (B, N) ensemble."""
-    _check_size(state, packet)
-    val = _phi0(spectral.to_modes(state), packet.nu_k)
+def phi0(state: ChainState, nu_k: np.ndarray) -> float | np.ndarray:
+    """sum_k nu_k I_k for the packet weights nu_k (`mode_weights`); nonnegative
+    whenever nu >= 0.  A float for one state, a (B,) array for (B, N) states."""
+    if state.n != nu_k.size:
+        raise ValueError(f"state has N = {state.n}, weights given for N = {nu_k.size}")
+    val = _phi0(spectral.to_modes(state), nu_k)
     return float(val) if val.ndim == 0 else val
 
 
@@ -156,7 +152,8 @@ def _corrector_pass(state: ChainState, packet: PacketObservable, gradient: bool)
     With gradient, d0 and d1 are the mode-space gradients of Phi0 and Phi1,
     each a (d/dq_hat, d/dp_hat) pair; without, they are None.
     """
-    _check_size(state, packet)
+    if state.n != packet.N:
+        raise ValueError(f"state has N = {state.n}, packet built for N = {packet.N}")
     ms = spectral.to_modes(state)
     n = packet.N
     i1, i2, i3 = packet.k1 - 1, packet.k2 - 1, packet.k3 - 1
@@ -253,17 +250,9 @@ def ps_observable(kind: str, profile: NuProfile, N: int
     if kind == "H1":
         return cubic_energy, 3, 0.25
     if kind == "Phi0":
-        g_k, nu_k, _ = _mode_weights(profile, N)
-
-        def obs(state: ChainState) -> float:
-            return float(_phi0(spectral.to_modes(state), nu_k))
-
-        return obs, 2, float(np.abs(g_k).max())
+        g_k, nu_k, _ = mode_weights(profile, N)
+        return lambda state: phi0(state, nu_k), 2, float(np.abs(g_k).max())
     if kind == "Phi1":
         packet = build_phi1_table(profile, N)
-
-        def obs(state: ChainState) -> float:
-            return phi1(state, packet)
-
-        return obs, 3, float(np.abs(packet.coeffs).max())
+        return lambda state: phi1(state, packet), 3, float(np.abs(packet.coeffs).max())
     raise ValueError(f"unknown test-function kind {kind!r}")

@@ -39,7 +39,6 @@ class NuProfile:
     """
 
     kind: str
-    params: dict = field(compare=False)
     c0: float
     c2: float
     _g: Callable = field(repr=False, compare=False)
@@ -79,7 +78,7 @@ def _max_abs_poly_on_unit(poly: np.polynomial.Polynomial) -> float:
 
 def _make_constant(value: float = 1.0) -> NuProfile:
     v = float(value)
-    return NuProfile("constant", {"value": v}, c0=v, c2=0.0,
+    return NuProfile("constant", c0=v, c2=0.0,
                      _g=lambda x: np.full_like(np.asarray(x, dtype=float), v))
 
 
@@ -96,12 +95,12 @@ def _make_poly_x2(coeffs) -> NuProfile:
     def g(x):
         return poly(np.asarray(x, dtype=float))
 
-    return NuProfile("poly_x2", {"coeffs": coeffs}, c0=coeffs[0], c2=c2, _g=g)
+    return NuProfile("poly_x2", c0=coeffs[0], c2=c2, _g=g)
 
 
 def _make_cosine(amplitude: float = 1.0) -> NuProfile:
     a = float(amplitude)
-    return NuProfile("cosine", {"amplitude": a}, c0=a, c2=abs(a) * np.pi**2,
+    return NuProfile("cosine", c0=a, c2=abs(a) * np.pi**2,
                      _g=lambda x: a * np.cos(np.pi * np.asarray(x, dtype=float)))
 
 
@@ -122,13 +121,12 @@ def _make_bump(center: float = 0.5, width: float = 0.5, amplitude: float = 1.0) 
         return a * out
 
     c0 = float(g(0.0))
-    return NuProfile("bump", {"center": c, "width": w, "amplitude": a},
-                     c0=c0, c2=abs(a) * _BUMP_D2_MAX / w**2, _g=g)
+    return NuProfile("bump", c0=c0, c2=abs(a) * _BUMP_D2_MAX / w**2, _g=g)
 
 
 def _make_linear() -> NuProfile:
     # g(x) = x: g'(0) = 1, the inadmissible reference for which h1 diverges.
-    return NuProfile("linear", {}, c0=0.0, c2=0.0,
+    return NuProfile("linear", c0=0.0, c2=0.0,
                      _g=lambda x: np.asarray(x, dtype=float) + 0.0)
 
 

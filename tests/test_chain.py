@@ -8,7 +8,7 @@ from fpu_packets import chain
 from fpu_packets.chain import (BlowupError, ChainParams, ChainState, bond_extensions,
                                potential_v)
 from fpu_packets.gibbs import GibbsSampler
-from fpu_packets.packet import build_phi1_table, phi0
+from fpu_packets.packet import mode_weights, phi0
 from fpu_packets.profiles import DEFAULT_PROFILE_SPEC, make_profile
 from fpu_packets.spectral import frequencies, sine_transform
 
@@ -145,15 +145,15 @@ def test_ensemble_row_has_the_bits_of_the_single_state(N, B, n_steps, seed):
     # an ensemble is evaluated row by row in the arithmetic of one state
     rng = np.random.default_rng(seed)
     ens = ChainState(rng.normal(scale=0.3, size=(B, N)), rng.normal(scale=0.3, size=(B, N)))
-    pk = build_phi1_table(make_profile(DEFAULT_PROFILE_SPEC), N)
+    nu_k = mode_weights(make_profile(DEFAULT_PROFILE_SPEC), N)[1]
     params = ChainParams(N=N)
     targets = [0, n_steps // 2, n_steps]
     snaps = chain.evolve_batch(ens, params, 0.02, targets)
-    values = phi0(ens, pk)
+    values = phi0(ens, nu_k)
     transformed = sine_transform(ens.p)
     for b in range(B):
         assert np.array_equal(transformed[b], sine_transform(ens.p[b]))
-        assert values[b] == phi0(ens[b], pk)
+        assert values[b] == phi0(ens[b], nu_k)
         for snap, alone in zip(snaps, chain.evolve_batch(ens[b:b + 1], params, 0.02, targets)):
             assert np.array_equal(snap[b].p, alone[0].p)
             assert np.array_equal(snap[b].q, alone[0].q)

@@ -12,7 +12,7 @@ from fpu_packets import stats
 from fpu_packets.chain import BlowupError, ChainParams
 from fpu_packets.experiments import (EXPERIMENTS, ConfigError, _ratio_cell, _write_csv,
                                      experiment_schema, main, run, validate_config)
-from fpu_packets.gibbs import GibbsSampler, slab_rejection_bonds
+from fpu_packets.gibbs import GibbsSampler, slab_rejection_bonds, tilted_density
 from fpu_packets.packet import build_phi1_table
 from fpu_packets.profiles import make_profile
 
@@ -142,9 +142,15 @@ def test_rejects_bad_or_vacuous_values(tmp_path, experiment, key, value):
      "beta_list": [100.0, 100.0000001], "n_samples": 3},
     {"experiment": "ratio-scaling", "seed": 1, "N_list": [7],
      "beta_list": [50.0, 100.0, 100.0000001], "n_samples": 3},
+    # family profiles with c0 + c2 = 0, whose ratio h1 / (c0 + c2) divides by 0,
+    # and with c0 + c2 < 0, whose negative ratios passed the stability check
+    {"experiment": "theorem2-h1", "seed": 1, "profiles": [{"kind": "linear"}]},
+    {"experiment": "theorem2-h1", "seed": 1, "profiles": [{"kind": "constant", "value": 0.0}]},
+    {"experiment": "theorem2-h1", "seed": 1, "profiles": [{"kind": "constant", "value": -1.0}]},
 ], ids=["inadmissible-corrector", "zero-step-quarter-beta", "zero-step-t-grid",
         "persistence-beta-not-run", "two-times-one-step", "beta-keys-collide",
-        "ratio-beta-keys-collide"])
+        "ratio-beta-keys-collide", "h1-family-linear", "h1-family-zero-amplitude",
+        "h1-family-negative"])
 def test_refused_before_any_output(tmp_path, body):
     assert _exit_codes(tmp_path, body) == (2, 2)
     assert not (tmp_path / "out").exists()
@@ -174,8 +180,13 @@ def test_inadmissible_profile_where_no_corrector_is_built(tmp_path):
             "profile": {"kind": "linear"}}
     assert _exit_codes(tmp_path, body)[0] == 0
     assert (tmp_path / "out" / "lemma3-scan_results.csv").exists()
+    # theorem2-h1 builds no table either: its default divergence profile is
+    # g(x) = x, but its family refuses that profile for c0 + c2 = 0
     validate_config(json.dumps({"experiment": "theorem2-h1", "seed": 1,
-                                "profiles": [{"kind": "linear"}]}))
+                                "divergence_profile": {"kind": "linear"}}))
+    with pytest.raises(ConfigError, match=r"field 'profiles': entry 0: must have c0 \+ c2 > 0"):
+        validate_config(json.dumps({"experiment": "theorem2-h1", "seed": 1,
+                                    "profiles": [{"kind": "linear"}]}))
 
 
 def test_validate_unknown_profile_kind_lists_registry():
@@ -297,8 +308,7 @@ def test_recorded_streams_rebuild_their_samplers(tmp_path, experiment):
         beta = cfg.beta_list[0]
         slab = diags[f"slab N={cfg.slab_N} beta={beta:g}"]
         ref = slab_rejection_bonds(_stream(slab["reference_rng"]),
-                                   ChainParams(N=cfg.slab_N, A=cfg.A, beta=beta),
-                                   cfg.slab_samples)
+                                   tilted_density(beta, cfg.A), cfg.slab_N, cfg.slab_samples)
         cols = [ref[:, 0] ** n for n in range(1, 5)] + [ref[:, 0] * ref[:, 1]]
         with (tmp_path / "sampler-validation_results.csv").open() as fh:
             written = [float(row["reference"]) for row in csv.DictReader(fh)

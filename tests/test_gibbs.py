@@ -229,7 +229,8 @@ def test_tilted_iid_marginal():
 def test_slab_rejection_matches_constrained_sampler():
     params = ChainParams(N=8, beta=BETA)
     n = 1500
-    ref = slab_rejection_bonds(np.random.default_rng(11), params, n)
+    ref = slab_rejection_bonds(np.random.default_rng(11), tilted_density(BETA, params.A),
+                               params.N, n)
     assert np.abs(ref.sum(axis=1)).max() <= 1e-3
     sampler = GibbsSampler(params, np.random.default_rng(12))
     mc = np.empty(n)

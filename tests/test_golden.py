@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from fpu_packets import experiments
 from fpu_packets.experiments import run, validate_config
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -51,6 +52,17 @@ def test_csv_matches_golden(tmp_path, experiment):
 def test_summary_matches_golden(tmp_path, experiment):
     # the PASS/FAIL lines, which the CSV bytes alone do not pin
     name = f"{experiment}_summary.txt"
+    assert _outputs(experiment, tmp_path)[name] == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("experiment", ["autocorrelation", "chebyshev", "multi-packet"])
+def test_phi0_experiments_build_no_corrector_table(tmp_path, monkeypatch, experiment):
+    # Phi0 reads only the packet weights, so these runs never need the O(N^2) table
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_phi1_table called")
+
+    monkeypatch.setattr(experiments, "build_phi1_table", refuse)
+    name = f"{experiment}.csv"
     assert _outputs(experiment, tmp_path)[name] == (GOLDEN / name).read_bytes()
 
 

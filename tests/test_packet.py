@@ -10,8 +10,8 @@ from oracles import (TAU8, bracket_norm_check, energies, from_modes, full_correc
 from fpu_packets.chain import ChainParams, ChainState, bond_extensions, cubic_energy
 from fpu_packets.gibbs import GibbsSampler
 from fpu_packets.packet import (_CUBIC_PREFACTOR, TAU_PATTERNS, _corrector_pass,
-                                build_phi1_table, homological_residual, phi0, phi1, phi_dot,
-                                ps_observable)
+                                build_phi1_table, homological_residual, mode_weights, phi0,
+                                phi1, phi_dot, ps_observable)
 from fpu_packets.profiles import DEFAULT_PROFILE_SPEC, eval_h1, make_profile
 from fpu_packets.spectral import frequencies, sine_transform, to_complex, to_modes
 
@@ -114,7 +114,7 @@ def test_denominator_floor_scaling():
 def test_phi0_examples():
     N = 15
     prof = make_profile(DEFAULT_PROFILE_SPEC)
-    pk = build_phi1_table(prof, N)
+    nu_k = mode_weights(prof, N)[1]
     om = frequencies(N)
     x = np.arange(1, N + 1) / (N + 1)
     nu = prof.nu(x)
@@ -122,15 +122,15 @@ def test_phi0_examples():
         e = np.zeros(N)
         e[k - 1] = 1.0
         st = from_modes(e, np.zeros(N))
-        assert phi0(st, pk) == pytest.approx(nu[k - 1] / (2 * om[k - 1]), rel=1e-12)
+        assert phi0(st, nu_k) == pytest.approx(nu[k - 1] / (2 * om[k - 1]), rel=1e-12)
     zero = ChainState(np.zeros(N), np.zeros(N))
-    assert phi0(zero, pk) == 0.0
-    pk_om = build_phi1_table(make_profile(OMEGA_PROFILE), N)
+    assert phi0(zero, nu_k) == 0.0
+    nu_om = mode_weights(make_profile(OMEGA_PROFILE), N)[1]
     rng = np.random.default_rng(0)
     st = ChainState(rng.normal(size=N), rng.normal(size=N))
-    assert phi0(st, pk_om) == pytest.approx(energies(st, ChainParams(N=N))[0], rel=1e-12)
+    assert phi0(st, nu_om) == pytest.approx(energies(st, ChainParams(N=N))[0], rel=1e-12)
     with pytest.raises(ValueError):
-        phi0(ChainState(np.zeros(8), np.zeros(8)), pk)
+        phi0(ChainState(np.zeros(8), np.zeros(8)), nu_k)
 
 
 def test_phi1_equals_cubic_energy_for_nu_equals_omega():
@@ -160,7 +160,7 @@ def test_phi1_beta_scaling():
     med = {}
     for beta in (100.0, 400.0):
         states = random_gibbs_states(N, beta, 300, seed=int(beta))
-        r = [abs(phi1(s, pk)) / abs(phi0(s, pk)) for s in states]
+        r = [abs(phi1(s, pk)) / abs(phi0(s, pk.nu_k)) for s in states]
         med[beta] = np.median(r)
     assert med[400.0] <= 0.6 * med[100.0]
 
@@ -290,7 +290,7 @@ def test_grad_phi_matches_finite_differences():
     h = 1e-6
 
     def f(st):
-        return phi0(st, pk) + phi1(st, pk)
+        return phi0(st, pk.nu_k) + phi1(st, pk)
 
     for _ in range(100):
         st = ChainState(0.5 * rng.normal(size=N), 0.5 * rng.normal(size=N))
@@ -333,7 +333,7 @@ def test_phi_dot_matches_trajectory_derivative():
     dt = 1e-3
     for st in states:
         snaps = integrate(st, params, dt, 2 * dt)
-        f = [phi0(s, pk) + phi1(s, pk) for _, s in snaps]
+        f = [phi0(s, pk.nu_k) + phi1(s, pk) for _, s in snaps]
         fd = (f[2] - f[0]) / (2 * dt)
         an = phi_dot(snaps[1][1], pk, params)[2]
         assert abs(fd - an) <= 1e-4 * max(abs(an), 1e-12)
@@ -355,7 +355,7 @@ def test_phi_dot_values_are_phi0_and_phi1():
     pk = build_phi1_table(make_profile(DEFAULT_PROFILE_SPEC), N)
     for st in random_gibbs_states(N, 100.0, 5, seed=11):
         v0, v1, _ = phi_dot(st, pk, params)
-        assert (v0, v1) == (phi0(st, pk), phi1(st, pk))
+        assert (v0, v1) == (phi0(st, pk.nu_k), phi1(st, pk))
 
 
 def test_homological_residual_machine_precision():
@@ -391,7 +391,7 @@ def test_make_ps_test_properties():
     rng = np.random.default_rng(12)
     st = ChainState(rng.normal(size=31), rng.normal(size=31))
     assert h1(st) == pytest.approx(cubic_energy(st), rel=1e-14)
-    assert f0(st) == phi0(st, build_phi1_table(prof_om, 31))
+    assert f0(st) == phi0(st, mode_weights(prof_om, 31)[1])
     assert f1(st) == phi1(st, build_phi1_table(prof_om, 31))
     with pytest.raises(ValueError):
         ps_observable("Phi2", prof_om, 31)

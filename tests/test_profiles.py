@@ -226,7 +226,7 @@ def test_eval_h1_warns_on_zero_denominator_with_nonzero_numerator():
         with np.errstate(divide="ignore"):
             return 1.0 / x
 
-    prof = NuProfile("inverse", {}, c0=np.inf, c2=np.inf, _g=g)
+    prof = NuProfile("inverse", c0=np.inf, c2=np.inf, _g=g)
     with np.errstate(invalid="ignore"), \
             pytest.warns(RuntimeWarning, match="zero denominator with nonzero numerator"):
         eval_h1(prof, 8)

@@ -7,7 +7,7 @@ from fpu_packets.chain import ChainParams, bond_extensions, evolve_batch
 from fpu_packets.experiments import (_chebyshev_cell, _lemma3_cell, _multipacket_cell,
                                      _steps, validate_config)
 from fpu_packets.gibbs import GibbsSampler, sample_momenta
-from fpu_packets.packet import _corrector_pass, build_phi1_table, phi0, phi_dot
+from fpu_packets.packet import _corrector_pass, build_phi1_table, mode_weights, phi0, phi_dot
 from fpu_packets.profiles import DEFAULT_PROFILE_SPEC, make_profile
 from fpu_packets.spectral import actions, sine_transform, to_modes
 from fpu_packets.stats import (autocorrelation, estimate_from_samples, fit_power_law,
@@ -46,9 +46,9 @@ def test_mc_estimate_gaussian_mode_momentum():
 def test_variance_of_phi0_matches_harmonic_oracle():
     # for nu = omega: Var(Phi0) -> N / beta^2 in the near-harmonic regime
     N, beta = 127, 200.0
-    pk = build_phi1_table(make_profile(OMEGA_PROFILE), N)
+    nu_k = mode_weights(make_profile(OMEGA_PROFILE), N)[1]
     states = gibbs_states(N, beta, 2500, seed=1)
-    est = estimate_from_samples(phi0(states, pk))
+    est = estimate_from_samples(phi0(states, nu_k))
     assert est.variance == pytest.approx(N / beta**2, rel=0.10)
 
 
@@ -62,9 +62,9 @@ def test_estimator_consistency_sqrt_n():
 
 def test_autocorrelation_t0_equals_sigma2():
     N = 31
-    pk = build_phi1_table(make_profile(DEFAULT_PROFILE_SPEC), N)
+    nu_k = mode_weights(make_profile(DEFAULT_PROFILE_SPEC), N)[1]
     states = gibbs_states(N, 100.0, 40, seed=3)
-    curve = measured_curve(lambda s: phi0(s, pk), states, ChainParams(N=N), 0.02,
+    curve = measured_curve(lambda s: phi0(s, nu_k), states, ChainParams(N=N), 0.02,
                            [0.0, 1.0, 2.0])
     assert curve.values[0] == curve.sigma2
     assert curve.normalized[0] == 1.0
@@ -115,9 +115,9 @@ def test_autocorrelation_grid_after_zero():
 
 def test_half_life_jackknife_on_measured_curve():
     N = 31
-    pk = build_phi1_table(make_profile({"kind": "bump", "center": 0.5, "width": 0.2}), N)
+    nu_k = mode_weights(make_profile({"kind": "bump", "center": 0.5, "width": 0.2}), N)[1]
     states = gibbs_states(N, 25.0, 60, seed=5)
-    curve = measured_curve(lambda s: phi0(s, pk), states, ChainParams(N=N, beta=25.0),
+    curve = measured_curve(lambda s: phi0(s, nu_k), states, ChainParams(N=N, beta=25.0),
                            0.02, np.linspace(0.0, 120.0, 13))
     th, se = half_life_jackknife(curve)
     if th is not None and se is not None:

@@ -58,6 +58,8 @@ def test_traced_run_counts_steps_and_keeps_the_csv(tmp_path):
     code, counters = _traced_run(tmp_path, body)
     assert code == 0
     assert counters["chain.particle_steps"] == 4 * 7 * 50   # B * N * max step
+    # Phi0 reads only the packet weights: no corrector table, so no triples
+    assert counters.get("packet.triples", 0) == 0
 
 
 def test_traced_ratio_run_transforms_each_state_once(tmp_path):
