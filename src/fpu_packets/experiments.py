@@ -475,7 +475,10 @@ def _lemma3_cell(cfg, seed, kind, N, beta):
            "variance": est.variance, "variance_stderr": est.stderr_variance,
            "plus_norm": plus_norm, "normalized": est.variance * scale,
            "normalized_stderr": est.stderr_variance * scale}
-    return [row], sampler.diagnostics()
+    diag = sampler.diagnostics()
+    if kind == "Phi1":
+        diag["min_denominator"] = observable.keywords["packet"].min_denominator
+    return [row], diag
 
 
 def _lemma3_joint(cfg):

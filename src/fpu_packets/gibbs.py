@@ -202,12 +202,15 @@ def solve_theta(beta: float, A: float, potential: Callable | None = None,
         return _quad_moments(beta, g, V, n_max=2)[1][1]
 
     lo, hi = bracket
-    m_lo, m_hi = mean_at(lo), mean_at(hi)
+    ends = {lo: mean_at(lo), hi: mean_at(hi)}
+    m_lo, m_hi = ends[lo], ends[hi]
     if not (m_lo > 0 > m_hi):
         raise ThetaSolveError(
             f"cannot bracket theta in [{lo:g}, {hi:g}]: "
             f"mean({lo:g}) = {m_lo:.3e}, mean({hi:g}) = {m_hi:.3e}")
-    theta = _brentq(mean_at, lo, hi, xtol=1e-14, rtol=8.9e-16)
+    # Brent starts from the two ends: hand it the means just computed
+    theta = _brentq(lambda g: ends[g] if g in ends else mean_at(g), lo, hi,
+                    xtol=1e-14, rtol=8.9e-16)
     q, mom = _quad_moments(beta, theta, V, n_max=2)
     sigma = math.sqrt(mom[2] - mom[1] ** 2)
     for _ in range(4):

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -52,7 +53,10 @@ class PacketObservable:
     k1 + k2 > N.  Pattern -tau has the monomial conj(Xi^3) and coefficient
     -coeffs[t, m] (tau -> -tau flips tau.nu, tau.omega and tau1*tau2*tau3), so
     Phi1 = Re[(i / sqrt(N+1)) * sum_{t,m} coeffs[t,m] * (Xi^3 - conj(Xi^3))].
-    Immutable after construction and safe to share across workers.
+    The table is immutable after construction.  Its first corrector pass
+    also attaches work buffers (a few T-sized arrays, T = n_triples) that
+    every later pass on the table reuses and that are freed with it; so a
+    table serves one process and one thread at a time.
     """
 
     N: int
@@ -68,6 +72,10 @@ class PacketObservable:
     @property
     def n_triples(self) -> int:
         return self.k1.size
+
+    @cached_property
+    def _scratch(self) -> _CorrectorScratch:
+        return _CorrectorScratch(self)
 
 
 def mode_weights(profile: NuProfile, N: int) -> tuple[np.ndarray, ...]:
@@ -99,9 +107,12 @@ def build_phi1_table(profile: NuProfile, N: int,
     s = k1g + k2g
     sum_mask, wrap_mask = s <= N, s >= N + 2
 
-    k1 = np.concatenate([k1g[sum_mask], k1g[wrap_mask]])
-    k2 = np.concatenate([k2g[sum_mask], k2g[wrap_mask]])
-    k3 = np.concatenate([s[sum_mask], 2 * (N + 1) - s[wrap_mask]])
+    # k1, k2, k3 are read-only rows of one writeable block, which the
+    # corrector's gathers read: np.take copies a read-only index array
+    k1, k2, k3 = np.empty((3, N * N - N), dtype=ka.dtype)
+    np.concatenate([k1g[sum_mask], k1g[wrap_mask]], out=k1)
+    np.concatenate([k2g[sum_mask], k2g[wrap_mask]], out=k2)
+    np.concatenate([s[sum_mask], 2 * (N + 1) - s[wrap_mask]], out=k3)
 
     om3 = np.stack([omega[k1 - 1], omega[k2 - 1], omega[k3 - 1]], axis=1)
     nu3 = np.stack([nu_k[k1 - 1], nu_k[k2 - 1], nu_k[k3 - 1]], axis=1)
@@ -111,7 +122,13 @@ def build_phi1_table(profile: NuProfile, N: int,
     if min_den < 1e-300:
         raise PacketError(f"denominator underflow: min |tau.omega| = {min_den:g}")
     signed_w = np.where(k1 + k2 > N, _WRAP_SIGN, 3.0)
-    coeffs = _CUBIC_PREFACTOR * (num / den) * signed_w[:, None] * _TAU_PROD[None, :]
+    # column-major, since the corrector pass reads one pattern's column at a
+    # time; built in place, which keeps the build's peak memory down
+    coeffs = np.empty(den.shape, order="F")
+    np.divide(num, den, out=coeffs)
+    coeffs *= _CUBIC_PREFACTOR
+    coeffs *= signed_w[:, None]
+    coeffs *= _TAU_PROD[None, :]
     for a in (nu_k, g_k, omega, k1, k2, k3, coeffs):
         a.setflags(write=False)
     return PacketObservable(N=N, nu_k=nu_k, g_k=g_k, omega=omega, k1=k1, k2=k2, k3=k3,
@@ -133,10 +150,53 @@ def phi0(state: ChainState, nu_k: np.ndarray) -> float | np.ndarray:
     return float(val) if val.ndim == 0 else val
 
 
-def _binned(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
-    """sum of vals over equal idx, as a length-n vector."""
-    return (np.bincount(idx, weights=vals.real, minlength=n)
-            + 1j * np.bincount(idx, weights=vals.imag, minlength=n))
+class _CorrectorScratch:
+    """Work buffers of the corrector pass, sized for one table and reused by
+    every pass on it, so a pass allocates no array of the triple count T.
+
+    Six complex T-buffers hold the three leg gathers, Phi1's product, one
+    leg product and the current coefficient column.  The gradient's
+    scatter writes each leg product into a C-contiguous (rows, N) layout
+    whose column b holds bin b's entries at its bottom, in triple order,
+    under zero rows; an axis-0 add then sums every bin from +0.0 in triple
+    order, which is `np.bincount`'s order.  Legs 1 and 2 have N - 1 entries
+    in every bin and share one (N, N) layout; leg 3 has 2(k3 - 1) entries in
+    bin k3 and uses a (2N - 1, N) one.  Only the entry positions are ever
+    written, so the zero rows stay zero.
+    """
+
+    def __init__(self, packet: PacketObservable):
+        n, t = packet.N, packet.n_triples
+        # the writeable block under the table's read-only k1, k2, k3
+        self.k = packet.k1.base
+        # positions first, so their temporaries are freed before the buffers exist
+        self.pos1, self.pos2, self.pos3 = (
+            _scatter_positions(k, rows, n)
+            for k, rows in ((packet.k1, n), (packet.k2, n), (packet.k3, 2 * n - 1)))
+        # xi at 1..N, so the leg gathers index by k with no k - 1
+        self.xi = np.zeros(n + 1, dtype=complex)
+        self.x1, self.x2, self.x3, self.prod, self.leg, self.coeff = (
+            np.empty(t, dtype=complex) for _ in range(6))
+        self.square = np.zeros((n, n), dtype=complex)
+        self.tall = np.zeros((2 * n - 1, n), dtype=complex)
+
+    def scatter_sum(self, layout: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """The leg buffer summed over equal bins, as a length-N vector."""
+        layout.reshape(-1)[pos] = self.leg
+        return np.add.reduce(layout, axis=0)
+
+
+def _scatter_positions(k: np.ndarray, rows: int, n: int) -> np.ndarray:
+    """Flat (rows, n) positions putting the entries of mode k[t] at the
+    bottom of column k[t] - 1, in the order of t."""
+    counts = np.bincount(k, minlength=n + 1)
+    order = np.argsort(k, kind="stable")
+    sorted_k = k[order]
+    # the sorted entries of mode k fill rows rows - counts[k] .. rows - 1
+    row = np.arange(k.size) + (rows - np.cumsum(counts))[sorted_k]
+    pos = np.empty_like(k)
+    pos[order] = row * n + sorted_k - 1
+    return pos
 
 
 def _corrector_pass(state: ChainState, packet: PacketObservable, gradient: bool):
@@ -156,26 +216,39 @@ def _corrector_pass(state: ChainState, packet: PacketObservable, gradient: bool)
         raise ValueError(f"state has N = {state.n}, packet built for N = {packet.N}")
     ms = spectral.to_modes(state)
     n = packet.N
-    i1, i2, i3 = packet.k1 - 1, packet.k2 - 1, packet.k3 - 1
-    xi = spectral.to_complex(ms)      # eta is its conjugate
-    x1, x2, x3 = xi[i1], xi[i2], xi[i3]
-    y2, y3 = np.conj(x2), np.conj(x3)
-    terms = []
+    sc = packet._scratch
+    x1, x2, x3, prod, leg, c = sc.x1, sc.x2, sc.x3, sc.prod, sc.leg, sc.coeff
+    sc.xi[1:] = spectral.to_complex(ms)      # eta is its conjugate
+    # mode="clip" writes straight into out; "raise" would buffer a copy
+    for k, x in zip(sc.k, (x1, x2, x3)):
+        np.take(sc.xi, k, out=x, mode="clip")
+    terms = [0j] * 4
     # per stored pattern and leg: (row of d it lands on, vector); row 0 is
     # d/d_xi, row 1 d/d_eta
-    adds = []
-    for m in range(4):
+    adds = [()] * 4
+    # x2 and x3 hold the legs of pattern m's signs: the patterns run in the
+    # order 0, 1, 3, 2, so one exact in-place conjugation moves to the next
+    for m, flip in ((0, None), (1, x3), (3, x2), (2, x3)):
+        if flip is not None:
+            np.conjugate(flip, out=flip)
         _, t2, t3 = TAU_PATTERNS[m]
-        f2 = x2 if t2 > 0 else y2
-        f3 = x3 if t3 > 0 else y3
-        c = packet.coeffs[:, m]
-        # the 8-pattern loop's operands, one dot per pattern: another layout
-        # (a complex copy, a batched matrix) may sum in another order
-        terms.append(c @ (x1 * f2 * f3))
+        # the complex operand that `float column @ complex` casts to; the
+        # 8-pattern loop's operands, one dot per pattern: another layout (a
+        # batched matrix) may sum in another order
+        np.copyto(c, packet.coeffs[:, m])
+        np.multiply(x1, x2, out=prod)
+        prod *= x3
+        terms[m] = c @ prod
         if gradient:
-            adds.append(((0, _binned(i1, c * f2 * f3, n)),
-                         (int(t2 < 0), _binned(i2, c * x1 * f3, n)),
-                         (int(t3 < 0), _binned(i3, c * x1 * f2, n))))
+            np.multiply(c, x2, out=leg)
+            leg *= x3
+            v1 = sc.scatter_sum(sc.square, sc.pos1)
+            np.multiply(c, x1, out=prod)
+            np.multiply(prod, x3, out=leg)
+            v2 = sc.scatter_sum(sc.square, sc.pos2)
+            np.multiply(prod, x2, out=leg)
+            v3 = sc.scatter_sum(sc.tall, sc.pos3)
+            adds[m] = ((0, v1), (int(t2 < 0), v2), (int(t3 < 0), v3))
     total = 0.0j
     for term in terms + [-np.conj(t) for t in reversed(terms)]:
         total += term
@@ -246,6 +319,8 @@ def ps_observable(kind: str, profile: NuProfile, N: int
 
     s is the monomial degree, plus_norm the max modulus of the coefficient
     function over the momentum-conserving index set.  H1 ignores the profile.
+    The Phi1 observable is `functools.partial(phi1, packet=table)`, so its
+    corrector table is `observable.keywords["packet"]`.
     """
     if kind == "H1":
         return cubic_energy, 3, 0.25
@@ -254,5 +329,5 @@ def ps_observable(kind: str, profile: NuProfile, N: int
         return lambda state: phi0(state, nu_k), 2, float(np.abs(g_k).max())
     if kind == "Phi1":
         packet = build_phi1_table(profile, N)
-        return lambda state: phi1(state, packet), 3, float(np.abs(packet.coeffs).max())
+        return partial(phi1, packet=packet), 3, float(np.abs(packet.coeffs).max())
     raise ValueError(f"unknown test-function kind {kind!r}")

@@ -334,6 +334,23 @@ def test_ratio_cell_reruns_from_its_metadata(tmp_path):
         assert rerun == diag
 
 
+def test_lemma3_phi1_cells_record_their_smallest_denominator(tmp_path):
+    body = dict(GOLDEN_CONFIGS["lemma3-scan"], experiment="lemma3-scan", seed=7)
+    cfg = validate_config(json.dumps(body))
+    run(cfg, tmp_path)
+    diags = json.loads((tmp_path / "lemma3-scan_metadata.json").read_text())["diagnostics"]
+    assert "Phi1" in cfg.kinds
+    for kind in cfg.kinds:
+        for N in cfg.N_list:
+            denominator = build_phi1_table(make_profile(cfg.profile), N).min_denominator
+            for beta in cfg.beta_list:
+                diag = diags[f"kind={kind},N={N},beta={beta:g}"]
+                if kind == "Phi1":
+                    assert diag["min_denominator"] == denominator
+                else:
+                    assert "min_denominator" not in diag
+
+
 def test_sampler_validation_metadata_has_one_sampler_diag_per_check(tmp_path):
     body = dict(GOLDEN_CONFIGS["sampler-validation"], experiment="sampler-validation", seed=7)
     run(validate_config(json.dumps(body)), tmp_path)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,6 +251,55 @@ def test_phi1_and_gradient_bit_identical_to_8_patterns(spec, N):
     states += [ChainState(rng.normal(size=N), rng.normal(size=N)) for _ in range(3)]
     states.append(ChainState(np.zeros(N), np.zeros(N)))
     _assert_matches_reference(pk, states)
+
+
+def _assert_same_pass(got, want):
+    assert got[:2] == want[:2]
+    if want[2] is None:
+        assert got[2:] == (None, None)
+        return
+    for a, b in zip(got[2] + got[3], want[2] + want[3]):
+        assert np.array_equal(a, b)
+
+
+def test_corrector_scratch_carries_no_state():
+    # a table's work buffers are reused by every pass on it: interleaved
+    # states, gradient or not, another table alive at another N and a Phi1
+    # observable must each give a fresh table's bits, and a returned result
+    # must not change under later passes
+    prof = make_profile(DEFAULT_PROFILE_SPEC)
+    rng = np.random.default_rng(3)
+    tables = {N: build_phi1_table(prof, N) for N in (31, 15)}
+    a, b = (ChainState(rng.normal(size=31), rng.normal(size=31)) for _ in range(2))
+    c = ChainState(rng.normal(size=15), rng.normal(size=15))
+    observable = ps_observable("Phi1", prof, 31)[0]
+    calls = [(a, True), (b, True), (c, True), (a, False), (a, True), (c, False),
+             (b, False), (a, True)]
+    results = []
+    for state, gradient in calls:
+        results.append(_corrector_pass(state, tables[state.n], gradient))
+        other = b if state is a else a
+        assert observable(other) == phi1(other, build_phi1_table(prof, 31))
+    for (state, gradient), got in zip(calls, results):
+        _assert_same_pass(got, _corrector_pass(state, build_phi1_table(prof, state.n),
+                                               gradient))
+
+
+def test_phi_dot_allocates_no_triple_sized_array():
+    # after a warm-up pass on the table, one phi_dot allocates less than one
+    # complex array of the T = N^2 - N triples: its scratch lives with the table
+    N = 127
+    pk = build_phi1_table(make_profile(DEFAULT_PROFILE_SPEC), N)
+    params = ChainParams(N=N, beta=100.0)
+    state = random_gibbs_states(N, 100.0, 1, seed=1)[0]
+    phi_dot(state, pk, params)
+    tracemalloc.start()
+    try:
+        phi_dot(state, pk, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * pk.n_triples
 
 
 _BUMP_SPECS = st.builds(
