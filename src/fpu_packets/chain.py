@@ -2,10 +2,17 @@
 
 The Hamiltonian splits as H = H0 + H1 + H2 with quadratic, cubic and quartic
 bond terms.  Sites are numbered 1..N; the boundary values p0 = p_{N+1} =
-q0 = q_{N+1} = 0 are implicit and never stored, so there are N + 1 bonds
+q0 = q_{N+1} = 0 are not part of a ChainState, so there are N + 1 bonds
 r_j = q_{j+1} - q_j, j = 0..N.  The flow is realized by a Stoermer-Verlet
 (leapfrog) integrator: symplectic and time reversible, which is what makes
 statements over times of order beta meaningful at dt = 0.02.
+
+The integrator keeps a (B, N) ensemble in flat padded buffers: the rows of q
+one after another, with one zero between two rows that is q_{N+1} of the row
+before it and q_0 of the row after it, and a zero pad slot after each row of
+p.  Bonds and forces of the whole ensemble are then one subtraction each over
+contiguous memory, and the forces are set to 0 in the pad slots, so the pads
+stay exactly 0.
 """
 
 from __future__ import annotations
@@ -95,22 +102,30 @@ def cubic_energy(state: ChainState) -> float:
     return float((r**3).sum()) / 3.0
 
 
-def _batch_forces(q: np.ndarray, A: float, harmonic_only: bool,
-                  r: np.ndarray, f: np.ndarray) -> None:
-    """Forces for a (B, N) block of trajectories, written into f; r is scratch."""
-    r[:, 0] = q[:, 0]
-    np.subtract(q[:, 1:], q[:, :-1], out=r[:, 1:-1])
-    # not np.negative(q[:, -1], out=r[:, -1]): numpy 2.4 reads that input as if
-    # contiguous when its stride is 8 elements, i.e. at N = 8
-    r[:, -1] = -q[:, -1]
+def energy(states: ChainState, A: float) -> np.ndarray:
+    """Total energy H = sum_j p_j^2/2 + sum_j V(r_j) of each state of a (B, N)
+    ensemble, shape (B,)."""
+    r = bond_extensions(states.q)
+    return 0.5 * (states.p * states.p).sum(axis=-1) + potential_v(r, A).sum(axis=-1)
+
+
+def _batch_forces(z: np.ndarray, n: int, A: float, harmonic_only: bool,
+                  r: np.ndarray, w: np.ndarray, f: np.ndarray) -> None:
+    """Forces on the padded flat displacements z of an ensemble of chains of
+    n sites (see evolve_batch), written into f with 0 in every pad slot; r and
+    w are scratch of f's length."""
+    np.subtract(z[1:], z[:-1], out=r)      # every bond of every row
     if not harmonic_only:
         # V'(r) = r (1 + r (1 + A r)), evaluated in place
-        w = r * A
+        np.multiply(r, A, out=w)
         w += 1.0
         w *= r
         w += 1.0
         r *= w
-    np.subtract(r[:, 1:], r[:, :-1], out=f)
+    np.subtract(r[1:], r[:-1], out=f[:-1])
+    # the pad slots' differences straddle two rows; a fill, not a strided
+    # ufunc: numpy 2.4 misread a strided np.negative input at a stride of 8
+    f[n::n + 1] = 0.0
 
 
 def evolve_batch(states: ChainState, params: ChainParams, dt: float,
@@ -118,21 +133,38 @@ def evolve_batch(states: ChainState, params: ChainParams, dt: float,
     """Leapfrog a (B, N) ensemble in lockstep; one (B, N) snapshot per target
     step index, step 0 being the start.
 
-    All trajectories advance together as (B, N) arrays, which is what makes
-    ensemble autocorrelation runs affordable.  Raises BlowupError (with the
-    offending time) if the state goes non-finite, the fail-fast signal for a
-    too-large dt.
+    The whole ensemble lives in two flat buffers, so every operation of a
+    step is one pass over contiguous memory.  The displacements z have
+    1 + B(N+1) entries: state b's q_1..q_N sit at z[1 + b(N+1):], and the
+    zero between two rows is both q_{N+1} of row b and q_0 of row b+1, so
+    r = z[1:] - z[:-1] holds every bond of every row.  The momenta have
+    B(N+1) entries, with a pad slot after each row.  The forces are 0 in the
+    pad slots, which keeps the pads of both buffers at exactly 0.  The
+    closing half-kick f dt/2 of a step is also the opening half-kick of the
+    next: the same product, computed once.  Snapshots are copies of the
+    (B, N) views.
+
+    Raises BlowupError (with the offending time) if the state goes
+    non-finite, the fail-fast signal for a too-large dt.
     """
     targets = [int(s) for s in step_targets]
     if any(b < a for a, b in zip(targets, targets[1:])) or (targets and targets[0] < 0):
         raise ValueError("step_targets must be ascending and non-negative")
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    p = states.p.copy()
-    q = states.q.copy()
-    r = np.empty((len(states), states.n + 1))     # a single (N,) state has no len()
-    f = np.empty_like(p)
-    buf = np.empty_like(p)
+    B, N = len(states), states.n          # a single (N,) state has no len()
+    z = np.zeros(1 + B * (N + 1))
+    pf = np.zeros(B * (N + 1))
+    zq = z[1:]
+    q = zq.reshape(B, N + 1)[:, :N]
+    p = pf.reshape(B, N + 1)[:, :N]
+    q[...] = states.q
+    p[...] = states.p
+    r = np.empty_like(pf)
+    w = np.empty_like(pf)
+    f = np.empty_like(pf)
+    kick = np.empty_like(pf)
+    buf = np.empty_like(pf)
     out = []
 
     def snapshot():
@@ -146,18 +178,18 @@ def evolve_batch(states: ChainState, params: ChainParams, dt: float,
     A = params.A
     half = 0.5 * dt
     with np.errstate(over="ignore", invalid="ignore"):
-        _batch_forces(q, A, harmonic_only, r, f)
+        _batch_forces(z, N, A, harmonic_only, r, w, f)
+        np.multiply(f, half, out=kick)
         step = 0
         while nxt is not None:
             step += 1
-            np.multiply(f, half, out=buf)
-            p += buf
-            np.multiply(p, dt, out=buf)
-            q += buf
-            _batch_forces(q, A, harmonic_only, r, f)
-            np.multiply(f, half, out=buf)
-            p += buf
-            if not np.isfinite(np.dot(p.ravel(), p.ravel()) + np.dot(q.ravel(), q.ravel())):
+            pf += kick
+            np.multiply(pf, dt, out=buf)
+            zq += buf
+            _batch_forces(z, N, A, harmonic_only, r, w, f)
+            np.multiply(f, half, out=kick)
+            pf += kick
+            if not np.isfinite(np.dot(pf, pf) + np.dot(z, z)):
                 raise BlowupError(step * dt)
             while nxt == step:
                 snapshot()

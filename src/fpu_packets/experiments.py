@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import subprocess
@@ -37,10 +38,11 @@ import numpy as np
 from . import packet as packet_mod
 from . import profiles as profiles_mod
 from . import stats as stats_mod
-from .chain import DEFAULT_DT, BlowupError, ChainParams, evolve_batch
+from .chain import DEFAULT_DT, BlowupError, ChainParams, ChainState, energy, evolve_batch
 from .gibbs import (GibbsSampler, ThetaSolveError, slab_rejection_bonds, stream_record,
                     tilted_density)
-from .packet import PacketError, build_phi1_table, homological_residual, ps_observable
+from .packet import (PacketError, PacketObservable, build_phi1_table, homological_residual,
+                     ps_observable)
 from .profiles import DEFAULT_PROFILE_SPEC, eval_h1, make_profile
 
 THRESHOLDS = {
@@ -295,10 +297,31 @@ def _grid(cell, cfg: ExperimentConfig, threads: int, axes=None) -> tuple[list, d
             {_point_key(axes, point): diag for point, (_, diag) in zip(points, cells)})
 
 
+@functools.lru_cache(maxsize=1)
+def _cached_table(profile_json: str, N: int) -> PacketObservable:
+    """The corrector table of a profile (as sorted-key JSON) at N, kept until a
+    cell of this process asks for another.  Grid cells run N-major (and
+    kind-major in lemma3-scan), so a process builds one table per N.  A table
+    is immutable, and its work buffers carry no state from one pass to the
+    next, so sharing it changes no byte."""
+    return build_phi1_table(make_profile(json.loads(profile_json)), N)
+
+
+def _phi1_table(cfg, N: int) -> PacketObservable:
+    return _cached_table(json.dumps(cfg.profile, sort_keys=True), N)
+
+
+def _energy_rel_err(start: ChainState, snaps, A: float) -> float:
+    """max over trajectories and snapshots of |H(t) - H(0)| / |H(0)|: the
+    integrator's energy error on an evolved ensemble."""
+    h0 = energy(start, A)
+    return max(float((np.abs(energy(snap, A) - h0) / np.abs(h0)).max()) for snap in snaps)
+
+
 # ---------------------------------------------------------------- homological
 
 def _homological_cell(cfg, seed, N, beta):
-    pk = build_phi1_table(make_profile(cfg.profile), N)
+    pk = _phi1_table(cfg, N)
     sampler = GibbsSampler(ChainParams(N=N, A=cfg.A, beta=beta), seed)
     res = np.array([homological_residual(sampler.sample(), pk)
                     for _ in range(cfg.n_samples)])
@@ -328,7 +351,7 @@ def _ratio_cell(cfg, seed, N, beta):
     O(1/beta) ratio is not buried under finite-difference noise.  The
     sigma_Phi1/sigma_Phi0 ratio is measured on the same samples.
     """
-    pk = build_phi1_table(make_profile(cfg.profile), N)
+    pk = _phi1_table(cfg, N)
     params = ChainParams(N=N, A=cfg.A, beta=beta)
     sampler = GibbsSampler(params, seed)
     n = cfg.n_samples
@@ -350,20 +373,29 @@ def _ratio_cell(cfg, seed, N, beta):
     return [row], {**sampler.diagnostics(), "min_denominator": pk.min_denominator}
 
 
+def _ratio_joint(cfg):
+    profile = make_profile(cfg.profile)
+    for N in cfg.N_list:
+        if not packet_mod.mode_weights(profile, N)[0].any():
+            raise ConfigError(f"field 'profile': g vanishes at every mode of N={N}, so Phi, "
+                              f"its spread and its drift are 0 and the ratios are vacuous")
+
+
 def _run_ratio(cfg: ExperimentConfig, threads: int):
     rows, diags = _grid(_ratio_cell, cfg, threads)
     checks = []
-    lo, hi = THRESHOLDS["ratio_slope"]
-    lo2, hi2 = THRESHOLDS["phi1_phi0_slope"]
+    slopes = (("ratio slope", "ratio", THRESHOLDS["ratio_slope"]),
+              ("sigma_phi1/sigma_phi0 slope", "ratio_phi1_phi0", THRESHOLDS["phi1_phi0_slope"]))
     for N in cfg.N_list:
         sub = [r for r in rows if r["N"] == N]
         betas = [r["beta"] for r in sub]
-        s, se = stats_mod.fit_power_law(betas, [r["ratio"] for r in sub])
-        checks.append((f"ratio slope N={N}: {s:.3f}+-{se:.3f} in [{lo}, {hi}]",
-                       lo <= s <= hi))
-        s2, se2 = stats_mod.fit_power_law(betas, [r["ratio_phi1_phi0"] for r in sub])
-        checks.append((f"sigma_phi1/sigma_phi0 slope N={N}: {s2:.3f}+-{se2:.3f} "
-                       f"in [{lo2}, {hi2}]", lo2 <= s2 <= hi2))
+        for name, column, (lo, hi) in slopes:
+            try:
+                s, se = stats_mod.fit_power_law(betas, [r[column] for r in sub])
+            except ValueError as exc:     # a zero or non-finite ratio has no slope
+                checks.append((f"{name} N={N}: not fitted, {exc}", False))
+                continue
+            checks.append((f"{name} N={N}: {s:.3f}+-{se:.3f} in [{lo}, {hi}]", lo <= s <= hi))
     return rows, checks, diags
 
 
@@ -388,7 +420,9 @@ def _autocorr_cell(cfg, seed, N, beta):
              "corr_normalized_stderr": float(vs), "sigma2": curve.sigma2}
             for t, c, se, v, vs in zip(curve.times, curve.values, curve.stderrs,
                                        curve.normalized, curve.normalized_stderrs)]
-    return rows, {"t_half": t_half, "t_half_stderr": t_half_se, **sampler.diagnostics()}
+    return rows, {"t_half": t_half, "t_half_stderr": t_half_se,
+                  "energy_rel_err": _energy_rel_err(states, snaps, cfg.A),
+                  **sampler.diagnostics()}
 
 
 def _autocorr_times(cfg, beta) -> np.ndarray:
@@ -466,7 +500,8 @@ def _run_autocorr(cfg: ExperimentConfig, threads: int):
 def _lemma3_cell(cfg, seed, kind, N, beta):
     """Normalized variance sigma^2_f beta^s / (N |f|+^2) of one observable at
     one (N, beta); the variance bound asserts it stays below one constant."""
-    observable, s, plus_norm = ps_observable(kind, make_profile(cfg.profile), N)
+    table = _phi1_table(cfg, N) if kind == "Phi1" else None
+    observable, s, plus_norm = ps_observable(kind, make_profile(cfg.profile), N, table)
     sampler = GibbsSampler(ChainParams(N=N, A=cfg.A, beta=beta), seed.spawn(1)[0])
     vals = np.array([observable(sampler.sample()) for _ in range(cfg.n_samples)])
     est = stats_mod.estimate_from_samples(vals)
@@ -476,8 +511,8 @@ def _lemma3_cell(cfg, seed, kind, N, beta):
            "plus_norm": plus_norm, "normalized": est.variance * scale,
            "normalized_stderr": est.stderr_variance * scale}
     diag = sampler.diagnostics()
-    if kind == "Phi1":
-        diag["min_denominator"] = observable.keywords["packet"].min_denominator
+    if table is not None:
+        diag["min_denominator"] = table.min_denominator
     return [row], diag
 
 
@@ -531,7 +566,8 @@ def _chebyshev_cell(cfg, seed, N, beta):
            "chebyshev_bound": inc_est.variance / thr**2,
            "bound_stderr": inc_est.stderr_variance / thr**2,
            "increment_variance": inc_est.variance, "sigma_phi0": sigma0}
-    return [row], sampler.diagnostics()
+    return [row], {"energy_rel_err": _energy_rel_err(states, [end], cfg.A),
+                   **sampler.diagnostics()}
 
 
 def _run_chebyshev(cfg: ExperimentConfig, threads: int):
@@ -601,7 +637,8 @@ def _multipacket_cell(cfg, seed, N, beta):
              "sum_individual": float(rates.sum()), "corr_quarter_beta": corr}
             for l, (rate, rate_stderr, corr) in enumerate(zip(
                 rates.tolist(), rate_se.tolist(), corr_norm.tolist()))]
-    return rows, sampler.diagnostics()
+    return rows, {"energy_rel_err": _energy_rel_err(states, snaps, cfg.A),
+                  **sampler.diagnostics()}
 
 
 def _run_multipacket(cfg: ExperimentConfig, threads: int):
@@ -786,7 +823,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
          "n_samples": Key(4000, _COUNT), "profile": Key(RATIO_PROFILE_SPEC, _admissible)},
         ("N", "beta", "n_samples", "phidot_norm", "phidot_stderr", "sigma_phi",
          "sigma_phi_stderr", "ratio", "sigma_phi0", "sigma_phi1", "ratio_phi1_phi0"),
-        _run_ratio),
+        _run_ratio, _ratio_joint),
     "autocorrelation": ExperimentSpec(
         "packet-energy autocorrelation persistence and half-life scaling",
         {"N_list": Key([127], _N_LIST), "beta_list": Key([50.0, 100.0, 200.0], _BETAS),

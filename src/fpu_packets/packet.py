@@ -313,14 +313,16 @@ def homological_residual(state: ChainState, packet: PacketObservable) -> float:
     return abs(b1 + b2) / (1.0 + abs(b2))
 
 
-def ps_observable(kind: str, profile: NuProfile, N: int
+def ps_observable(kind: str, profile: NuProfile, N: int,
+                  table: PacketObservable | None = None
                   ) -> tuple[Callable[[ChainState], float], int, float]:
     """(observable, s, plus_norm) for H1, Phi0 or Phi1 at chain size N.
 
     s is the monomial degree, plus_norm the max modulus of the coefficient
     function over the momentum-conserving index set.  H1 ignores the profile.
     The Phi1 observable is `functools.partial(phi1, packet=table)`, so its
-    corrector table is `observable.keywords["packet"]`.
+    corrector table is `observable.keywords["packet"]`; it is `table` when
+    one is given (the caller's table of this profile at N), else built here.
     """
     if kind == "H1":
         return cubic_energy, 3, 0.25
@@ -328,6 +330,8 @@ def ps_observable(kind: str, profile: NuProfile, N: int
         g_k, nu_k, _ = mode_weights(profile, N)
         return lambda state: phi0(state, nu_k), 2, float(np.abs(g_k).max())
     if kind == "Phi1":
-        packet = build_phi1_table(profile, N)
+        packet = build_phi1_table(profile, N) if table is None else table
+        if packet.N != N:
+            raise ValueError(f"table is for N={packet.N}, not N={N}")
         return partial(phi1, packet=packet), 3, float(np.abs(packet.coeffs).max())
     raise ValueError(f"unknown test-function kind {kind!r}")

@@ -182,6 +182,8 @@ def fit_power_law(x_list, y_list) -> tuple[float, float]:
     y = np.asarray(y_list, dtype=float)
     if x.size < 3:
         raise ValueError("need at least 3 points")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("power-law fit needs finite data")
     if (x <= 0).any() or (y <= 0).any():
         raise ValueError("power-law fit needs positive data")
     lx = np.log(x)

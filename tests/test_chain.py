@@ -14,24 +14,29 @@ from fpu_packets.spectral import frequencies, sine_transform
 
 
 def forces(q, A):
-    """-dH/dq from the shipped leapfrog's force kernel, on a (1, N) block."""
-    q = np.asarray(q, dtype=float)[None, :]
-    f = np.empty_like(q)
-    chain._batch_forces(q, A, False, np.empty((1, q.shape[1] + 1)), f)
-    return f[0]
+    """-dH/dq from the shipped leapfrog's force kernel, on a one-state padded
+    flat buffer: the fixed ends are the zeros around q."""
+    q = np.asarray(q, dtype=float)
+    n = q.size
+    z = np.concatenate([[0.0], q, [0.0]])
+    r, w, f = np.empty((3, n + 1))
+    chain._batch_forces(z, n, A, False, r, w, f)
+    assert f[n] == 0.0      # the pad slot
+    return f[:n]
 
 
-def step_verlet(state, params, dt):
-    """One leapfrog step (half kick, drift, half kick), written plainly: the
-    reference that chain.evolve_batch must reproduce bit for bit."""
+def leapfrog_step(p, q, A, dt, harmonic_only=False):
+    """One leapfrog step (half kick, drift, half kick) on plain arrays, written
+    plainly: the reference that chain.evolve_batch must reproduce bit for bit."""
     def force(q):
-        # F_j = V'(r_j) - V'(r_{j-1})
-        return np.diff(potential_dv(bond_extensions(q), params.A))
+        # F_j = V'(r_j) - V'(r_{j-1}), with V'(r) = r on the harmonic chain
+        r = bond_extensions(q)
+        return np.diff(r if harmonic_only else potential_dv(r, A))
 
     half = 0.5 * dt
-    p_half = state.p + half * force(state.q)
-    q_new = state.q + dt * p_half
-    return ChainState(p_half + half * force(q_new), q_new)
+    p_half = p + half * force(q)
+    q_new = q + dt * p_half
+    return p_half + half * force(q_new), q_new
 
 
 def test_potential_values():
@@ -90,6 +95,21 @@ def test_energies_examples():
     assert (h0, h2) == (1.0, 0.5)
     assert h1 == pytest.approx(0.0, abs=1e-15)
     assert energies(ChainState(zero, zero), params) == (0.0, 0.0, 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.integers(3, 64), B=st.integers(1, 6), A=st.floats(0.1, 2.0),
+       scale=st.floats(0.01, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_energy_matches_the_oracle_state_by_state(N, B, A, scale, seed):
+    rng = np.random.default_rng(seed)
+    ens = ChainState(rng.normal(scale=scale, size=(B, N)), rng.normal(scale=scale, size=(B, N)))
+    params = ChainParams(N=N, A=A)
+    h = chain.energy(ens, A)
+    assert h.shape == (B,) and h.dtype == np.float64
+    for b in range(B):
+        h0, h1, h2 = energies(ens[b], params)
+        assert h[b] == pytest.approx(total_energy(ens[b], params),
+                                     rel=1e-12, abs=1e-14 * (abs(h0) + abs(h1) + abs(h2)))
 
 
 def test_forces_unit_displacement_example():
@@ -214,17 +234,56 @@ def test_blowup_detection():
     assert exc.value.time > 0
 
 
-def test_evolve_batch_matches_stepper():
-    rng = np.random.default_rng(5)
-    params = ChainParams(N=11)
-    states = ChainState(0.1 * rng.normal(size=(4, 11)), 0.1 * rng.normal(size=(4, 11)))
-    batch = chain.evolve_batch(states, params, 0.02, [0, 37, 100])
-    for i, st in enumerate(states):
-        cur = st
-        reached = {0: st}
-        for step in range(1, 101):
-            cur = step_verlet(cur, params, 0.02)
-            reached[step] = cur
-        for m, target in enumerate((0, 37, 100)):
-            assert np.array_equal(batch[m][i].q, reached[target].q)
-            assert np.array_equal(batch[m][i].p, reached[target].p)
+@settings(max_examples=40, deadline=None)
+@given(N=st.integers(3, 64), B=st.integers(1, 8), harmonic_only=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+# at N = 7 the pad slots f[N::N+1] sit 8 elements apart, the stride at which
+# numpy 2.4 misread a strided np.negative input
+@example(N=7, B=4, harmonic_only=False, seed=5)
+@example(N=8, B=4, harmonic_only=False, seed=5)
+@example(N=9, B=4, harmonic_only=True, seed=5)
+@example(N=11, B=4, harmonic_only=False, seed=5)
+def test_evolve_batch_matches_stepper(N, B, harmonic_only, seed):
+    rng = np.random.default_rng(seed)
+    params = ChainParams(N=N)
+    states = ChainState(0.1 * rng.normal(size=(B, N)), 0.1 * rng.normal(size=(B, N)))
+    targets = (0, 37, 100)
+    batch = chain.evolve_batch(states, params, 0.02, targets, harmonic_only)
+    for i, state in enumerate(states):
+        p, q = state.p, state.q
+        reached = [(p, q)]
+        for _ in range(targets[-1]):
+            p, q = leapfrog_step(p, q, params.A, 0.02, harmonic_only)
+            reached.append((p, q))
+        for m, target in enumerate(targets):
+            assert np.array_equal(batch[m][i].p, reached[target][0])
+            assert np.array_equal(batch[m][i].q, reached[target][1])
+
+
+@pytest.mark.parametrize("N, amplitudes, dt", [
+    (15, (30.0, 3.0), 2.0), (15, (3.0, 2.0), 0.5), (8, (1.0, 0.5), 1.5),
+    (9, (2.0, 0.1), 1.2), (7, (0.5, 0.4), 0.9)])
+def test_blowup_time_is_the_stepper_s_first_non_finite_step(N, amplitudes, dt):
+    # evolve_batch tests finiteness on p.p + q.q, so it stops at the first
+    # step at which that sum is non-finite for some row of the plain stepper;
+    # the stepper's state itself is non-finite there or one step later (its
+    # squares overflow before its entries do)
+    params = ChainParams(N=N, beta=1.0)
+    signs = np.where(np.arange(N) % 2, 1.0, -1.0)
+    q = np.array([a * signs for a in amplitudes])
+    first_norm, first_entry = [], []     # per row: first step with p.p + q.q, p or q non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row in q:
+            p, x, norm_seen = np.zeros(N), row, False
+            for step in range(1, 1000):
+                p, x = leapfrog_step(p, x, params.A, dt)
+                if not (norm_seen or np.isfinite(p @ p + x @ x)):
+                    first_norm.append(step)
+                    norm_seen = True
+                if not (np.isfinite(p).all() and np.isfinite(x).all()):
+                    first_entry.append(step)
+                    break
+    with pytest.raises(BlowupError) as exc:
+        chain.evolve_batch(ChainState(np.zeros_like(q), q), params, dt, [10_000])
+    assert exc.value.time == min(first_norm) * dt
+    assert min(first_entry) - min(first_norm) in (0, 1)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
-from fpu_packets import stats
+from fpu_packets import experiments, stats
 from fpu_packets.chain import BlowupError, ChainParams
 from fpu_packets.experiments import (EXPERIMENTS, ConfigError, _ratio_cell, _write_csv,
                                      experiment_schema, main, run, validate_config)
@@ -465,3 +465,76 @@ def test_example_configs_validate():
     for path in sorted((repo_root / "configs").glob("*.json")):
         cfg = validate_config(path.read_text())
         assert cfg.seed is not None
+
+
+def test_ratio_scaling_refuses_a_vanishing_profile(tmp_path):
+    # g = 0 makes Phi, its spread and its drift 0: the slopes would be nan
+    body = dict(GOLDEN_CONFIGS["ratio-scaling"], experiment="ratio-scaling", seed=7,
+                profile={"kind": "constant", "value": 0.0})
+    with pytest.raises(ConfigError, match="field 'profile': g vanishes at every mode of N=15"):
+        validate_config(json.dumps(body))
+    assert _exit_codes(tmp_path, body) == (2, 2)
+
+
+def test_ratio_slope_without_a_fit_is_a_named_fail(tmp_path, monkeypatch):
+    # a zero Phi1 gives sigma_phi1/sigma_phi0 = 0, which fit_power_law refuses
+    phi_dot = experiments.packet_mod.phi_dot
+
+    def without_phi1(state, pk, params):
+        v0, _, drift = phi_dot(state, pk, params)
+        return v0, 0.0, drift
+
+    monkeypatch.setattr(experiments.packet_mod, "phi_dot", without_phi1)
+    body = dict(GOLDEN_CONFIGS["ratio-scaling"], experiment="ratio-scaling", seed=7)
+    assert run(validate_config(json.dumps(body)), tmp_path) == 1
+    lines = (tmp_path / "ratio-scaling_summary.txt").read_text().splitlines()
+    assert ("FAIL  sigma_phi1/sigma_phi0 slope N=15: not fitted, "
+            "power-law fit needs positive data") in lines
+    assert lines[0].startswith("PASS  ratio slope N=15: ")
+    assert lines[-1] == "FAIL  overall: ratio-scaling"
+    metadata = json.loads((tmp_path / "ratio-scaling_metadata.json").read_text())
+    assert "failure" not in metadata and "N=15,beta=50" in metadata["diagnostics"]
+
+
+@pytest.mark.parametrize("experiment, body, builds", [
+    ("homological", {"N_list": [7, 9], "beta_list": [50.0, 100.0], "n_samples": 3}, [7, 9]),
+    ("ratio-scaling", {"N_list": [7], "beta_list": [50.0, 100.0, 200.0, 400.0],
+                       "n_samples": 3}, [7]),
+    ("lemma3-scan", {"N_list": [7, 9], "beta_list": [50.0, 100.0, 200.0], "n_samples": 3,
+                     "kinds": ["Phi0", "Phi1", "H1"]}, [7, 9]),
+])
+def test_one_corrector_table_per_n(tmp_path, monkeypatch, experiment, body, builds):
+    # consecutive cells at one N share the process's cached table
+    built = []
+
+    def counting(profile, N, *args, **kwargs):
+        built.append(N)
+        return build_phi1_table(profile, N, *args, **kwargs)
+
+    experiments._cached_table.cache_clear()
+    monkeypatch.setattr(experiments, "build_phi1_table", counting)
+    cfg = validate_config(json.dumps(dict(body, experiment=experiment, seed=7)))
+    run(cfg, tmp_path)
+    experiments._cached_table.cache_clear()     # no counted table outlives the test
+    assert built == builds
+    diags = json.loads((tmp_path / f"{experiment}_metadata.json").read_text())["diagnostics"]
+    if experiment == "homological":     # its table's smallest denominator is in the CSV
+        return
+    for N in builds:
+        denominator = build_phi1_table(make_profile(cfg.profile), N).min_denominator
+        cells = [d for key, d in diags.items() if f"N={N}," in key and "Phi0" not in key
+                 and "H1" not in key]
+        assert len(cells) == len(cfg.beta_list)
+        assert all(d["min_denominator"] == denominator for d in cells)
+
+
+@pytest.mark.parametrize("experiment", ["autocorrelation", "chebyshev", "multi-packet"])
+def test_evolved_cells_record_their_energy_error(tmp_path, experiment):
+    body = dict(GOLDEN_CONFIGS[experiment], experiment=experiment, seed=7)
+    cfg = validate_config(json.dumps(body))
+    run(cfg, tmp_path)
+    diags = json.loads((tmp_path / f"{experiment}_metadata.json").read_text())["diagnostics"]
+    cells = [diags[f"N={N},beta={beta:g}"] for N in cfg.N_list for beta in cfg.beta_list]
+    for diag in cells:
+        # leapfrog at dt = 0.02 holds H to about 1e-4 of itself on these runs
+        assert 0.0 < diag["energy_rel_err"] < 1e-3

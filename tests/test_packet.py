@@ -443,6 +443,12 @@ def test_make_ps_test_properties():
     assert h1(st) == pytest.approx(cubic_energy(st), rel=1e-14)
     assert f0(st) == phi0(st, mode_weights(prof_om, 31)[1])
     assert f1(st) == phi1(st, build_phi1_table(prof_om, 31))
+    table = build_phi1_table(prof_om, 31)
+    given, s_given, norm_given = ps_observable("Phi1", prof_om, 31, table)
+    assert given.keywords["packet"] is table and (s_given, norm_given) == (s1, norm1)
+    assert given(st) == f1(st)
+    with pytest.raises(ValueError, match="table is for N=31, not N=63"):
+        ps_observable("Phi1", prof_om, 63, table)
     with pytest.raises(ValueError):
         ps_observable("Phi2", prof_om, 31)
 

@@ -140,6 +140,10 @@ def test_fit_power_law():
         fit_power_law([1.0, 2.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         fit_power_law([1.0, -2.0, 3.0], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="finite"):
+        fit_power_law([1.0, 2.0, 3.0], [1.0, np.inf, 3.0])
+    with pytest.raises(ValueError, match="finite"):
+        fit_power_law([1.0, 2.0, 3.0], [1.0, np.nan, 3.0])
 
 
 def test_ratio_theorem1_harmonic_hook_vanishes():
