@@ -1,29 +1,110 @@
-"""Layer microbenchmarks: the leapfrog integrator per particle-step.
+"""Layer microbenchmarks: the unit costs under the experiments, one layer at a
+time, at N in {127, 255, 1023}.
 
 They sit outside the test suite (pyproject's `testpaths` is `tests`) and use
 pytest-benchmark.  From the repository root:
 
     PYTHONPATH=src python -m pytest benchmarks -q
 
-pytest-benchmark times one `evolve_batch` call of STEPS steps on a (B, N)
-ensemble; each result's `extra_info["ns_per_particle_step"]` is its median
-divided by B * N * STEPS, the unit of perfbench's `chain.ns_per_particle_step`.
+Every input (sampler, states, corrector table, profile) is built outside the
+timed call.  Where a call does several units of work, its `extra_info` holds
+the median divided by the units, in perfbench's unit where it has one:
+`ns_per_particle_step` for the leapfrog (`chain.ns_per_particle_step`),
+`ns_per_row` for the sine transform (`spectral.ns_per_row`) and `us_per_phi0`
+for Phi0 on an ensemble (`packet.us_per_phi0`).
 """
+
+import functools
 
 import numpy as np
 import pytest
 
 from fpu_packets.chain import ChainParams, ChainState, evolve_batch
+from fpu_packets.experiments import RATIO_PROFILE_SPEC
+from fpu_packets.gibbs import GibbsSampler, solve_theta
+from fpu_packets.packet import build_phi1_table, mode_weights, phi0, phi1, phi_dot
+from fpu_packets.profiles import DEFAULT_PROFILE_SPEC, eval_h1, make_profile
+from fpu_packets.spectral import sine_transform
 
 STEPS = 20
+ROWS = 64
+SIZES = [127, 255, 1023]
+BETA = 100.0
+# the profile of ratio-scaling, where phi_dot and the table cost most
+PROFILE = make_profile(RATIO_PROFILE_SPEC)
+
+
+def ensemble(B, N):
+    rng = np.random.default_rng(0)
+    return ChainState(0.1 * rng.normal(size=(B, N)), 0.1 * rng.normal(size=(B, N)))
+
+
+@functools.lru_cache(maxsize=1)
+def table(N):
+    """One corrector table at a time: at N=1023 it is about 250 MiB with its scratch."""
+    return build_phi1_table(PROFILE, N)
+
+
+def per_unit(benchmark, key, units, scale=1e9):
+    if benchmark.stats is not None:    # None under --benchmark-disable
+        benchmark.extra_info[key] = benchmark.stats.stats.median * scale / units
 
 
 @pytest.mark.parametrize("B", [1, 64, 384])
-@pytest.mark.parametrize("N", [127, 255, 1023])
+@pytest.mark.parametrize("N", SIZES)
 def test_evolve_batch_per_particle_step(benchmark, N, B):
-    rng = np.random.default_rng(0)
-    states = ChainState(0.1 * rng.normal(size=(B, N)), 0.1 * rng.normal(size=(B, N)))
-    (end,) = benchmark(evolve_batch, states, ChainParams(N=N), 0.02, [STEPS])
+    (end,) = benchmark(evolve_batch, ensemble(B, N), ChainParams(N=N), 0.02, [STEPS])
     assert end.p.shape == (B, N)
-    benchmark.extra_info["ns_per_particle_step"] = (
-        benchmark.stats.stats.median * 1e9 / (B * N * STEPS))
+    per_unit(benchmark, "ns_per_particle_step", B * N * STEPS)
+
+
+@pytest.mark.parametrize("N", SIZES)
+def test_sample_states_one_draw(benchmark, N):
+    # burn-in and the pilot run happen here, outside the timed draw
+    sampler = GibbsSampler(ChainParams(N=N, beta=BETA), np.random.default_rng(0))
+    states = benchmark(sampler.sample_states, 1)
+    assert states.p.shape == (1, N)
+
+
+@pytest.mark.parametrize("N", SIZES)
+def test_sine_transform_per_row(benchmark, N):
+    rows = ensemble(ROWS, N).q
+    assert benchmark(sine_transform, rows).shape == (ROWS, N)
+    per_unit(benchmark, "ns_per_row", ROWS)
+
+
+@pytest.mark.parametrize("N", SIZES)
+def test_build_phi1_table(benchmark, N):
+    pk = benchmark(build_phi1_table, PROFILE, N)
+    assert pk.n_triples > 0
+
+
+@pytest.mark.parametrize("N", SIZES)
+def test_phi0_per_state(benchmark, N):
+    nu_k = mode_weights(PROFILE, N)[1]
+    assert benchmark(phi0, ensemble(ROWS, N), nu_k).shape == (ROWS,)
+    per_unit(benchmark, "us_per_phi0", ROWS, scale=1e6)
+
+
+@pytest.mark.parametrize("N", SIZES)
+def test_phi1_per_state(benchmark, N):
+    state, pk = ensemble(1, N)[0], table(N)
+    assert np.isfinite(benchmark(phi1, state, pk))
+
+
+@pytest.mark.parametrize("N", SIZES)
+def test_phi_dot_per_state(benchmark, N):
+    state, pk = ensemble(1, N)[0], table(N)
+    assert np.isfinite(benchmark(phi_dot, state, pk, ChainParams(N=N, beta=BETA))).all()
+
+
+@pytest.mark.parametrize("beta", [50.0, 100.0, 200.0])
+def test_solve_theta(benchmark, beta):
+    assert np.isfinite(benchmark(solve_theta, beta, 1.0))
+
+
+# eval_h1 has no N: its unit is one grid, at the h1-grid workload's sizes
+@pytest.mark.parametrize("grid", [256, 1024, 1536])
+def test_eval_h1_per_grid(benchmark, grid):
+    profile = make_profile(DEFAULT_PROFILE_SPEC)
+    assert np.isfinite(benchmark(eval_h1, profile, grid).value)

@@ -68,9 +68,9 @@ def estimate_from_samples(x: np.ndarray) -> Estimate:
 
 @dataclass
 class CorrelationCurve:
-    """Time autocorrelation C_F(t) over a Gibbs ensemble.
+    """Time autocorrelation C_F(t) over a Gibbs ensemble, on a grid that
+    starts at t = 0, so values[0] is C_F(0), the variance of F.
 
-    sigma2 is C_F(0) computed with the same estimator on the same samples.
     delete_one holds the delete-one covariances (n_states, n_times) of the
     time-0 values with each grid time, which the half-life jackknife reuses.
     """
@@ -78,7 +78,6 @@ class CorrelationCurve:
     times: np.ndarray
     values: np.ndarray
     stderrs: np.ndarray
-    sigma2: float
     normalized: np.ndarray
     normalized_stderrs: np.ndarray
     delete_one: np.ndarray = field(repr=False)
@@ -98,29 +97,23 @@ def _cov_columns(f0: np.ndarray, F: np.ndarray):
 
 
 def autocorrelation(vals: np.ndarray, times) -> CorrelationCurve:
-    """C_F(t) = <F F(t)> - <F><F(t)> on the grid `times`.
+    """C_F(t) = <F F(t)> - <F><F(t)> on the grid `times`, which starts at 0.
 
-    `vals` is the (n, k) array of F on n initial conditions: column 0 at time
-    0, then one column per grid time (k = len(times) + 1 when times[0] > 0).
+    `vals` is the (n, k) array of F on n initial conditions, one column per
+    grid time (k = len(times)).
     """
     times = np.asarray(times, dtype=float)
-    if times.size == 0 or (np.diff(times) <= 0).any() or times[0] < 0:
-        raise ValueError("times must be ascending and non-negative")
+    if times.size == 0 or times[0] != 0 or (np.diff(times) <= 0).any():
+        raise ValueError("times must be ascending from 0")
     n = vals.shape[0]
     if n < 3:
         raise ValueError("need at least 3 initial conditions")
-    want0 = times[0] == 0
-    if vals.shape[1] != times.size + (not want0):
-        raise ValueError("vals needs one column per grid time, plus one for "
-                         "time 0 when the grid starts later")
-    f0 = vals[:, 0]
-    F = vals if want0 else vals[:, 1:]
-    cov, del_cov = _cov_columns(f0, F)
-    var0, del_var0 = _population_variance(f0)
-    # same estimator, same samples: C(0) IS sigma^2 when the grid starts at 0
-    sigma2 = float(cov[0]) if want0 else var0
+    if vals.shape[1] != times.size:
+        raise ValueError("vals needs one column per grid time")
+    cov, del_cov = _cov_columns(vals[:, 0], vals)
+    _, del_var0 = _population_variance(vals[:, 0])
     return CorrelationCurve(times=times.copy(), values=cov, stderrs=_jackknife_se(del_cov),
-                            sigma2=sigma2, normalized=cov / sigma2,
+                            normalized=cov / cov[0],
                             normalized_stderrs=_jackknife_se(del_cov / del_var0[:, None]),
                             delete_one=del_cov)
 
@@ -143,14 +136,12 @@ def half_life_jackknife(curve: CorrelationCurve) -> tuple[float | None, float | 
     """(t_half, stderr) of the normalized curve, with delete-one recomputation
     of the whole curve.
 
-    stderr is None when the grid does not start at t = 0, or when the crossing
-    is not reached on the full curve or on any delete-one replica.
+    stderr is None when the crossing is not reached on the full curve or on
+    any delete-one replica.
     """
     t_half = half_life(curve.times, curve.normalized)
     if t_half is None:
         return None, None
-    if curve.times[0] != 0:
-        return t_half, None
     del_cov = curve.delete_one
     vals = []
     for i in range(del_cov.shape[0]):

@@ -118,6 +118,8 @@ def test_every_key_is_validated(tmp_path, experiment, key):
     ("autocorrelation", "beta_list", [50.0, 50]),
     ("lemma3-scan", "kinds", ["H1", "H1"]),
     ("sampler-validation", "lemma5_N", [64, 64, 256]),
+    # a grid that does not start at the time C(t)/C(0) is read against
+    ("autocorrelation", "t_grid", [1.0, 2.0]),
 ])
 def test_rejects_bad_or_vacuous_values(tmp_path, experiment, key, value):
     body = {"experiment": experiment, "seed": 1, key: value}
@@ -147,10 +149,11 @@ def test_rejects_bad_or_vacuous_values(tmp_path, experiment, key, value):
     {"experiment": "theorem2-h1", "seed": 1, "profiles": [{"kind": "linear"}]},
     {"experiment": "theorem2-h1", "seed": 1, "profiles": [{"kind": "constant", "value": 0.0}]},
     {"experiment": "theorem2-h1", "seed": 1, "profiles": [{"kind": "constant", "value": -1.0}]},
+    {"experiment": "autocorrelation", "seed": 1, "t_grid": [1.0, 2.0]},
 ], ids=["inadmissible-corrector", "zero-step-quarter-beta", "zero-step-t-grid",
         "persistence-beta-not-run", "two-times-one-step", "beta-keys-collide",
         "ratio-beta-keys-collide", "h1-family-linear", "h1-family-zero-amplitude",
-        "h1-family-negative"])
+        "h1-family-negative", "t-grid-after-zero"])
 def test_refused_before_any_output(tmp_path, body):
     assert _exit_codes(tmp_path, body) == (2, 2)
     assert not (tmp_path / "out").exists()
@@ -474,6 +477,19 @@ def test_ratio_scaling_refuses_a_vanishing_profile(tmp_path):
     with pytest.raises(ConfigError, match="field 'profile': g vanishes at every mode of N=15"):
         validate_config(json.dumps(body))
     assert _exit_codes(tmp_path, body) == (2, 2)
+
+
+@pytest.mark.parametrize("experiment", ["chebyshev", "lemma3-scan", "homological",
+                                        "autocorrelation"])
+def test_every_packet_experiment_refuses_a_vanishing_profile(tmp_path, experiment):
+    # chebyshev and lemma3-scan divided by the zero spread, homological passed
+    # on 0 <= 1e-9 and autocorrelation failed on C/C0 = nan
+    body = {"experiment": experiment, "seed": 1, "N_list": [7], "beta_list": [50.0, 100.0],
+            "n_samples": 8, "profile": {"kind": "constant", "value": 0.0}}
+    with pytest.raises(ConfigError, match="field 'profile': g vanishes at every mode of N=7"):
+        validate_config(json.dumps(body))
+    assert _exit_codes(tmp_path, body) == (2, 2)
+    assert not (tmp_path / "out").exists()
 
 
 def test_ratio_slope_without_a_fit_is_a_named_fail(tmp_path, monkeypatch):

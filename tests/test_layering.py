@@ -2,9 +2,10 @@
 modules listed for it here.  `chain`, `profiles` and `stats` are leaves: the
 estimators work on arrays alone, so no flow or sampler hides behind an error
 bar.  `spectral` and `gibbs` sit on `chain`, `packet` on `chain`, `spectral`
-and `profiles`, and only `experiments` and the package's `__init__` see
-everything below them.  Outside the package, a module imports the standard
-library and numpy only; scipy and pytest are the tests' own dependencies."""
+and `profiles`, and only `experiments` sees everything below it.  The
+package's `__init__` imports none of them: its API is its modules.  Outside
+the package, a module imports the standard library and numpy only; scipy and
+pytest are the tests' own dependencies."""
 
 import ast
 import json
@@ -16,7 +17,6 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fpu_packets"
 THIRD_PARTY = {"numpy"}
-_BELOW_RUNNER = {"chain", "gibbs", "packet", "profiles", "spectral", "stats"}
 LAYERS = {
     "chain": set(),
     "profiles": set(),
@@ -24,8 +24,8 @@ LAYERS = {
     "spectral": {"chain"},
     "gibbs": {"chain"},
     "packet": {"chain", "spectral", "profiles"},
-    "experiments": _BELOW_RUNNER,
-    "__init__": _BELOW_RUNNER,
+    "experiments": {"chain", "gibbs", "packet", "profiles", "spectral", "stats"},
+    "__init__": set(),
 }
 
 

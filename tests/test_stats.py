@@ -66,10 +66,11 @@ def test_autocorrelation_t0_equals_sigma2():
     states = gibbs_states(N, 100.0, 40, seed=3)
     curve = measured_curve(lambda s: phi0(s, nu_k), states, ChainParams(N=N), 0.02,
                            [0.0, 1.0, 2.0])
-    assert curve.values[0] == curve.sigma2
+    # C(0) is the population variance of the time-0 values
+    assert curve.values[0] == pytest.approx(phi0(states, nu_k).var(), rel=1e-12)
     assert curve.normalized[0] == 1.0
     # Cauchy-Schwarz on the measured grid
-    assert (np.abs(curve.values) <= curve.sigma2 + 3 * curve.stderrs + 1e-30).all()
+    assert (np.abs(curve.values) <= curve.values[0] + 3 * curve.stderrs + 1e-30).all()
 
 
 def test_autocorrelation_harmonic_hook_action_is_flat():
@@ -90,21 +91,13 @@ def test_half_life_synthetic_and_flat():
     assert half_life(times, np.ones_like(times)) is None
 
 
-def test_autocorrelation_grid_after_zero():
-    # a grid that starts after t = 0 takes one extra leading column, the time-0 values
+def test_autocorrelation_refuses_bad_input():
     rng = np.random.default_rng(14)
     x = rng.normal(size=40)
     vals = np.array([x, 0.8 * x + 0.2 * rng.normal(size=40),
                      0.1 * x + rng.normal(size=40)]).T    # (n, 3)
-    full = autocorrelation(vals, [0.0, 1.0, 2.0])
-    late = autocorrelation(vals, [1.0, 2.0])
-    np.testing.assert_array_equal(late.times, [1.0, 2.0])
-    np.testing.assert_array_equal(late.values, full.values[1:])
-    np.testing.assert_array_equal(late.stderrs, full.stderrs[1:])
-    assert late.sigma2 == pytest.approx(vals[:, 0].var(), rel=1e-12)
-    t_half, se = half_life_jackknife(late)
-    assert 1.0 < t_half < 2.0
-    assert se is None
+    with pytest.raises(ValueError):
+        autocorrelation(vals[:, :2], [1.0, 2.0])    # a grid that starts after 0
     with pytest.raises(ValueError):
         autocorrelation(vals, [0.0, 1.0])      # a column too many
     with pytest.raises(ValueError):
