@@ -1,5 +1,6 @@
 """Layer microbenchmarks: the unit costs under the experiments, one layer at a
-time, at N in {127, 255, 1023}.
+time, at N in {127, 255, 1023} (one Gibbs sweep at the sampler-chain
+workload's N in {8, 64, 128, 256}).
 
 They sit outside the test suite (pyproject's `testpaths` is `tests`) and use
 pytest-benchmark.  From the repository root:
@@ -10,8 +11,9 @@ Every input (sampler, states, corrector table, profile) is built outside the
 timed call.  Where a call does several units of work, its `extra_info` holds
 the median divided by the units, in perfbench's unit where it has one:
 `ns_per_particle_step` for the leapfrog (`chain.ns_per_particle_step`),
-`ns_per_row` for the sine transform (`spectral.ns_per_row`) and `us_per_phi0`
-for Phi0 on an ensemble (`packet.us_per_phi0`).
+`ns_per_row` for the sine transform (`spectral.ns_per_row`), `us_per_phi0`
+for Phi0 on an ensemble (`packet.us_per_phi0`) and `ns_per_site_sweep` for a
+Gibbs sweep over N+1 bonds (`gibbs.ns_per_site_sweep`).
 """
 
 import functools
@@ -29,6 +31,7 @@ from fpu_packets.spectral import sine_transform
 STEPS = 20
 ROWS = 64
 SIZES = [127, 255, 1023]
+SWEEP_SIZES = [8, 64, 128, 256]
 BETA = 100.0
 # the profile of ratio-scaling, where phi_dot and the table cost most
 PROFILE = make_profile(RATIO_PROFILE_SPEC)
@@ -64,6 +67,14 @@ def test_sample_states_one_draw(benchmark, N):
     sampler = GibbsSampler(ChainParams(N=N, beta=BETA), np.random.default_rng(0))
     states = benchmark(sampler.sample_states, 1)
     assert states.p.shape == (1, N)
+
+
+@pytest.mark.parametrize("N", SWEEP_SIZES)
+def test_gibbs_sweep_per_site(benchmark, N):
+    sampler = GibbsSampler(ChainParams(N=N, beta=BETA), np.random.default_rng(0))
+    benchmark(sampler.sweep)
+    assert abs(sampler.r.sum()) <= 1e-12 * (N + 1)
+    per_unit(benchmark, "ns_per_site_sweep", N + 1)
 
 
 @pytest.mark.parametrize("N", SIZES)

@@ -4,16 +4,24 @@ Momenta are iid Gaussian.  The configurational measure factorizes over the
 bond variables r_j up to the single constraint sum_j r_j = 0, so bonds are
 sampled by a Metropolis chain of pair moves (r_i += delta, r_j -= delta) that
 preserve the constraint algebraically; a stride of sweeps decorrelates its
-draws but does not make them independent.  The analytic backbone is the tilted
-one-bond density exp(-gamma r - beta V(r)) / q_gamma, whose quadrature moments
-at the zero-mean tilt gamma = theta serve as the oracle for the sampler's
-marginals (they agree up to O(1/N)).  The tilt is the root of the mean,
-found by `_brentq`, a statement-for-statement port of scipy's `brentq`
-(Brent's method), so the package needs numpy alone.
+draws but does not make them independent.  A round of moves works on a
+(2, half) layout of disjoint pairs: one gather of the bonds and their cached
+potentials, one potential pass, one masked write-back.  Each round draws a
+permutation, then the normal steps, then the uniforms; that order is the
+stream contract, and a test pins the round's bits to a reference round
+(tests/oracles.py).
+
+The analytic backbone is the tilted one-bond density
+exp(-gamma r - beta V(r)) / q_gamma, whose quadrature moments at the zero-mean
+tilt gamma = theta serve as the oracle for the sampler's marginals (they agree
+up to O(1/N)).  The tilt is the root of the mean, found by `_brentq`, a
+statement-for-statement port of scipy's `brentq` (Brent's method), so the
+package needs numpy alone.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -98,6 +106,15 @@ class TiltedDensity:
 
 
 def tilted_density(beta: float, A: float) -> TiltedDensity:
+    """The tilted one-bond density at (beta, A), solved once per process: the
+    result is frozen and its moments are read-only, so callers share it.  The
+    cache sits behind this plain function because perfbench's tracer wraps
+    plain functions only, and so still times the quadrature under `gibbs`."""
+    return _tilted_density(beta, A)
+
+
+@functools.lru_cache(maxsize=16)
+def _tilted_density(beta: float, A: float) -> TiltedDensity:
     theta = solve_theta(beta, A)
     q, mom = _quad_moments(beta, theta, _default_potential(A))
     mom = mom.copy()
@@ -265,8 +282,16 @@ class GibbsSampler:
     """Metropolis chain on the zero-sum bond hyperplane plus Gaussian momenta.
 
     One sweep is two rounds of random disjoint pairings, i.e. about N+1 pair
-    moves.  The proposal width is tuned toward 30% acceptance during burn-in
-    and then frozen, so detailed balance holds for all measurement sweeps.
+    moves.  A round draws `permutation(N+1)` and lays its first 2*half entries
+    out as a (2, half) index array, row 0 the sites i and row 1 the sites j;
+    then `normal(0, sigma_prop, half)` for the steps delta and `random(half)`
+    for the Metropolis test.  Every proposal, energy change and acceptance is
+    computed on the whole block, and `where(accepted, new, old)` writes the
+    bonds and their potentials back.  The draw order (permutation, normal,
+    uniform) is the stream contract that `tests/oracles.metropolis_round` pins.
+
+    The proposal width is tuned toward 30% acceptance during burn-in and then
+    frozen, so detailed balance holds for all measurement sweeps.
     The decorrelation stride is 5x the integrated autocorrelation time of the
     cubic energy, measured over a pilot run after burn-in.
     """
@@ -304,23 +329,19 @@ class GibbsSampler:
     def _round(self):
         m = self.r.size
         half = m // 2
-        perm = self.rng.permutation(m)
-        i = perm[:half]
-        j = perm[half:2 * half]
+        idx = self.rng.permutation(m)[:2 * half].reshape(2, half)
         delta = self.rng.normal(0.0, self.sigma_prop, half)
-        ri = self.r[i]
-        rj = self.r[j]
-        vi_new = potential_v(ri + delta, self.params.A)
-        vj_new = potential_v(rj - delta, self.params.A)
-        d_en = vi_new + vj_new - self._vpot[i] - self._vpot[j]
+        old = self.r[idx]
+        v_old = self._vpot[idx]
+        new = old.copy()
+        new[0] += delta
+        new[1] -= delta
+        v = potential_v(new, self.params.A)
+        d_en = v[0] + v[1] - v_old[0] - v_old[1]
         acc = np.log(self.rng.random(half)) < -self.params.beta * d_en
-        ia = i[acc]
-        ja = j[acc]
-        self.r[ia] = ri[acc] + delta[acc]
-        self.r[ja] = rj[acc] - delta[acc]
-        self._vpot[ia] = vi_new[acc]
-        self._vpot[ja] = vj_new[acc]
-        self._accepted += int(acc.sum())
+        self.r[idx] = np.where(acc, new, old)
+        self._vpot[idx] = np.where(acc, v, v_old)
+        self._accepted += int(np.count_nonzero(acc))
         self._proposed += half
 
     def sweep(self, n: int = 1):
@@ -344,15 +365,17 @@ class GibbsSampler:
         return ChainState(np.stack([s.p for s in draws]), np.stack([s.q for s in draws]))
 
     def diagnostics(self) -> dict:
-        """The tuned proposal, acceptance, stride and sweep count, and under
-        "rng" the `stream_record` of the stream that drew every sweep and
-        momentum."""
+        """The tuned proposal, acceptance, stride and sweep count, the
+        constraint residual |sum r| of the current bonds (a record, not a
+        gate), and under "rng" the `stream_record` of the stream that drew
+        every sweep and momentum."""
         return {
             "sigma_prop": self.sigma_prop,
             "acceptance_rate": self.acceptance_rate,
             "tau_int": self.tau_int,
             "stride": self.stride,
             "n_sweeps": self.n_sweeps,
+            "abs_sum_r": abs(float(self.r.sum())),
             "rng": stream_record(self.rng),
         }
 

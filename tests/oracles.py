@@ -3,12 +3,14 @@
 None of them is part of the package: the package integrates only ensembles
 (`chain.evolve_batch`) and never needs the inverse mode transform, the energy
 of one state, the corrector table over all 8 sign patterns or the coefficient
-table of {Phi0, H1}.
+table of {Phi0, H1}.  `metropolis_round` is the sampler's pair-move round as
+two index halves with boolean compressions, the layout the shipped round's
+bits are pinned to.
 """
 
 import numpy as np
 
-from fpu_packets.chain import ChainState, bond_extensions, evolve_batch
+from fpu_packets.chain import ChainState, bond_extensions, evolve_batch, potential_v
 from fpu_packets.packet import _CUBIC_PREFACTOR, _WRAP_SIGN, build_phi1_table
 from fpu_packets.spectral import sine_transform
 
@@ -46,6 +48,32 @@ def integrate(state, params, dt, t_final, sample_stride=1, harmonic_only=False):
     ens = ChainState(state.p[None, :], state.q[None, :])
     snaps = evolve_batch(ens, params, dt, steps, harmonic_only)
     return [(step * dt, snap[0]) for step, snap in zip(steps, snaps)]
+
+
+def metropolis_round(r, vpot, rng, sigma, beta, A) -> int:
+    """One round of disjoint pair moves (r_i += delta, r_j -= delta) on the
+    bonds `r` and their cached potentials `vpot`, both updated in place; the
+    number of accepted moves.  Draws a permutation, then the normal steps,
+    then the uniforms, the stream order of `GibbsSampler`."""
+    m = r.size
+    half = m // 2
+    perm = rng.permutation(m)
+    i = perm[:half]
+    j = perm[half:2 * half]
+    delta = rng.normal(0.0, sigma, half)
+    ri = r[i]
+    rj = r[j]
+    vi_new = potential_v(ri + delta, A)
+    vj_new = potential_v(rj - delta, A)
+    d_en = vi_new + vj_new - vpot[i] - vpot[j]
+    acc = np.log(rng.random(half)) < -beta * d_en
+    ia = i[acc]
+    ja = j[acc]
+    r[ia] = ri[acc] + delta[acc]
+    r[ja] = rj[acc] - delta[acc]
+    vpot[ia] = vi_new[acc]
+    vpot[ja] = vj_new[acc]
+    return int(acc.sum())
 
 
 # all 8 sign patterns, fixed order: row 7-m is -(row m), rows 0..3 have tau1 = +1

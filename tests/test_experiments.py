@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
-from fpu_packets import experiments, stats
+from fpu_packets import experiments, gibbs, stats
 from fpu_packets.chain import BlowupError, ChainParams
 from fpu_packets.experiments import (EXPERIMENTS, ConfigError, _ratio_cell, _write_csv,
                                      experiment_schema, main, run, validate_config)
@@ -554,3 +554,34 @@ def test_evolved_cells_record_their_energy_error(tmp_path, experiment):
     for diag in cells:
         # leapfrog at dt = 0.02 holds H to about 1e-4 of itself on these runs
         assert 0.0 < diag["energy_rel_err"] < 1e-3
+
+
+@pytest.mark.parametrize("experiment", [name for name, spec in EXPERIMENTS.items()
+                                        if "beta_list" in spec.keys])
+def test_every_sampling_cell_records_its_constraint_residual(tmp_path, experiment):
+    body = dict(GOLDEN_CONFIGS[experiment], experiment=experiment, seed=7)
+    cfg = validate_config(json.dumps(body))
+    run(cfg, tmp_path)
+    diags = json.loads((tmp_path / f"{experiment}_metadata.json").read_text())["diagnostics"]
+    samplers = {key: diag for key, diag in diags.items() if key != "tilted_density"}
+    assert samplers
+    for key, diag in samplers.items():
+        N = int(re.search(r"N=(\d+)", key).group(1))
+        assert 0.0 <= diag["abs_sum_r"] <= experiments.THRESHOLDS["sum_r_tol"] * (N + 1), key
+
+
+def test_sampler_validation_solves_theta_once_per_beta(tmp_path, monkeypatch):
+    calls = []
+    solve = gibbs.solve_theta
+    monkeypatch.setattr(gibbs, "solve_theta", lambda *a, **k: calls.append(a) or solve(*a, **k))
+    gibbs._tilted_density.cache_clear()
+    body = dict(GOLDEN_CONFIGS["sampler-validation"], experiment="sampler-validation", seed=7)
+    cfg = validate_config(json.dumps(body))
+    run(cfg, tmp_path)
+    assert len(calls) == len(set(cfg.beta_list)) == 1
+    tilted = json.loads((tmp_path / "sampler-validation_metadata.json").read_text())[
+        "diagnostics"]["tilted_density"]
+    beta = cfg.beta_list[0]
+    gibbs._tilted_density.cache_clear()
+    td = tilted_density(beta, cfg.A)
+    assert tilted == {f"beta={beta:g}": {"theta": td.theta, "q_theta": td.q_theta}}

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import energies
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import energies, metropolis_round
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -175,6 +177,36 @@ def test_sampler_acceptance_band_and_determinism():
     s2 = GibbsSampler(params, np.random.default_rng(2))
     s2.sweep(50)
     assert np.array_equal(s1.r, s2.r)
+
+
+class _ReferenceSampler(GibbsSampler):
+    """GibbsSampler whose every round, burn-in and pilot included, is the
+    reference `metropolis_round`."""
+
+    def _round(self):
+        self._accepted += metropolis_round(self.r, self._vpot, self.rng, self.sigma_prop,
+                                           self.params.beta, self.params.A)
+        self._proposed += self.r.size // 2
+
+
+@given(N=st.integers(3, 300), beta=st.floats(1.0, 400.0), A=st.floats(0.1, 2.0),
+       sigma=st.floats(1e-3, 1.0), sweeps=st.integers(1, 20), burn_in=st.integers(0, 10),
+       seed=st.integers(0, 2**32 - 1))
+@example(N=3, beta=100.0, A=1.0, sigma=0.2, sweeps=3, burn_in=0, seed=0)     # N+1 even
+@example(N=4, beta=100.0, A=1.0, sigma=0.2, sweeps=3, burn_in=5, seed=0)     # N+1 odd
+@settings(max_examples=30, deadline=None)
+def test_sweep_is_bit_identical_to_the_reference_round(N, beta, A, sigma, sweeps, burn_in,
+                                                       seed):
+    params = ChainParams(N=N, A=A, beta=beta)
+    shipped = GibbsSampler(params, seed, burn_in=burn_in)
+    reference = _ReferenceSampler(params, seed, burn_in=burn_in)
+    for sampler in (shipped, reference):
+        sampler.sigma_prop = sigma
+        sampler.sweep(sweeps)
+    assert shipped.r.tobytes() == reference.r.tobytes()
+    assert shipped._vpot.tobytes() == reference._vpot.tobytes()
+    assert (shipped._accepted, shipped._proposed) == (reference._accepted, reference._proposed)
+    assert shipped.rng.bit_generator.state == reference.rng.bit_generator.state
 
 
 def test_bonds_to_state_examples():
