@@ -6,7 +6,9 @@ columns, the function that computes its rows, checks and diagnostics, and a
 check of values wrong only together where there are such.  A config may set
 `experiment`, `seed` and its experiment's keys, nothing else.  An experiment
 over a grid of points runs one cell per point, and every cell returns the
-same shape: its CSV rows and a dict of diagnostics for the metadata.
+same shape: its CSV rows and a dict of diagnostics for the metadata.  Every
+grid cell draws its Gibbs ensemble through `_draw`, and the cells that evolve
+it do so through `_phi0_flow`, the one caller of the integrator.
 
 Every experiment's PASS thresholds live in THRESHOLDS, which the acceptance
 test suite imports, so there is a single source of truth.  (config, seed)
@@ -320,24 +322,38 @@ def _phi1_table(cfg, N: int) -> PacketObservable:
     return _cached_table(json.dumps(cfg.profile, sort_keys=True), N)
 
 
-def _energy_rel_err(start: ChainState, snaps, A: float) -> float:
-    """max over trajectories and snapshots of |H(t) - H(0)| / |H(0)|: the
-    integrator's energy error on an evolved ensemble."""
-    h0 = energy(start, A)
-    return max(float((np.abs(energy(snap, A) - h0) / np.abs(h0)).max()) for snap in snaps)
+def _draw(cfg, seed, N: int, beta: float) -> tuple[ChainParams, ChainState, dict]:
+    """A grid cell's Gibbs ensemble: its chain parameters, cfg.n_samples
+    successive decorrelated draws of a new sampler on `seed` as one (n, N)
+    ensemble, and the sampler's diagnostics."""
+    params = ChainParams(N=N, A=cfg.A, beta=beta)
+    sampler = GibbsSampler(params, seed)
+    return params, sampler.sample_states(cfg.n_samples), sampler.diagnostics()
+
+
+def _phi0_flow(cfg, seed, N: int, beta: float, weights, steps) -> tuple[np.ndarray, dict]:
+    """Phi0 of each packet in `weights` (its nu_k) on a cell's drawn ensemble
+    after each of the ascending integrator `steps`, as a (K, len(steps), n)
+    array, and the cell's diagnostics with the integrator's energy error: the
+    largest |H(t) - H(0)| / |H(0)| over trajectories and snapshots."""
+    params, states, diag = _draw(cfg, seed, N, beta)
+    snaps = evolve_batch(states, params, cfg.dt, steps)
+    h0 = energy(states, cfg.A)
+    err = max(float((np.abs(energy(snap, cfg.A) - h0) / np.abs(h0)).max()) for snap in snaps)
+    vals = np.array([[packet_mod.phi0(snap, nu_k) for snap in snaps] for nu_k in weights])
+    return vals, {"energy_rel_err": err, **diag}
 
 
 # ---------------------------------------------------------------- homological
 
 def _homological_cell(cfg, seed, N, beta):
     pk = _phi1_table(cfg, N)
-    sampler = GibbsSampler(ChainParams(N=N, A=cfg.A, beta=beta), seed)
-    res = np.array([homological_residual(sampler.sample(), pk)
-                    for _ in range(cfg.n_samples)])
+    _, states, diag = _draw(cfg, seed, N, beta)
+    res = np.array([homological_residual(states[i], pk) for i in range(cfg.n_samples)])
     row = {"N": N, "beta": beta, "n_samples": cfg.n_samples,
            "max_residual": float(res.max()), "mean_residual": float(res.mean()),
            "min_denominator": pk.min_denominator}
-    return [row], sampler.diagnostics()
+    return [row], diag
 
 
 def _run_homological(cfg: ExperimentConfig, threads: int):
@@ -361,14 +377,12 @@ def _ratio_cell(cfg, seed, N, beta):
     sigma_Phi1/sigma_Phi0 ratio is measured on the same samples.
     """
     pk = _phi1_table(cfg, N)
-    params = ChainParams(N=N, A=cfg.A, beta=beta)
-    sampler = GibbsSampler(params, seed)
+    params, states, diag = _draw(cfg, seed, N, beta)
     n = cfg.n_samples
-    pd = np.empty(n)
-    v0 = np.empty(n)
-    v1 = np.empty(n)
-    for i in range(n):
-        v0[i], v1[i], pd[i] = packet_mod.phi_dot(sampler.sample(), pk, params)
+    # three contiguous series, not columns of the (n, 3) array: x @ x rounds
+    # differently on a strided column, and the CSV bytes follow it
+    v0, v1, pd = np.array([packet_mod.phi_dot(states[i], pk, params)
+                           for i in range(n)]).T.copy()
     phidot, phidot_se = stats_mod.rms_jackknife(pd)
     sigma_phi, sigma_phi_se = stats_mod.std_jackknife(v0 + v1)
     sigma0, _ = stats_mod.std_jackknife(v0)
@@ -379,7 +393,7 @@ def _ratio_cell(cfg, seed, N, beta):
            "ratio": phidot / sigma_phi if sigma_phi > 0 else math.inf,
            "sigma_phi0": sigma0, "sigma_phi1": sigma1,
            "ratio_phi1_phi0": sigma1 / sigma0 if sigma0 > 0 else math.inf}
-    return [row], {**sampler.diagnostics(), "min_denominator": pk.min_denominator}
+    return [row], {**diag, "min_denominator": pk.min_denominator}
 
 
 def _run_ratio(cfg: ExperimentConfig, threads: int):
@@ -404,24 +418,18 @@ def _run_ratio(cfg: ExperimentConfig, threads: int):
 
 def _autocorr_cell(cfg, seed, N, beta):
     nu_k = packet_mod.mode_weights(make_profile(cfg.profile), N)[1]
-    params = ChainParams(N=N, A=cfg.A, beta=beta)
-    sampler = GibbsSampler(params, seed)
-    states = sampler.sample_states(cfg.n_samples)
     grid = _autocorr_times(cfg, beta)
-    snaps = evolve_batch(states, params, cfg.dt, _steps(grid, cfg.dt))
+    flow, diag = _phi0_flow(cfg, seed, N, beta, [nu_k], _steps(grid, cfg.dt))
     # (times, n) transposed, not stacked along axis 1: the estimator's column
     # sums follow the memory layout, and the CSV bytes follow those sums
-    vals = np.array([packet_mod.phi0(snap, nu_k) for snap in snaps]).T
-    curve = stats_mod.autocorrelation(vals, grid)
+    curve = stats_mod.autocorrelation(flow[0].T, grid)
     t_half, t_half_se = stats_mod.half_life_jackknife(curve)
     rows = [{"N": N, "beta": beta, "t": float(t), "corr": float(c),
              "corr_stderr": float(se), "corr_normalized": float(v),
              "corr_normalized_stderr": float(vs), "sigma2": float(curve.values[0])}
             for t, c, se, v, vs in zip(curve.times, curve.values, curve.stderrs,
                                        curve.normalized, curve.normalized_stderrs)]
-    return rows, {"t_half": t_half, "t_half_stderr": t_half_se,
-                  "energy_rel_err": _energy_rel_err(states, snaps, cfg.A),
-                  **sampler.diagnostics()}
+    return rows, {"t_half": t_half, "t_half_stderr": t_half_se, **diag}
 
 
 def _autocorr_times(cfg, beta) -> np.ndarray:
@@ -501,15 +509,14 @@ def _lemma3_cell(cfg, seed, kind, N, beta):
     one (N, beta); the variance bound asserts it stays below one constant."""
     table = _phi1_table(cfg, N) if kind == "Phi1" else None
     observable, s, plus_norm = ps_observable(kind, make_profile(cfg.profile), N, table)
-    sampler = GibbsSampler(ChainParams(N=N, A=cfg.A, beta=beta), seed.spawn(1)[0])
-    vals = np.array([observable(sampler.sample()) for _ in range(cfg.n_samples)])
+    _, states, diag = _draw(cfg, seed.spawn(1)[0], N, beta)
+    vals = np.array([observable(states[i]) for i in range(cfg.n_samples)])
     est = stats_mod.estimate_from_samples(vals)
     scale = beta**s / (N * plus_norm**2)
     row = {"kind": kind, "s": s, "N": N, "beta": beta, "n_samples": cfg.n_samples,
            "variance": est.variance, "variance_stderr": est.stderr_variance,
            "plus_norm": plus_norm, "normalized": est.variance * scale,
            "normalized_stderr": est.stderr_variance * scale}
-    diag = sampler.diagnostics()
     if table is not None:
         diag["min_denominator"] = table.min_denominator
     return [row], diag
@@ -543,16 +550,11 @@ def _chebyshev_cell(cfg, seed, N, beta):
     variance, which no distribution can beat beyond sampling noise.
     """
     nu_k = packet_mod.mode_weights(make_profile(cfg.profile), N)[1]
-    params = ChainParams(N=N, A=cfg.A, beta=beta)
     a, n = cfg.a, cfg.n_samples
     t = beta ** (1.0 - a)
     lam = beta ** (-a / 2.0)
-    sampler = GibbsSampler(params, seed)
-    n_steps = int(_steps(t, cfg.dt))
-    states = sampler.sample_states(n)
-    before = packet_mod.phi0(states, nu_k)
-    (end,) = evolve_batch(states, params, cfg.dt, [n_steps])
-    after = packet_mod.phi0(end, nu_k)
+    flow, diag = _phi0_flow(cfg, seed, N, beta, [nu_k], [0, int(_steps(t, cfg.dt))])
+    before, after = flow[0]
     sigma0 = float(before.std())
     thr = lam * sigma0
     inc = after - before
@@ -565,8 +567,7 @@ def _chebyshev_cell(cfg, seed, N, beta):
            "chebyshev_bound": inc_est.variance / thr**2,
            "bound_stderr": inc_est.stderr_variance / thr**2,
            "increment_variance": inc_est.variance, "sigma_phi0": sigma0}
-    return [row], {"energy_rel_err": _energy_rel_err(states, [end], cfg.A),
-                   **sampler.diagnostics()}
+    return [row], diag
 
 
 def _run_chebyshev(cfg: ExperimentConfig, threads: int):
@@ -602,42 +603,33 @@ def _multipacket_cell(cfg, seed, N, beta):
     normalized autocorrelation at t = beta/4.
     """
     weights = [packet_mod.mode_weights(p, N)[1] for p in profiles_mod.disjoint_profiles(cfg.K)]
-    params = ChainParams(N=N, A=cfg.A, beta=beta)
-    a, n, dt = cfg.a, cfg.n_samples, cfg.dt
+    a, n = cfg.a, cfg.n_samples
     lam = beta ** (-a / 2.0)
-    drift_step, corr_step = _steps([beta ** (1.0 - a), beta / 4.0], dt).tolist()
-    steps = sorted({drift_step, corr_step})
+    drift_step, corr_step = _steps([beta ** (1.0 - a), beta / 4.0], cfg.dt).tolist()
+    steps = sorted({0, drift_step, corr_step})
     i_drift = steps.index(drift_step)
     i_corr = steps.index(corr_step)
     K = len(weights)
-    sampler = GibbsSampler(params, seed)
-    states = sampler.sample_states(n)
-    snaps = evolve_batch(states, params, dt, steps)
-    v0 = np.empty((n, K))
-    vt = np.empty((n, K, len(steps)))
-    for l, nu_k in enumerate(weights):
-        v0[:, l] = packet_mod.phi0(states, nu_k)
-        for m, snap in enumerate(snaps):
-            vt[:, l, m] = packet_mod.phi0(snap, nu_k)
-    # std over axis 0 of the (n, K) array: a 1-D std of one column sums in
-    # another order, and the CSV bytes follow that sum
+    flow, diag = _phi0_flow(cfg, seed, N, beta, weights, steps)
+    # std over axis 0 of a C-ordered (n, K) array: a 1-D std of one column
+    # sums in another order, and the CSV bytes follow that sum
+    v0 = np.ascontiguousarray(flow[:, 0].T)
     sigma = v0.std(axis=0)
-    exceed = np.abs(vt[:, :, i_drift] - v0) >= lam * sigma[None, :]
+    exceed = np.abs(flow[:, i_drift].T - v0) >= lam * sigma[None, :]
     rates = exceed.mean(axis=0)
     rate_se = np.sqrt(np.maximum(rates * (1 - rates), 1e-300) / n)
     joint = float(exceed.any(axis=1).mean())
     joint_se = math.sqrt(max(joint * (1 - joint), 1e-300) / n)
     corr_norm = np.empty(K)
     for l in range(K):
-        c = np.cov(v0[:, l], vt[:, l, i_corr], ddof=0)
+        c = np.cov(flow[l, 0], flow[l, i_corr], ddof=0)
         corr_norm[l] = c[0, 1] / c[0, 0]
     rows = [{"N": N, "beta": beta, "a": a, "K": K, "packet": l, "exceed_rate": rate,
              "exceed_stderr": rate_stderr, "joint_rate": joint, "joint_stderr": joint_se,
              "sum_individual": float(rates.sum()), "corr_quarter_beta": corr}
             for l, (rate, rate_stderr, corr) in enumerate(zip(
                 rates.tolist(), rate_se.tolist(), corr_norm.tolist()))]
-    return rows, {"energy_rel_err": _energy_rel_err(states, snaps, cfg.A),
-                  **sampler.diagnostics()}
+    return rows, diag
 
 
 def _run_multipacket(cfg: ExperimentConfig, threads: int):
@@ -685,9 +677,9 @@ def _run_theorem2(cfg: ExperimentConfig, threads: int):
             checks.append((f"h1 ratio stable {label} grids {stab_pair[0]}->{stab_pair[1]}: "
                            f"drift {drift:.3%} <= {THRESHOLDS['h1_stability']:.0%}",
                            drift <= THRESHOLDS["h1_stability"]))
-    family_const = max(v for (lbl, g), v in ratios_at.items() if g == stab_pair[0]) \
-        if stab_pair else max(ratios_at.values())
-    checks.append((f"family-wide constant on {stab_pair[0] if stab_pair else grids[-1]}-grid: "
+    ref = stab_pair[0] if stab_pair else grids[-1]
+    family_const = max(v for (_, g), v in ratios_at.items() if g == ref)
+    checks.append((f"family-wide constant on {ref}-grid: "
                    f"max h1/(c0+c2) = {family_const:.3f} finite", math.isfinite(family_const)))
 
     div = make_profile(cfg.divergence_profile)

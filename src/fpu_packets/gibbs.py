@@ -360,9 +360,14 @@ class GibbsSampler:
         return bonds_to_state(self.r, p)
 
     def sample_states(self, n: int) -> ChainState:
-        """n successive sample() draws as one (n, N) ensemble."""
-        draws = [self.sample() for _ in range(n)]
-        return ChainState(np.stack([s.p for s in draws]), np.stack([s.q for s in draws]))
+        """n successive sample() draws as one (n, N) ensemble, written row by
+        row, so that the draws are not held twice."""
+        p = np.empty((n, self.params.N))
+        q = np.empty_like(p)
+        for i in range(n):
+            state = self.sample()
+            p[i], q[i] = state.p, state.q
+        return ChainState(p, q)
 
     def diagnostics(self) -> dict:
         """The tuned proposal, acceptance, stride and sweep count, the

@@ -9,12 +9,12 @@ import pytest
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 from fpu_packets import experiments, gibbs, stats
-from fpu_packets.chain import BlowupError, ChainParams
-from fpu_packets.experiments import (EXPERIMENTS, ConfigError, _ratio_cell, _write_csv,
-                                     experiment_schema, main, run, validate_config)
+from fpu_packets.chain import BlowupError, ChainParams, energy, evolve_batch
+from fpu_packets.experiments import (EXPERIMENTS, ConfigError, _draw, _phi0_flow, _ratio_cell,
+                                     _write_csv, experiment_schema, main, run, validate_config)
 from fpu_packets.gibbs import GibbsSampler, slab_rejection_bonds, tilted_density
-from fpu_packets.packet import build_phi1_table
-from fpu_packets.profiles import make_profile
+from fpu_packets.packet import build_phi1_table, mode_weights, phi0
+from fpu_packets.profiles import disjoint_profiles, make_profile
 
 MINIMAL = {"experiment": "homological", "seed": 1, "N_list": [15],
            "beta_list": [100.0], "n_samples": 5}
@@ -431,6 +431,23 @@ def test_theorem2_csv_is_parseable(tmp_path):
     assert {len(r) for r in rows} == {8}
 
 
+def test_theorem2_family_constant_is_read_on_the_named_grid(tmp_path):
+    # no two grids >= 1024: the constant is the maximum on the largest grid,
+    # the one its check line names, not over every grid
+    body = {"experiment": "theorem2-h1", "seed": 1, "grid_sizes": [300, 512],
+            "profiles": [{"kind": "bump", "center": 0.18, "width": 0.25, "amplitude": 1.0}]}
+    run(validate_config(json.dumps(body)), tmp_path)
+    label = json.dumps(body["profiles"][0], sort_keys=True)
+    with open(tmp_path / "theorem2-h1_results.csv") as fh:
+        ratios = {int(r["grid"]): float(r["ratio"]) for r in csv.DictReader(fh)
+                  if r["profile"] == label}
+    assert ratios[300] != ratios[512]
+    meta = json.loads((tmp_path / "theorem2-h1_metadata.json").read_text())
+    assert meta["diagnostics"]["family_constant"] == ratios[512]
+    summary = (tmp_path / "theorem2-h1_summary.txt").read_text()
+    assert "family-wide constant on 512-grid" in summary
+
+
 def test_run_autocorrelation_custom_grid(tmp_path):
     body = {"experiment": "autocorrelation", "seed": 2, "N_list": [15],
             "beta_list": [20.0], "n_samples": 12, "t_grid": [0.0, 1.0, 3.0],
@@ -585,3 +602,31 @@ def test_sampler_validation_solves_theta_once_per_beta(tmp_path, monkeypatch):
     gibbs._tilted_density.cache_clear()
     td = tilted_density(beta, cfg.A)
     assert tilted == {f"beta={beta:g}": {"theta": td.theta, "q_theta": td.q_theta}}
+
+
+def test_draw_and_flow_helpers_keep_the_sampler_s_draws():
+    # the cells' one draw path is n successive sample() draws, bit for bit, and
+    # the flow core's step-0 plane is Phi0 of exactly those states
+    N, n, K, beta = 15, 8, 2, 100.0
+    cfg = validate_config(json.dumps({"experiment": "multi-packet", "seed": 5, "N_list": [N],
+                                      "beta_list": [beta], "n_samples": n, "K": K}))
+    params, states, diag = _draw(cfg, np.random.SeedSequence(5, spawn_key=(0,)), N, beta)
+    ref = GibbsSampler(ChainParams(N=N, A=cfg.A, beta=beta),
+                       np.random.SeedSequence(5, spawn_key=(0,)))
+    draws = [ref.sample() for _ in range(n)]
+    assert params == ref.params
+    assert states.p.tobytes() == np.stack([d.p for d in draws]).tobytes()
+    assert states.q.tobytes() == np.stack([d.q for d in draws]).tobytes()
+    assert diag == ref.diagnostics()
+
+    weights = [mode_weights(p, N)[1] for p in disjoint_profiles(K)]
+    steps = [0, 5, 20]
+    vals, flow_diag = _phi0_flow(cfg, np.random.SeedSequence(5, spawn_key=(0,)), N, beta,
+                                 weights, steps)
+    assert vals.shape == (K, len(steps), n)
+    for l, nu_k in enumerate(weights):
+        assert vals[l, 0].tobytes() == phi0(states, nu_k).tobytes()
+    snaps = evolve_batch(states, params, cfg.dt, steps[1:])
+    h0 = energy(states, cfg.A)
+    worst = max(float((np.abs(energy(s, cfg.A) - h0) / np.abs(h0)).max()) for s in snaps)
+    assert flow_diag == {"energy_rel_err": worst, **diag}

@@ -5,7 +5,11 @@ bar.  `spectral` and `gibbs` sit on `chain`, `packet` on `chain`, `spectral`
 and `profiles`, and only `experiments` sees everything below it.  The
 package's `__init__` imports none of them: its API is its modules.  Outside
 the package, a module imports the standard library and numpy only; scipy and
-pytest are the tests' own dependencies."""
+pytest are the tests' own dependencies.
+
+Within `experiments`, the grid cells draw their Gibbs ensembles in one
+function and evolve them in one function, so a change to the sampler or the
+integrator lands in one place."""
 
 import ast
 import json
@@ -110,3 +114,32 @@ def test_run_loads_no_scipy(tmp_path):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def callers(source: str, name: str) -> set[str]:
+    """The module-level functions and classes of a source whose bodies call
+    `name`, as a plain name or an attribute; a call outside them counts as
+    `<module>`."""
+    found = set()
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                       getattr(node.func, "attr", None)):
+                found.add(getattr(top, "name", "<module>"))
+    return found
+
+
+def test_callers_sees_names_attributes_and_nested_calls():
+    source = ("import numpy as np\nfrom . import chain\nx = f(1)\n"
+              "def a():\n    return f()\n"
+              "def b(s):\n    def inner():\n        return chain.f(s)\n    return inner\n"
+              "class C:\n    def m(self):\n        return self.f\n"
+              "def d():\n    return g(f)\n")
+    assert callers(source, "f") == {"<module>", "a", "b"}
+
+
+def test_experiments_draws_and_evolves_in_one_place():
+    source = (SRC / "experiments.py").read_text()
+    assert callers(source, "evolve_batch") == {"_phi0_flow"}
+    assert callers(source, "GibbsSampler") == {"_draw", "_run_sampler_validation"}
+    assert callers(source, "sample") == set()
