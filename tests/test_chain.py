@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import tracemalloc
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import energies, from_modes, integrate, potential_dv, total_energy
@@ -13,30 +15,52 @@ from fpu_packets.profiles import DEFAULT_PROFILE_SPEC, make_profile
 from fpu_packets.spectral import frequencies, sine_transform
 
 
-def forces(q, A):
-    """-dH/dq from the shipped leapfrog's force kernel, on a one-state padded
-    flat buffer: the fixed ends are the zeros around q."""
+def forces(q, A, harmonic_only=False):
+    """-dH/dq from the shipped leapfrog's force kernel at c = 1, on a one-state
+    padded flat buffer: the fixed ends are the zeros around q."""
     q = np.asarray(q, dtype=float)
     n = q.size
     z = np.concatenate([[0.0], q, [0.0]])
     r, w, f = np.empty((3, n + 1))
-    chain._batch_forces(z, n, A, False, r, w, f)
+    chain._batch_forces(z, n, A, 1.0, harmonic_only, r, w, f)
     assert f[n] == 0.0      # the pad slot
     return f[:n]
 
 
-def leapfrog_step(p, q, A, dt, harmonic_only=False):
-    """One leapfrog step (half kick, drift, half kick) on plain arrays, written
-    plainly: the reference that chain.evolve_batch must reproduce bit for bit."""
-    def force(q):
-        # F_j = V'(r_j) - V'(r_{j-1}), with V'(r) = r on the harmonic chain
-        r = bond_extensions(q)
-        return np.diff(r if harmonic_only else potential_dv(r, A))
+def plain_force(q, A, harmonic_only=False):
+    """F_j = V'(r_j) - V'(r_{j-1}), with V'(r) = r on the harmonic chain."""
+    r = bond_extensions(q)
+    return np.diff(r if harmonic_only else potential_dv(r, A))
 
+
+def leapfrog_step(p, q, A, dt, harmonic_only=False):
+    """One leapfrog step (half kick, drift, half kick) on plain arrays, in the
+    classic form: an oracle independent of the shipped kick-drift order."""
     half = 0.5 * dt
-    p_half = p + half * force(q)
+    p_half = p + half * plain_force(q, A, harmonic_only)
     q_new = q + dt * p_half
-    return p_half + half * force(q_new), q_new
+    return p_half + half * plain_force(q_new, A, harmonic_only), q_new
+
+
+def scaled_force(q, A, c, harmonic_only=False):
+    """c F(q) on plain arrays, as the shipped kernel evaluates it:
+    c V'(r) = r (c + r (c + c A r)), or c r on the harmonic chain."""
+    r = bond_extensions(q)
+    return np.diff(r * c if harmonic_only else r * (c + r * (c + (c * A) * r)))
+
+
+def kick_drift_start(p, q, A, dt, harmonic_only=False):
+    """P = dt p at the first half step: dt p + (dt^2 / 2) F(q)."""
+    return dt * p + scaled_force(q, A, 0.5 * (dt * dt), harmonic_only)
+
+
+def kick_drift_step(P, q, A, dt, harmonic_only=False):
+    """One leapfrog step in kick-drift form on plain arrays, in the operation
+    order of chain.evolve_batch: drift q += P, f = dt^2 F(q), kick P += f.
+    Returns (P, q, f); the full-step momentum is (P - f/2) / dt."""
+    q = q + P
+    f = scaled_force(q, A, dt * dt, harmonic_only)
+    return P + f, q, f
 
 
 def test_potential_values():
@@ -115,6 +139,16 @@ def test_energy_matches_the_oracle_state_by_state(N, B, A, scale, seed):
 def test_forces_unit_displacement_example():
     assert forces([1.0, 0.0, 0.0], 1.0) == pytest.approx([-4.0, 1.0, 0.0])
     assert forces(np.zeros(3), 1.0) == pytest.approx([0, 0, 0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.integers(3, 64), A=st.floats(0.1, 2.0), harmonic_only=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_forces_at_unit_scale_have_the_plain_force_s_bits(N, A, harmonic_only, seed):
+    # at c = 1 the scaled kernel evaluates r (1 + r (1 + A r)) as before it
+    # took a scale
+    q = np.random.default_rng(seed).normal(scale=0.3, size=N)
+    assert np.array_equal(forces(q, A, harmonic_only), plain_force(q, A, harmonic_only))
 
 
 def test_forces_match_finite_differences():
@@ -246,28 +280,80 @@ def test_blowup_detection():
 def test_evolve_batch_matches_stepper(N, B, harmonic_only, seed):
     rng = np.random.default_rng(seed)
     params = ChainParams(N=N)
+    dt = 0.02
     states = ChainState(0.1 * rng.normal(size=(B, N)), 0.1 * rng.normal(size=(B, N)))
     targets = (0, 37, 100)
-    batch = chain.evolve_batch(states, params, 0.02, targets, harmonic_only)
+    batch = chain.evolve_batch(states, params, dt, targets, harmonic_only)
     for i, state in enumerate(states):
-        p, q = state.p, state.q
-        reached = [(p, q)]
+        P, q = kick_drift_start(state.p, state.q, params.A, dt, harmonic_only), state.q
+        reached = [(state.p, q)]
         for _ in range(targets[-1]):
-            p, q = leapfrog_step(p, q, params.A, 0.02, harmonic_only)
-            reached.append((p, q))
+            P, q, f = kick_drift_step(P, q, params.A, dt, harmonic_only)
+            reached.append(((P - 0.5 * f) / dt, q))
         for m, target in enumerate(targets):
             assert np.array_equal(batch[m][i].p, reached[target][0])
             assert np.array_equal(batch[m][i].q, reached[target][1])
+
+
+# Kick-drift and the classic half-kick/drift/half-kick form are one scheme;
+# they differ only in rounding.  One step rounds about 20 times in either
+# form (bonds, the force polynomial, its difference, the kicks, the drift and
+# the dt and 1/dt scalings), each time by at most eps = 2.2e-16 relative to
+# the entries, which are at most a few times the largest |p| or |q|.  Over
+# 100 steps that is 100 * 20 * eps = 4.4e-13 of that scale if every rounding
+# error added up in one direction and nothing amplified them; at amplitude
+# 0.1 and t = 2 the flow does not amplify them.  ROUNDING allows 2.3x that;
+# the largest difference seen over 300 random cases was 3e-15.
+ROUNDING = 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.integers(3, 64), B=st.integers(1, 6), harmonic_only=st.booleans(),
+       A=st.floats(0.1, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_evolve_batch_agrees_with_the_classic_leapfrog(N, B, harmonic_only, A, seed):
+    rng = np.random.default_rng(seed)
+    params = ChainParams(N=N, A=A)
+    states = ChainState(0.1 * rng.normal(size=(B, N)), 0.1 * rng.normal(size=(B, N)))
+    (end,) = chain.evolve_batch(states, params, 0.02, [100], harmonic_only)
+    for i, state in enumerate(states):
+        p, q = state.p, state.q
+        for _ in range(100):
+            p, q = leapfrog_step(p, q, A, 0.02, harmonic_only)
+        scale = max(np.abs(p).max(), np.abs(q).max())
+        assert np.abs(end[i].p - p).max() <= ROUNDING * scale
+        assert np.abs(end[i].q - q).max() <= ROUNDING * scale
+
+
+def test_evolve_batch_allocates_no_array_per_step():
+    # the traced peak of a 2000-step run is its five work buffers of the
+    # padded length (z has one entry more), the snapshot it returns and at
+    # most 4 KiB of Python objects and small temporaries (3.1 KiB with numpy
+    # 2.4).  A kick written as P = P + f holds two more 2 KiB buffers and fails
+    B, N = 8, 31
+    rng = np.random.default_rng(0)
+    states = ChainState(0.1 * rng.normal(size=(B, N)), 0.1 * rng.normal(size=(B, N)))
+    params = ChainParams(N=N)
+    chain.evolve_batch(states, params, 0.02, [1])     # numpy's one-time setup
+    tracemalloc.start()
+    try:
+        (end,) = chain.evolve_batch(states, params, 0.02, [2000])
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    buffers = (5 * B * (N + 1) + 1) * np.dtype(float).itemsize
+    assert end.p.nbytes + end.q.nbytes <= held
+    assert peak <= buffers + held + 4096, (peak, buffers, held)
 
 
 @pytest.mark.parametrize("N, amplitudes, dt", [
     (15, (30.0, 3.0), 2.0), (15, (3.0, 2.0), 0.5), (8, (1.0, 0.5), 1.5),
     (9, (2.0, 0.1), 1.2), (7, (0.5, 0.4), 0.9)])
 def test_blowup_time_is_the_stepper_s_first_non_finite_step(N, amplitudes, dt):
-    # evolve_batch tests finiteness on p.p + q.q, so it stops at the first
-    # step at which that sum is non-finite for some row of the plain stepper;
-    # the stepper's state itself is non-finite there or one step later (its
-    # squares overflow before its entries do)
+    # evolve_batch tests finiteness on P.P, P = dt p at the half step after
+    # it, and stops at the first step at which p.p + q.q is non-finite for
+    # some row of the classic stepper: once the state runs away, both sums
+    # overflow in the same step.  The stepper's state itself is non-finite
+    # there or one step later (its squares overflow before its entries do)
     params = ChainParams(N=N, beta=1.0)
     signs = np.where(np.arange(N) % 2, 1.0, -1.0)
     q = np.array([a * signs for a in amplitudes])
