@@ -418,11 +418,11 @@ def _run_ratio(cfg: ExperimentConfig, threads: int):
 
 def _autocorr_cell(cfg, seed, N, beta):
     nu_k = packet_mod.mode_weights(make_profile(cfg.profile), N)[1]
-    grid = _autocorr_times(cfg, beta)
-    flow, diag = _phi0_flow(cfg, seed, N, beta, [nu_k], _steps(grid, cfg.dt))
+    steps = _steps(_autocorr_times(cfg, beta), cfg.dt)
+    flow, diag = _phi0_flow(cfg, seed, N, beta, [nu_k], steps)
     # (times, n) transposed, not stacked along axis 1: the estimator's column
     # sums follow the memory layout, and the CSV bytes follow those sums
-    curve = stats_mod.autocorrelation(flow[0].T, grid)
+    curve = stats_mod.autocorrelation(flow[0].T, steps * cfg.dt)
     t_half, t_half_se = stats_mod.half_life_jackknife(curve)
     rows = [{"N": N, "beta": beta, "t": float(t), "corr": float(c),
              "corr_stderr": float(se), "corr_normalized": float(v),
@@ -433,7 +433,8 @@ def _autocorr_cell(cfg, seed, N, beta):
 
 
 def _autocorr_times(cfg, beta) -> np.ndarray:
-    """The configured t_grid, or the default grid up to horizon_factor * beta."""
+    """The configured t_grid, or the default grid up to horizon_factor * beta;
+    the cells evolve to, and report, its times snapped to whole steps."""
     if cfg.t_grid is not None:
         return np.asarray(cfg.t_grid, dtype=float)
     horizon = cfg.horizon_factor * beta
@@ -465,15 +466,17 @@ def _run_autocorr(cfg: ExperimentConfig, threads: int):
     level = THRESHOLDS["persistence_level"]
     for N, beta in product(cfg.N_list, cfg.beta_list):
         if beta in cfg.persistence_betas:
+            last = _steps(beta, cfg.dt)
             worst = min(r["corr_normalized"] for r in rows
-                        if r["N"] == N and r["beta"] == beta and r["t"] <= beta + 1e-9)
+                        if r["N"] == N and r["beta"] == beta and _steps(r["t"], cfg.dt) <= last)
             checks.append((f"persistence N={N} beta={beta:g}: "
                            f"min C/C0 over t<=beta = {worst:.3f} >= {level}",
                            worst >= level))
     if len(cfg.beta_list) < 2:
         return rows, checks, diags
     b_lo, b_hi = min(cfg.beta_list), max(cfg.beta_list)
-    horizon_lo, horizon_hi = (float(_autocorr_times(cfg, b).max()) for b in (b_lo, b_hi))
+    horizon_lo, horizon_hi = (float(_steps(_autocorr_times(cfg, b).max(), cfg.dt) * cfg.dt)
+                              for b in (b_lo, b_hi))
     target = THRESHOLDS["half_life_ratio"]
     for N in cfg.N_list:
         lo_cell = diags[_point_key(("N", "beta"), (N, b_lo))]
@@ -544,16 +547,18 @@ def _run_lemma3(cfg: ExperimentConfig, threads: int):
 # ------------------------------------------------------------------- chebyshev
 
 def _chebyshev_cell(cfg, seed, N, beta):
-    """Empirical P(|Phi0(t) - Phi0| >= sigma beta^(-a/2)) at t = beta^(1-a).
+    """Empirical P(|Phi0(t) - Phi0| >= sigma beta^(-a/2)) at t = beta^(1-a),
+    snapped to a whole step of dt; the row reports that step's time.
 
     Also returns the Chebyshev bound computed from the measured increment
     variance, which no distribution can beat beyond sampling noise.
     """
     nu_k = packet_mod.mode_weights(make_profile(cfg.profile), N)[1]
     a, n = cfg.a, cfg.n_samples
-    t = beta ** (1.0 - a)
+    step = int(_steps(beta ** (1.0 - a), cfg.dt))
+    t = step * cfg.dt
     lam = beta ** (-a / 2.0)
-    flow, diag = _phi0_flow(cfg, seed, N, beta, [nu_k], [0, int(_steps(t, cfg.dt))])
+    flow, diag = _phi0_flow(cfg, seed, N, beta, [nu_k], [0, step])
     before, after = flow[0]
     sigma0 = float(before.std())
     thr = lam * sigma0

@@ -459,6 +459,22 @@ def test_run_autocorrelation_custom_grid(tmp_path):
     assert times == [0.0, 1.0, 3.0]
 
 
+def test_rows_report_the_time_evolved_to(tmp_path):
+    # 0.03 and 0.07 round to steps 2 and 4 of dt = 0.02: the rows, and the
+    # half-life and persistence checks that read them, carry 0.04 and 0.08
+    body = {"experiment": "autocorrelation", "seed": 1, "N_list": [7], "beta_list": [20.0],
+            "n_samples": 5, "t_grid": [0.0, 0.03, 0.07], "persistence_betas": [20.0]}
+    run(validate_config(json.dumps(body)), tmp_path / "autocorrelation")
+    with open(tmp_path / "autocorrelation" / "autocorrelation_results.csv") as fh:
+        assert [r["t"] for r in csv.DictReader(fh)] == ["0.0", "0.04", "0.08"]
+    # beta^(1 - a) = 50^0.6 = 10.456 is step 523, t = 10.46
+    body = {"experiment": "chebyshev", "seed": 1, "N_list": [7], "beta_list": [50.0, 100.0],
+            "n_samples": 5}
+    run(validate_config(json.dumps(body)), tmp_path / "chebyshev")
+    with open(tmp_path / "chebyshev" / "chebyshev_results.csv") as fh:
+        assert [float(r["t"]) for r in csv.DictReader(fh)] == [523 * 0.02, 792 * 0.02]
+
+
 def test_run_without_any_check_fails(tmp_path, capsys, monkeypatch):
     # no valid config of a registered experiment reaches the fallback (the last
     # one, a single beta outside persistence_betas, is refused), so an
