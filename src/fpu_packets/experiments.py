@@ -162,11 +162,29 @@ def _admissible(v):
 
 
 def _h1_bounded(v):
-    """A profile with c0 + c2 > 0; the bound h1 <= C (c0 + c2) says nothing otherwise."""
+    """A profile with c0 >= 0 and c0 + c2 > 0.  The bound h1 <= C (c0 + c2)
+    reads c0 = g(0) and c2 = sup|g''| as sizes: with c0 < 0 the two can
+    cancel and h1 / (c0 + c2) grows as large as one likes, and with
+    c0 + c2 <= 0 the bound says nothing."""
     prof = make_profile(v)
+    if prof.c0 < 0:
+        raise ValueError(f"must have c0 = g(0) >= 0, got c0 = {prof.c0:g}")
     if not prof.c0 + prof.c2 > 0:
         raise ValueError(f"must have c0 + c2 > 0, got c0 = {prof.c0:g}, c2 = {prof.c2:g}")
     return v
+
+
+def _h1_grids(v):
+    """At least two grid sizes, the largest at least h1_divergence times the
+    smallest: h1 of a profile with g'(0) != 0 grows about in proportion to
+    the grid, so on a smaller span the divergence check fails whatever h1
+    measures."""
+    grids = _list(_int(2), distinct=2)(v)
+    span = max(grids) / min(grids)
+    if span < THRESHOLDS["h1_divergence"]:
+        raise ValueError(f"largest/smallest = {span:.3g} must be >= "
+                         f"{THRESHOLDS['h1_divergence']:g}, got {v!r}")
+    return grids
 
 
 def _steps(t, dt: float) -> np.ndarray:
@@ -865,7 +883,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
                                  cfg.dt)),
     "theorem2-h1": ExperimentSpec(
         "h1/(c0+c2) bounded on the admissible family, divergent for g(x)=x",
-        {"grid_sizes": Key([256, 1024, 2048, 4096], _list(_int(2), distinct=2)),
+        {"grid_sizes": Key([256, 1024, 2048, 4096], _h1_grids),
          "profiles": Key(THEOREM2_FAMILY, _list(_h1_bounded)),
          "divergence_profile": Key({"kind": "linear"}, _profile)},
         ("profile", "admissible", "grid", "h1", "c0", "c2", "ratio", "min_denominator"),

@@ -88,6 +88,7 @@ def test_every_key_is_validated(tmp_path, experiment, key):
     ("sampler-validation", "lemma5_N", [64]),
     ("sampler-validation", "lemma5_N", [64, 64]),
     ("theorem2-h1", "grid_sizes", [300]),
+    ("theorem2-h1", "grid_sizes", [300, 512]),
     # values the estimators refuse only once run() has started
     ("autocorrelation", "t_grid", [0.0, 2.0, 1.0]),
     ("autocorrelation", "n_samples", 2),
@@ -149,11 +150,18 @@ def test_rejects_bad_or_vacuous_values(tmp_path, experiment, key, value):
     {"experiment": "theorem2-h1", "seed": 1, "profiles": [{"kind": "linear"}]},
     {"experiment": "theorem2-h1", "seed": 1, "profiles": [{"kind": "constant", "value": 0.0}]},
     {"experiment": "theorem2-h1", "seed": 1, "profiles": [{"kind": "constant", "value": -1.0}]},
+    # c0 < 0 with c0 + c2 = 0.008: h1 / (c0 + c2) read 189.563 and PASSed
+    {"experiment": "theorem2-h1", "seed": 1, "grid_sizes": [256, 1024, 2048],
+     "profiles": [{"kind": "poly_x2", "coeffs": [-0.68, 0.344]},
+                  {"kind": "constant", "value": 1.0}]},
+    # a grid span below h1_divergence, on which the divergence check can only FAIL
+    {"experiment": "theorem2-h1", "seed": 1, "grid_sizes": [300, 512]},
     {"experiment": "autocorrelation", "seed": 1, "t_grid": [1.0, 2.0]},
 ], ids=["inadmissible-corrector", "zero-step-quarter-beta", "zero-step-t-grid",
         "persistence-beta-not-run", "two-times-one-step", "beta-keys-collide",
         "ratio-beta-keys-collide", "h1-family-linear", "h1-family-zero-amplitude",
-        "h1-family-negative", "t-grid-after-zero"])
+        "h1-family-negative", "h1-family-negative-c0", "h1-grid-span-undecidable",
+        "t-grid-after-zero"])
 def test_refused_before_any_output(tmp_path, body):
     assert _exit_codes(tmp_path, body) == (2, 2)
     assert not (tmp_path / "out").exists()
@@ -190,6 +198,20 @@ def test_inadmissible_profile_where_no_corrector_is_built(tmp_path):
     with pytest.raises(ConfigError, match=r"field 'profiles': entry 0: must have c0 \+ c2 > 0"):
         validate_config(json.dumps({"experiment": "theorem2-h1", "seed": 1,
                                     "profiles": [{"kind": "linear"}]}))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("profiles", [{"kind": "constant", "value": 1.0}, {"kind": "poly_x2", "coeffs": [-0.68, 0.344]}],
+     "field 'profiles': entry 1: must have c0 = g(0) >= 0, got c0 = -0.68"),
+    ("grid_sizes", [300, 512],
+     "field 'grid_sizes': largest/smallest = 1.71 must be >= 2, got [300, 512]"),
+])
+def test_theorem2_refuses_what_its_checks_cannot_decide(field, value, message):
+    with pytest.raises(ConfigError) as exc:
+        validate_config(json.dumps({"experiment": "theorem2-h1", "seed": 1, field: value}))
+    assert str(exc.value) == message
+    # the golden's grids sit exactly on the bound and stay valid
+    validate_config(json.dumps({"experiment": "theorem2-h1", "seed": 1, "grid_sizes": [32, 64]}))
 
 
 def test_validate_unknown_profile_kind_lists_registry():
@@ -433,19 +455,21 @@ def test_theorem2_csv_is_parseable(tmp_path):
 
 def test_theorem2_family_constant_is_read_on_the_named_grid(tmp_path):
     # no two grids >= 1024: the constant is the maximum on the largest grid,
-    # the one its check line names, not over every grid
-    body = {"experiment": "theorem2-h1", "seed": 1, "grid_sizes": [300, 512],
+    # the one its check line names, not over every grid; the bump's ratio is
+    # larger on the 600-grid than on the 1300-grid, so a maximum over both
+    # grids would read the 600-grid's
+    body = {"experiment": "theorem2-h1", "seed": 1, "grid_sizes": [600, 1300],
             "profiles": [{"kind": "bump", "center": 0.18, "width": 0.25, "amplitude": 1.0}]}
     run(validate_config(json.dumps(body)), tmp_path)
     label = json.dumps(body["profiles"][0], sort_keys=True)
     with open(tmp_path / "theorem2-h1_results.csv") as fh:
         ratios = {int(r["grid"]): float(r["ratio"]) for r in csv.DictReader(fh)
                   if r["profile"] == label}
-    assert ratios[300] != ratios[512]
+    assert ratios[600] > ratios[1300]
     meta = json.loads((tmp_path / "theorem2-h1_metadata.json").read_text())
-    assert meta["diagnostics"]["family_constant"] == ratios[512]
+    assert meta["diagnostics"]["family_constant"] == ratios[1300]
     summary = (tmp_path / "theorem2-h1_summary.txt").read_text()
-    assert "family-wide constant on 512-grid" in summary
+    assert "family-wide constant on 1300-grid" in summary
 
 
 def test_run_autocorrelation_custom_grid(tmp_path):
