@@ -493,8 +493,7 @@ def _run_autocorr(cfg: ExperimentConfig, threads: int):
     if len(cfg.beta_list) < 2:
         return rows, checks, diags
     b_lo, b_hi = min(cfg.beta_list), max(cfg.beta_list)
-    horizon_lo, horizon_hi = (float(_steps(_autocorr_times(cfg, b).max(), cfg.dt) * cfg.dt)
-                              for b in (b_lo, b_hi))
+    horizon_lo, horizon_hi = (max(r["t"] for r in rows if r["beta"] == b) for b in (b_lo, b_hi))
     target = THRESHOLDS["half_life_ratio"]
     for N in cfg.N_list:
         lo_cell = diags[_point_key(("N", "beta"), (N, b_lo))]

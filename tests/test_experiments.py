@@ -88,7 +88,6 @@ def test_every_key_is_validated(tmp_path, experiment, key):
     ("sampler-validation", "lemma5_N", [64]),
     ("sampler-validation", "lemma5_N", [64, 64]),
     ("theorem2-h1", "grid_sizes", [300]),
-    ("theorem2-h1", "grid_sizes", [300, 512]),
     # values the estimators refuse only once run() has started
     ("autocorrelation", "t_grid", [0.0, 2.0, 1.0]),
     ("autocorrelation", "n_samples", 2),
