@@ -1,7 +1,7 @@
-import numpy as np
-import pytest
 import tracemalloc
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import energies, from_modes, integrate, potential_dv, total_energy
