@@ -8,7 +8,9 @@ check of values wrong only together where there are such.  A config may set
 over a grid of points runs one cell per point, and every cell returns the
 same shape: its CSV rows and a dict of diagnostics for the metadata.  Every
 grid cell draws its Gibbs ensemble through `_draw`, and the cells that evolve
-it do so through `_phi0_flow`, the one caller of the integrator.
+it do so through `_phi0_flow`, the one caller of the integrator.  `_packets`
+names the packets the grid cells observe: validation refuses a config in
+which one of them is empty, and `_phi0_flow` evolves their Phi0.
 
 Every experiment's PASS thresholds live in THRESHOLDS, which the acceptance
 test suite imports, so there is a single source of truth.  (config, seed)
@@ -45,7 +47,7 @@ from .gibbs import (GibbsSampler, ThetaSolveError, slab_rejection_bonds, stream_
                     tilted_density)
 from .packet import (PacketError, PacketObservable, build_phi1_table, homological_residual,
                      ps_observable)
-from .profiles import DEFAULT_PROFILE_SPEC, eval_h1, make_profile
+from .profiles import DEFAULT_PROFILE_SPEC, NuProfile, eval_h1, make_profile
 
 THRESHOLDS = {
     "homological_residual": 1e-9,
@@ -156,8 +158,7 @@ def _admissible(v):
     """A profile with g'(0) = 0, as the corrector table and packet estimates need."""
     prof = make_profile(v)
     if not prof.admissible:
-        raise ValueError(f"must be an admissible profile (g'(0) = 0), "
-                         f"got g'(0) = {prof.g_prime_at_zero:.3e}")
+        raise ValueError(f"must be an admissible profile (g'(0) = 0), got g'(0) = {prof.dg0:g}")
     return v
 
 
@@ -219,7 +220,7 @@ _positive = _real(lambda v: v > 0, "a number > 0")
 # one metadata key
 _N_LIST = _list(_int(3), repeats=False)
 _BETAS = _list(_positive, repeats=False)
-_COUNT = _int(2)
+_COUNT = _int(3)
 
 
 class Key(NamedTuple):
@@ -249,7 +250,8 @@ class ExperimentSpec:
 
 def validate_config(text: str) -> ExperimentConfig:
     """Parse and validate a JSON config; a key its experiment does not read is
-    an error, and so is a profile whose g vanishes at every mode of some N."""
+    an error, and so is an observed packet whose g vanishes at every mode of
+    some N."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -278,15 +280,24 @@ def validate_config(text: str) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"field {key!r}: {exc}") from None
     cfg = ExperimentConfig(experiment=name, raw=data, **values)
-    if "profile" in spec.keys and "N_list" in spec.keys:
-        profile = make_profile(cfg.profile)
-        for N in cfg.N_list:
+    if "N_list" in spec.keys:    # a grid experiment, whose cells observe packets
+        key, packets = _packets(cfg)
+        for N, (l, profile) in product(cfg.N_list, enumerate(packets)):
             if not packet_mod.mode_weights(profile, N)[0].any():
-                raise ConfigError(f"field 'profile': g vanishes at every mode of N={N}, so "
-                                  f"the packet is empty and every check on it is vacuous")
+                which = "g" if key == "profile" else f"g of packet {l}"
+                raise ConfigError(f"field {key!r}: {which} vanishes at every mode of N={N}, "
+                                  f"so the packet is empty and every check on it is vacuous")
     if spec.joint is not None:
         spec.joint(cfg)
     return cfg
+
+
+def _packets(cfg) -> tuple[str, list[NuProfile]]:
+    """The packets a grid cell observes, in row order, and the config key
+    that sets them: multi-packet's K disjoint bumps, or the one `profile`."""
+    if cfg.experiment == "multi-packet":
+        return "K", profiles_mod.disjoint_profiles(cfg.K)
+    return "profile", [make_profile(cfg.profile)]
 
 
 def _cell_seed(seed: int, index: int) -> np.random.SeedSequence:
@@ -349,11 +360,12 @@ def _draw(cfg, seed, N: int, beta: float) -> tuple[ChainParams, ChainState, dict
     return params, sampler.sample_states(cfg.n_samples), sampler.diagnostics()
 
 
-def _phi0_flow(cfg, seed, N: int, beta: float, weights, steps) -> tuple[np.ndarray, dict]:
-    """Phi0 of each packet in `weights` (its nu_k) on a cell's drawn ensemble
+def _phi0_flow(cfg, seed, N: int, beta: float, steps) -> tuple[np.ndarray, dict]:
+    """Phi0 of each of the K packets of `_packets` on a cell's drawn ensemble
     after each of the ascending integrator `steps`, as a (K, len(steps), n)
     array, and the cell's diagnostics with the integrator's energy error: the
     largest |H(t) - H(0)| / |H(0)| over trajectories and snapshots."""
+    weights = [packet_mod.mode_weights(p, N)[1] for p in _packets(cfg)[1]]
     params, states, diag = _draw(cfg, seed, N, beta)
     snaps = evolve_batch(states, params, cfg.dt, steps)
     h0 = energy(states, cfg.A)
@@ -435,9 +447,8 @@ def _run_ratio(cfg: ExperimentConfig, threads: int):
 # -------------------------------------------------------------- autocorrelation
 
 def _autocorr_cell(cfg, seed, N, beta):
-    nu_k = packet_mod.mode_weights(make_profile(cfg.profile), N)[1]
     steps = _steps(_autocorr_times(cfg, beta), cfg.dt)
-    flow, diag = _phi0_flow(cfg, seed, N, beta, [nu_k], steps)
+    flow, diag = _phi0_flow(cfg, seed, N, beta, steps)
     # (times, n) transposed, not stacked along axis 1: the estimator's column
     # sums follow the memory layout, and the CSV bytes follow those sums
     curve = stats_mod.autocorrelation(flow[0].T, steps * cfg.dt)
@@ -570,12 +581,11 @@ def _chebyshev_cell(cfg, seed, N, beta):
     Also returns the Chebyshev bound computed from the measured increment
     variance, which no distribution can beat beyond sampling noise.
     """
-    nu_k = packet_mod.mode_weights(make_profile(cfg.profile), N)[1]
     a, n = cfg.a, cfg.n_samples
     step = int(_steps(beta ** (1.0 - a), cfg.dt))
     t = step * cfg.dt
     lam = beta ** (-a / 2.0)
-    flow, diag = _phi0_flow(cfg, seed, N, beta, [nu_k], [0, step])
+    flow, diag = _phi0_flow(cfg, seed, N, beta, [0, step])
     before, after = flow[0]
     sigma0 = float(before.std())
     thr = lam * sigma0
@@ -624,15 +634,13 @@ def _multipacket_cell(cfg, seed, N, beta):
     rate that any packet exceeds (union-bound sanity), and each packet's
     normalized autocorrelation at t = beta/4.
     """
-    weights = [packet_mod.mode_weights(p, N)[1] for p in profiles_mod.disjoint_profiles(cfg.K)]
-    a, n = cfg.a, cfg.n_samples
+    a, n, K = cfg.a, cfg.n_samples, cfg.K
     lam = beta ** (-a / 2.0)
     drift_step, corr_step = _steps([beta ** (1.0 - a), beta / 4.0], cfg.dt).tolist()
     steps = sorted({0, drift_step, corr_step})
     i_drift = steps.index(drift_step)
     i_corr = steps.index(corr_step)
-    K = len(weights)
-    flow, diag = _phi0_flow(cfg, seed, N, beta, weights, steps)
+    flow, diag = _phi0_flow(cfg, seed, N, beta, steps)
     # std over axis 0 of a C-ordered (n, K) array: a 1-D std of one column
     # sums in another order, and the CSV bytes follow that sum
     v0 = np.ascontiguousarray(flow[:, 0].T)
@@ -728,8 +736,8 @@ def _run_sampler_validation(cfg: ExperimentConfig, threads: int):
     diags = {}
     zmax = THRESHOLDS["moment_z"]
     beta = cfg.beta_list[0]
-    # one theta solve serves the moments oracle and the slab reference
-    td = tilted_density(beta, cfg.A) if {"moments", "slab"} & set(cfg.checks) else None
+    # one theta solve serves the moments oracle, the slab reference and run()'s metadata
+    td = tilted_density(beta, cfg.A)
     # streams are numbered in the order the enabled checks take them
     streams = (_cell_seed(cfg.seed, i) for i in count())
 
@@ -840,7 +848,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
     "autocorrelation": ExperimentSpec(
         "packet-energy autocorrelation persistence and half-life scaling",
         {"N_list": Key([127], _N_LIST), "beta_list": Key([50.0, 100.0, 200.0], _BETAS),
-         "A": _A, "n_samples": Key(384, _int(3)),
+         "A": _A, "n_samples": Key(384, _COUNT),
          "profile": Key(DEFAULT_PROFILE_SPEC, _admissible), "dt": _DT,
          "t_grid": Key(None, _t_grid), "horizon_factor": Key(6.5, _positive),
          "persistence_betas": Key([100.0], _list(_positive))},

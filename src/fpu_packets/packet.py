@@ -85,19 +85,15 @@ def mode_weights(profile: NuProfile, N: int) -> tuple[np.ndarray, ...]:
     return g_k, g_k * omega, omega
 
 
-def build_phi1_table(profile: NuProfile, N: int,
-                     require_admissible: bool = True) -> PacketObservable:
+def build_phi1_table(profile: NuProfile, N: int) -> PacketObservable:
     """Enumerate the O(N^2) resonant triples and store the corrector ratios.
 
     For every triple and each sign pattern with tau1 = +1 the stored ratio is
     (tau.nu)/(tau.omega).  Denominators are strictly nonzero at finite N (the
     smallest ones scale like (N+1)^-3); the minimum seen is recorded rather
-    than thresholded.
+    than thresholded.  Any profile builds; config validation refuses one
+    with g'(0) != 0 wherever a table is built.
     """
-    if require_admissible and not profile.admissible:
-        raise ValueError(
-            f"profile {profile.kind!r} has g'(0) = {profile.g_prime_at_zero:.3e}; "
-            "pass require_admissible=False to build anyway")
     if N < 3:
         raise ValueError("N must be >= 3")
     g_k, nu_k, omega = mode_weights(profile, N)
@@ -320,9 +316,8 @@ def ps_observable(kind: str, profile: NuProfile, N: int,
 
     s is the monomial degree, plus_norm the max modulus of the coefficient
     function over the momentum-conserving index set.  H1 ignores the profile.
-    The Phi1 observable is `functools.partial(phi1, packet=table)`, so its
-    corrector table is `observable.keywords["packet"]`; it is `table` when
-    one is given (the caller's table of this profile at N), else built here.
+    Phi1 needs `table`, the caller's corrector table of this profile at N,
+    and its observable is `functools.partial(phi1, packet=table)`.
     """
     if kind == "H1":
         return cubic_energy, 3, 0.25
@@ -330,8 +325,7 @@ def ps_observable(kind: str, profile: NuProfile, N: int,
         g_k, nu_k, _ = mode_weights(profile, N)
         return lambda state: phi0(state, nu_k), 2, float(np.abs(g_k).max())
     if kind == "Phi1":
-        packet = build_phi1_table(profile, N) if table is None else table
-        if packet.N != N:
-            raise ValueError(f"table is for N={packet.N}, not N={N}")
-        return partial(phi1, packet=packet), 3, float(np.abs(packet.coeffs).max())
+        if table is None or table.N != N:
+            raise ValueError(f"Phi1 needs the profile's corrector table at N={N}")
+        return partial(phi1, packet=table), 3, float(np.abs(table.coeffs).max())
     raise ValueError(f"unknown test-function kind {kind!r}")

@@ -1,10 +1,11 @@
 """Packet weight functions nu on [0,1] and the functional h1 built from them.
 
 A profile is specified through g = nu/omega, restricted to a registered
-parametric family so that c0 = g(0) and c2 = sup|g''| are computable in closed
-form.  A profile is admissible when g'(0) = 0; that is the condition under
-which the sign-combination functional h1 stays bounded, and it is exactly what
-keeps the small denominators of the cubic corrector under control.
+parametric family so that c0 = g(0), c2 = sup|g''| and g'(0) are known in
+closed form.  A profile is admissible when g'(0) = 0; that is the condition
+under which the sign-combination functional h1 stays bounded, and it is
+exactly what keeps the small denominators of the cubic corrector under
+control.
 """
 
 from __future__ import annotations
@@ -14,9 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-
-_FD_STEP = 1e-6
-_FD_THRESHOLD = 1e-4
 
 
 def omega_of(x):
@@ -32,15 +30,13 @@ def z_fold(x, y):
 
 @dataclass(frozen=True)
 class NuProfile:
-    """A member of the registered profile family.
-
-    g is the ratio nu/omega, evaluable slightly outside [0,1] so that the
-    admissibility check can take a central difference at 0.
-    """
+    """A member of the registered profile family: g = nu/omega with its
+    closed-form c0 = g(0), c2 = sup|g''| and dg0 = g'(0)."""
 
     kind: str
     c0: float
     c2: float
+    dg0: float
     _g: Callable = field(repr=False, compare=False)
 
     def g(self, x):
@@ -50,12 +46,8 @@ class NuProfile:
         return self.g(x) * omega_of(x)
 
     @property
-    def g_prime_at_zero(self) -> float:
-        return float((self.g(_FD_STEP) - self.g(-_FD_STEP)) / (2.0 * _FD_STEP))
-
-    @property
     def admissible(self) -> bool:
-        return abs(self.g_prime_at_zero) < _FD_THRESHOLD
+        return self.dg0 == 0.0
 
 
 def _max_abs_poly_on_unit(poly: np.polynomial.Polynomial) -> float:
@@ -78,7 +70,7 @@ def _max_abs_poly_on_unit(poly: np.polynomial.Polynomial) -> float:
 
 def _make_constant(value: float = 1.0) -> NuProfile:
     v = float(value)
-    return NuProfile("constant", c0=v, c2=0.0,
+    return NuProfile("constant", c0=v, c2=0.0, dg0=0.0,
                      _g=lambda x: np.full_like(np.asarray(x, dtype=float), v))
 
 
@@ -95,12 +87,12 @@ def _make_poly_x2(coeffs) -> NuProfile:
     def g(x):
         return poly(np.asarray(x, dtype=float))
 
-    return NuProfile("poly_x2", c0=coeffs[0], c2=c2, _g=g)
+    return NuProfile("poly_x2", c0=coeffs[0], c2=c2, dg0=0.0, _g=g)
 
 
 def _make_cosine(amplitude: float = 1.0) -> NuProfile:
     a = float(amplitude)
-    return NuProfile("cosine", c0=a, c2=abs(a) * np.pi**2,
+    return NuProfile("cosine", c0=a, c2=abs(a) * np.pi**2, dg0=0.0,
                      _g=lambda x: a * np.cos(np.pi * np.asarray(x, dtype=float)))
 
 
@@ -120,13 +112,15 @@ def _make_bump(center: float = 0.5, width: float = 0.5, amplitude: float = 1.0) 
         out = np.where((u >= 0.0) & (u <= 1.0), _BUMP(np.clip(u, 0.0, 1.0)), 0.0)
         return a * out
 
+    # the support starts at x >= 0 (up to the rounding allowed above), where
+    # g is 0 or the kernel's flat cubic zero: g'(0) = 0
     c0 = float(g(0.0))
-    return NuProfile("bump", c0=c0, c2=abs(a) * _BUMP_D2_MAX / w**2, _g=g)
+    return NuProfile("bump", c0=c0, c2=abs(a) * _BUMP_D2_MAX / w**2, dg0=0.0, _g=g)
 
 
 def _make_linear() -> NuProfile:
     # g(x) = x: g'(0) = 1, the inadmissible reference for which h1 diverges.
-    return NuProfile("linear", c0=0.0, c2=0.0,
+    return NuProfile("linear", c0=0.0, c2=0.0, dg0=1.0,
                      _g=lambda x: np.asarray(x, dtype=float) + 0.0)
 
 

@@ -49,21 +49,16 @@ def _population_variance(x: np.ndarray) -> tuple[float, np.ndarray]:
 def estimate_from_samples(x: np.ndarray) -> Estimate:
     x = np.asarray(x, dtype=float)
     n = x.size
-    if n < 2:
-        raise ValueError("need at least 2 samples")
+    if n < 3:
+        raise ValueError("need at least 3 samples")
     mean = float(x.mean())
     var = float(x.var(ddof=1))
-    se_mean = math.sqrt(var / n)
-    if n >= 3:
-        s1 = float(x.sum())
-        s2 = float(x @ x)
-        # delete-one unbiased variances, in closed form
-        mean_i = (s1 - x) / (n - 1)
-        var_i = ((s2 - x * x) - (n - 1) * mean_i**2) / (n - 2)
-        se_var = float(_jackknife_se(var_i))
-    else:
-        se_var = var * math.sqrt(2.0 / (n - 1))
-    return Estimate(mean, var, se_mean, se_var, n)
+    s1 = float(x.sum())
+    s2 = float(x @ x)
+    # delete-one unbiased variances, in closed form
+    mean_i = (s1 - x) / (n - 1)
+    var_i = ((s2 - x * x) - (n - 1) * mean_i**2) / (n - 2)
+    return Estimate(mean, var, math.sqrt(var / n), float(_jackknife_se(var_i)), n)
 
 
 @dataclass

@@ -120,6 +120,9 @@ def test_every_key_is_validated(tmp_path, experiment, key):
     ("sampler-validation", "lemma5_N", [64, 64, 256]),
     # a grid that does not start at the time C(t)/C(0) is read against
     ("autocorrelation", "t_grid", [1.0, 2.0]),
+    # too few samples for the jackknife error of a variance
+    ("homological", "n_samples", 2),
+    ("sampler-validation", "lemma5_samples", 2),
 ])
 def test_rejects_bad_or_vacuous_values(tmp_path, experiment, key, value):
     body = {"experiment": experiment, "seed": 1, key: value}
@@ -548,6 +551,33 @@ def test_every_packet_experiment_refuses_a_vanishing_profile(tmp_path, experimen
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("body, message", [
+    # packets 0 and 3 of 4 held no mode: exceed rate 1.0, C/C0 nan, and a
+    # union-bound PASS on them
+    ({"N_list": [5], "beta_list": [100.0], "n_samples": 8},
+     "field 'K': g of packet 0 vanishes at every mode of N=5"),
+    # all 16 packets empty
+    ({"N_list": [7], "K": 16}, "field 'K': g of packet 0 vanishes at every mode of N=7"),
+])
+def test_multi_packet_refuses_an_empty_packet(tmp_path, body, message):
+    body = dict(body, experiment="multi-packet", seed=1)
+    with pytest.raises(ConfigError, match=message):
+        validate_config(json.dumps(body))
+    assert _exit_codes(tmp_path, body) == (2, 2)
+    assert not (tmp_path / "out").exists()
+    # at N = 7 each of the 4 default packets holds a mode
+    validate_config(json.dumps(dict(body, N_list=[7], K=4)))
+
+
+def test_narrow_tall_low_mode_packet_validates(tmp_path):
+    # refused while admissibility was a central difference: g'(0) read 1.6e-4
+    body = {"experiment": "chebyshev", "seed": 1, "N_list": [255],
+            "profile": {"kind": "bump", "center": 0.005, "width": 0.01, "amplitude": 5.0}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(body))
+    assert main(["validate", str(path)]) == 0
+
+
 def test_ratio_slope_without_a_fit_is_a_named_fail(tmp_path, monkeypatch):
     # a zero Phi1 gives sigma_phi1/sigma_phi0 = 0, which fit_power_law refuses
     phi_dot = experiments.packet_mod.phi_dot
@@ -630,8 +660,13 @@ def test_sampler_validation_solves_theta_once_per_beta(tmp_path, monkeypatch):
     calls = []
     solve = gibbs.solve_theta
     monkeypatch.setattr(gibbs, "solve_theta", lambda *a, **k: calls.append(a) or solve(*a, **k))
+    # lemma5 alone reads no theta, but run()'s metadata does: still one solve
     gibbs._tilted_density.cache_clear()
     body = dict(GOLDEN_CONFIGS["sampler-validation"], experiment="sampler-validation", seed=7)
+    run(validate_config(json.dumps(dict(body, checks=["lemma5"]))), tmp_path / "lemma5")
+    assert len(calls) == 1
+    calls.clear()
+    gibbs._tilted_density.cache_clear()
     cfg = validate_config(json.dumps(body))
     run(cfg, tmp_path)
     assert len(calls) == len(set(cfg.beta_list)) == 1
@@ -660,8 +695,7 @@ def test_draw_and_flow_helpers_keep_the_sampler_s_draws():
 
     weights = [mode_weights(p, N)[1] for p in disjoint_profiles(K)]
     steps = [0, 5, 20]
-    vals, flow_diag = _phi0_flow(cfg, np.random.SeedSequence(5, spawn_key=(0,)), N, beta,
-                                 weights, steps)
+    vals, flow_diag = _phi0_flow(cfg, np.random.SeedSequence(5, spawn_key=(0,)), N, beta, steps)
     assert vals.shape == (K, len(steps), n)
     for l, nu_k in enumerate(weights):
         assert vals[l, 0].tobytes() == phi0(states, nu_k).tobytes()

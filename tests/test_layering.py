@@ -9,7 +9,9 @@ pytest are the tests' own dependencies.
 
 Within `experiments`, the grid cells draw their Gibbs ensembles in one
 function and evolve them in one function, so a change to the sampler or the
-integrator lands in one place."""
+integrator lands in one place.  One helper names the packets the cells
+observe, and only validation's empty-packet check and the flow core turn
+them into mode weights."""
 
 import ast
 import json
@@ -143,3 +145,9 @@ def test_experiments_draws_and_evolves_in_one_place():
     assert callers(source, "evolve_batch") == {"_phi0_flow"}
     assert callers(source, "GibbsSampler") == {"_draw", "_run_sampler_validation"}
     assert callers(source, "sample") == set()
+
+
+def test_experiments_names_its_packets_in_one_place():
+    source = (SRC / "experiments.py").read_text()
+    assert callers(source, "disjoint_profiles") == {"_packets"}
+    assert callers(source, "mode_weights") == {"validate_config", "_phi0_flow"}

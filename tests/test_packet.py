@@ -96,11 +96,10 @@ def test_table_coefficients_bounded_by_h1():
     assert np.abs(_ratios(build_phi1_table(prof, 127))).max() <= h1 * 1.05
 
 
-def test_inadmissible_profile_rejected_unless_forced():
-    lin = make_profile({"kind": "linear"})
-    with pytest.raises(ValueError):
-        build_phi1_table(lin, 15)
-    pk = build_phi1_table(lin, 15, require_admissible=False)
+def test_inadmissible_profile_table_builds():
+    # config validation refuses g'(0) != 0 wherever a table is built; the
+    # table itself builds for any profile
+    pk = build_phi1_table(make_profile({"kind": "linear"}), 15)
     assert pk.n_triples > 0
 
 
@@ -272,7 +271,7 @@ def test_corrector_scratch_carries_no_state():
     tables = {N: build_phi1_table(prof, N) for N in (31, 15)}
     a, b = (ChainState(rng.normal(size=31), rng.normal(size=31)) for _ in range(2))
     c = ChainState(rng.normal(size=15), rng.normal(size=15))
-    observable = ps_observable("Phi1", prof, 31)[0]
+    observable = ps_observable("Phi1", prof, 31, build_phi1_table(prof, 31))[0]
     calls = [(a, True), (b, True), (c, True), (a, False), (a, True), (c, False),
              (b, False), (a, True)]
     results = []
@@ -317,7 +316,7 @@ _POLY_SPECS = st.builds(
        seed=st.integers(0, 2**32 - 1))
 @example(spec={"kind": "poly_x2", "coeffs": [0.0, 0.0, 1.0, 5e-324]}, N=3, seed=0)
 def test_phi1_and_gradient_bit_identical_property(spec, N, seed):
-    pk = build_phi1_table(make_profile(spec), N, require_admissible=False)
+    pk = build_phi1_table(make_profile(spec), N)
     rng = np.random.default_rng(seed)
     _assert_matches_reference(pk, [ChainState(rng.normal(size=N), rng.normal(size=N))])
 
@@ -434,21 +433,21 @@ def test_make_ps_test_properties():
     h1, s_h1, norm_h1 = ps_observable("H1", prof_om, 31)
     assert s_h1 == 3
     assert norm_h1 == ps_observable("H1", prof_om, 63)[2] == 0.25
-    f1, s1, norm1 = ps_observable("Phi1", prof_om, 31)
-    assert s1 == 3
+    table = build_phi1_table(prof_om, 31)
+    f1, s1, norm1 = ps_observable("Phi1", prof_om, 31, table)
+    assert f1.keywords["packet"] is table and s1 == 3
     assert norm1 == pytest.approx(0.25, rel=1e-12)
-    assert ps_observable("Phi1", prof_om, 63)[2] == pytest.approx(norm1, rel=1e-12)
+    assert ps_observable("Phi1", prof_om, 63, build_phi1_table(prof_om, 63))[2] == \
+        pytest.approx(norm1, rel=1e-12)
     rng = np.random.default_rng(12)
     st = ChainState(rng.normal(size=31), rng.normal(size=31))
     assert h1(st) == pytest.approx(cubic_energy(st), rel=1e-14)
     assert f0(st) == phi0(st, mode_weights(prof_om, 31)[1])
     assert f1(st) == phi1(st, build_phi1_table(prof_om, 31))
-    table = build_phi1_table(prof_om, 31)
-    given, s_given, norm_given = ps_observable("Phi1", prof_om, 31, table)
-    assert given.keywords["packet"] is table and (s_given, norm_given) == (s1, norm1)
-    assert given(st) == f1(st)
-    with pytest.raises(ValueError, match="table is for N=31, not N=63"):
+    with pytest.raises(ValueError, match="corrector table at N=63"):
         ps_observable("Phi1", prof_om, 63, table)
+    with pytest.raises(ValueError, match="corrector table at N=31"):
+        ps_observable("Phi1", prof_om, 31)
     with pytest.raises(ValueError):
         ps_observable("Phi2", prof_om, 31)
 

@@ -116,7 +116,32 @@ def test_admissibility():
     assert make_profile({"kind": "constant", "value": 1.0}).admissible
     assert make_profile({"kind": "cosine", "amplitude": 1.0}).admissible
     assert make_profile(DEFAULT_PROFILE_SPEC).admissible
-    assert not make_profile({"kind": "linear"}).admissible
+    lin = make_profile({"kind": "linear"})
+    assert lin.dg0 == 1.0 and not lin.admissible
+
+
+_NARROW_BUMPS = st.builds(
+    lambda lo, width, amplitude: {"kind": "bump", "center": lo + width / 2,
+                                  "width": width, "amplitude": amplitude},
+    lo=st.floats(0.0, 0.5), width=st.floats(1e-3, 0.5), amplitude=st.floats(-5.0, 5.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=st.one_of(
+    _NARROW_BUMPS,
+    st.builds(lambda c: {"kind": "poly_x2", "coeffs": c},
+              st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4)),
+    st.builds(lambda a: {"kind": "cosine", "amplitude": a}, st.floats(-5.0, 5.0)),
+    st.builds(lambda v: {"kind": "constant", "value": v}, st.floats(-5.0, 5.0))))
+def test_admissible_families_have_a_flat_origin(spec):
+    # g'(0) is closed-form and exact: 0 for these families whatever the
+    # amplitude or width (a bump's support starts at x >= 0, where its cubic
+    # zero is flat), so a narrow, tall bump near 0 is admissible too; Taylor's
+    # bound |g(h) - c0 - g'(0) h| <= c2 h^2 / 2 ties the three numbers to g
+    prof = make_profile(spec)
+    assert prof.dg0 == 0.0 and prof.admissible
+    for h in (1e-3, 1e-2, 0.1):
+        assert abs(float(prof.g(h)) - prof.c0 - prof.dg0 * h) <= prof.c2 * h * h / 2 + 1e-12
 
 
 def test_eval_h1_constant_profiles():
@@ -226,7 +251,7 @@ def test_eval_h1_warns_on_zero_denominator_with_nonzero_numerator():
         with np.errstate(divide="ignore"):
             return 1.0 / x
 
-    prof = NuProfile("inverse", c0=np.inf, c2=np.inf, _g=g)
+    prof = NuProfile("inverse", c0=np.inf, c2=np.inf, dg0=-np.inf, _g=g)
     with np.errstate(invalid="ignore"), \
             pytest.warns(RuntimeWarning, match="zero denominator with nonzero numerator"):
         eval_h1(prof, 8)

@@ -163,7 +163,7 @@ def test_ratio_theorem1_inadmissible_profile_inflates_corrector():
     adm = make_profile({"kind": "constant", "value": 1 / np.sqrt(3.0)})
     inadm = make_profile({"kind": "linear"})
     pk_a = build_phi1_table(adm, N)
-    pk_i = build_phi1_table(inadm, N, require_admissible=False)
+    pk_i = build_phi1_table(inadm, N)
 
     def sigma_phi1_over_sigma_phi0(pk, seed):
         # validation refuses the inadmissible profile, so no config can reach
