@@ -44,7 +44,7 @@ def ensemble(B, N):
 
 @functools.lru_cache(maxsize=1)
 def table(N):
-    """One corrector table at a time: at N=1023 it is about 250 MiB with its scratch."""
+    """One corrector table at a time: at N=1023 it is about 215 MiB with its scratch."""
     return build_phi1_table(PROFILE, N)
 
 

@@ -150,54 +150,27 @@ class _CorrectorScratch:
     """Work buffers of the corrector pass, sized for one table and reused by
     every pass on it, so a pass allocates no array of the triple count T.
 
-    Six complex T-buffers hold the three leg gathers, Phi1's product, one
-    leg product and the current coefficient column.  The gradient's
-    scatter writes each leg product into a C-contiguous (rows, N) layout
-    whose column b holds bin b's entries at its bottom, in triple order,
-    under zero rows; an axis-0 add then sums every bin from +0.0 in triple
-    order, which is `np.bincount`'s order.  Legs 1 and 2 have N - 1 entries
-    in every bin and share one (N, N) layout; leg 3 has 2(k3 - 1) entries in
-    bin k3 and uses a (2N - 1, N) one.  Only the entry positions are ever
-    written, so the zero rows stay zero.
+    Ten complex T-buffers hold the three leg gathers x of xi and the three d
+    of the direction, the product of legs 1 and 2 and its tangent, Phi1's
+    product and the current coefficient column.
     """
 
     def __init__(self, packet: PacketObservable):
         n, t = packet.N, packet.n_triples
         # the writeable block under the table's read-only k1, k2, k3
         self.k = packet.k1.base
-        # positions first, so their temporaries are freed before the buffers exist
-        self.pos1, self.pos2, self.pos3 = (
-            _scatter_positions(k, rows, n)
-            for k, rows in ((packet.k1, n), (packet.k2, n), (packet.k3, 2 * n - 1)))
-        # xi at 1..N, so the leg gathers index by k with no k - 1
-        self.xi = np.zeros(n + 1, dtype=complex)
-        self.x1, self.x2, self.x3, self.prod, self.leg, self.coeff = (
-            np.empty(t, dtype=complex) for _ in range(6))
-        self.square = np.zeros((n, n), dtype=complex)
-        self.tall = np.zeros((2 * n - 1, n), dtype=complex)
-
-    def scatter_sum(self, layout: np.ndarray, pos: np.ndarray) -> np.ndarray:
-        """The leg buffer summed over equal bins, as a length-N vector."""
-        layout.reshape(-1)[pos] = self.leg
-        return np.add.reduce(layout, axis=0)
+        # xi and the direction at 1..N, so the leg gathers index by k with no k - 1
+        self.xi, self.dxi = np.zeros((2, n + 1), dtype=complex)
+        self.x, self.d = (tuple(np.empty(t, dtype=complex) for _ in range(3))
+                          for _ in range(2))
+        self.p12, self.dp12, self.prod, self.coeff = (
+            np.empty(t, dtype=complex) for _ in range(4))
 
 
-def _scatter_positions(k: np.ndarray, rows: int, n: int) -> np.ndarray:
-    """Flat (rows, n) positions putting the entries of mode k[t] at the
-    bottom of column k[t] - 1, in the order of t."""
-    counts = np.bincount(k, minlength=n + 1)
-    order = np.argsort(k, kind="stable")
-    sorted_k = k[order]
-    # the sorted entries of mode k fill rows rows - counts[k] .. rows - 1
-    row = np.arange(k.size) + (rows - np.cumsum(counts))[sorted_k]
-    pos = np.empty_like(k)
-    pos[order] = row * n + sorted_k - 1
-    return pos
-
-
-def _corrector_pass(state: ChainState, packet: PacketObservable, gradient: bool):
-    """(Phi0, Phi1, d0, d1) of one state, from one forward transform of p and
-    q and one loop over the four stored sign patterns.
+def _corrector_pass(ms: spectral.SpectralState, packet: PacketObservable,
+                    direction: np.ndarray | None = None):
+    """(Phi0, Phi1, dPhi1) of one transformed state, from one loop over the
+    four stored sign patterns.
 
     Phi1 is summed directly over the stored triples.  The pattern -tau of
     stored pattern m has the conjugate monomial and the opposite coefficient,
@@ -205,108 +178,110 @@ def _corrector_pass(state: ChainState, packet: PacketObservable, gradient: bool)
     order m = 0..3 and then the negated patterns from m = 3 down to 0, which
     gives the bits of the full 8-pattern sum, and the real part is Phi1.
 
-    With gradient, d0 and d1 are the mode-space gradients of Phi0 and Phi1,
-    each a (d/dq_hat, d/dp_hat) pair; without, they are None.
+    `direction` is a tangent (dq_hat, dp_hat) as the complex mode vector
+    dxi = (dp_hat + i omega dq_hat) / sqrt(2); eta's legs move by conj(dxi).
+    dPhi1 is Phi1's derivative along it, in forward mode: the product rule
+    over each monomial's legs, d(x1 x2 x3) = (d1 x2 + x1 d2) x3 + x1 x2 d3.
+    The conjugate half makes the sum 2i Im(S) over the stored half S, so
+    Phi1 = -2 Im(S) / sqrt(N+1) and each pattern's tangent dot reads only the
+    imaginary part.  Without a direction, dPhi1 is None.
     """
-    if state.n != packet.N:
-        raise ValueError(f"state has N = {state.n}, packet built for N = {packet.N}")
-    ms = spectral.to_modes(state)
-    n = packet.N
+    if ms.p_hat.shape != (packet.N,):
+        raise ValueError(f"state has shape {ms.p_hat.shape}, packet built for N = {packet.N}")
     sc = packet._scratch
-    x1, x2, x3, prod, leg, c = sc.x1, sc.x2, sc.x3, sc.prod, sc.leg, sc.coeff
+    x, d, p12, dp12, prod, c = sc.x, sc.d, sc.p12, sc.dp12, sc.prod, sc.coeff
+    tangent = direction is not None
     sc.xi[1:] = spectral.to_complex(ms)      # eta is its conjugate
+    gathers = [(sc.xi, x)]
+    if tangent:
+        sc.dxi[1:] = direction
+        gathers.append((sc.dxi, d))
     # mode="clip" writes straight into out; "raise" would buffer a copy
-    for k, x in zip(sc.k, (x1, x2, x3)):
-        np.take(sc.xi, k, out=x, mode="clip")
+    for source, legs in gathers:
+        for k, leg in zip(sc.k, legs):
+            np.take(source, k, out=leg, mode="clip")
     terms = [0j] * 4
-    # per stored pattern and leg: (row of d it lands on, vector); row 0 is
-    # d/d_xi, row 1 d/d_eta
-    adds = [()] * 4
-    # x2 and x3 hold the legs of pattern m's signs: the patterns run in the
-    # order 0, 1, 3, 2, so one exact in-place conjugation moves to the next
-    for m, flip in ((0, None), (1, x3), (3, x2), (2, x3)):
+    slope = 0.0
+    # legs 2 and 3 hold pattern m's signs: the patterns run in the order
+    # 0, 1, 3, 2, so one exact in-place conjugation of a leg moves to the
+    # next.  Patterns 0, 1 and then 3, 2 share leg 2's sign, so each pair
+    # forms x1 x2 and its tangent once
+    for m, flip in ((0, None), (1, 2), (3, 1), (2, 2)):
         if flip is not None:
-            np.conjugate(flip, out=flip)
-        _, t2, t3 = TAU_PATTERNS[m]
+            np.conjugate(x[flip], out=x[flip])
+            if tangent:
+                np.conjugate(d[flip], out=d[flip])
+        if flip != 2:
+            np.multiply(x[0], x[1], out=p12)
+            if tangent:
+                np.multiply(d[0], x[1], out=dp12)
+                np.multiply(x[0], d[1], out=prod)
+                dp12 += prod
         # the complex operand that `float column @ complex` casts to; the
         # 8-pattern loop's operands, one dot per pattern: another layout (a
         # batched matrix) may sum in another order
         np.copyto(c, packet.coeffs[:, m])
-        np.multiply(x1, x2, out=prod)
-        prod *= x3
+        np.multiply(p12, x[2], out=prod)
         terms[m] = c @ prod
-        if gradient:
-            np.multiply(c, x2, out=leg)
-            leg *= x3
-            v1 = sc.scatter_sum(sc.square, sc.pos1)
-            np.multiply(c, x1, out=prod)
-            np.multiply(prod, x3, out=leg)
-            v2 = sc.scatter_sum(sc.square, sc.pos2)
-            np.multiply(prod, x2, out=leg)
-            v3 = sc.scatter_sum(sc.tall, sc.pos3)
-            adds[m] = ((0, v1), (int(t2 < 0), v2), (int(t3 < 0), v3))
+        if tangent:
+            np.multiply(dp12, x[2], out=prod)
+            np.multiply(p12, d[2], out=c)
+            prod += c
+            # a real dot on the strided .imag view, which copies nothing
+            slope += packet.coeffs[:, m] @ prod.imag
     total = 0.0j
     for term in terms + [-np.conj(t) for t in reversed(terms)]:
         total += term
+    root = np.sqrt(packet.N + 1)
     v0 = float(_phi0(ms, packet.nu_k))
-    v1 = float((1j * total / np.sqrt(n + 1)).real)
-    if not gradient:
-        return v0, v1, None, None
-    # pattern -tau adds -conj(vector) of pattern tau to the other row; the
-    # additions keep the order of the full 8-pattern loop
-    d = np.zeros((2, n), dtype=complex)
-    for legs in adds:
-        for row, v in legs:
-            d[row] += v
-    for legs in reversed(adds):
-        for row, v in legs:
-            d[1 - row] -= np.conj(v)
-    dxi, deta = d * (1j / np.sqrt(n + 1))
-    # d/dp_hat = (d_xi + d_eta)/sqrt(2); d/dq_hat = i omega (d_xi - d_eta)/sqrt(2).
-    # Both stay .real views: a strided row rounds differently from a
-    # contiguous copy in the transform's matrix product
-    d1 = ((1j * packet.omega * (dxi - deta) / np.sqrt(2.0)).real,
-          ((dxi + deta) / np.sqrt(2.0)).real)
-    d0 = packet.g_k * ms.omega**2 * ms.q_hat, packet.g_k * ms.p_hat
-    return v0, v1, d0, d1
+    v1 = float((1j * total / root).real)
+    return v0, v1, float(-2.0 * slope / root) if tangent else None
+
+
+def _phi0_slope(ms: spectral.SpectralState, g_k: np.ndarray, dq_hat, dp_hat) -> float:
+    """Phi0's derivative along the tangent (dq_hat, dp_hat), in closed form:
+    Phi0 = sum_k g_k (p_hat_k^2 + omega_k^2 q_hat_k^2) / 2."""
+    return float(g_k @ (ms.p_hat * dp_hat + ms.omega**2 * ms.q_hat * dq_hat))
 
 
 def phi1(state: ChainState, packet: PacketObservable) -> float:
     """The corrector Phi1 at one state, by direct summation over the stored
-    triples (the corrector pass without its gradient)."""
-    return _corrector_pass(state, packet, gradient=False)[1]
+    triples (the corrector pass without a direction)."""
+    return _corrector_pass(spectral.to_modes(state), packet)[1]
 
 
 def phi_dot(state: ChainState, packet: PacketObservable, params: ChainParams
             ) -> tuple[float, float, float]:
-    """(Phi0, Phi1, Phi-dot) of one state; Phi-dot = {Phi0 + Phi1, H} comes
-    from analytic gradients.
+    """(Phi0, Phi1, Phi-dot) of one state; Phi-dot = {Phi0 + Phi1, H} is the
+    derivative of Phi0 + Phi1 along the Hamiltonian vector field
+    X_H = (p, -dH/dq), whose mode components are dq_hat = p_hat and the
+    transformed force dp_hat.
 
     By the homological identity Phi-dot equals {Phi1, H1+H2} + {Phi0, H2}.
     """
-    v0, v1, d0, d1 = _corrector_pass(state, packet, gradient=True)
-    # mode gradients summed, then transformed: the particle-space gradient of Phi
-    dq, dp = (spectral.sine_transform(a + b) for a, b in zip(d0, d1))
+    ms = spectral.to_modes(state)
     r = bond_extensions(state.q)
-    dh_dq = -np.diff(r * (1.0 + r * (1.0 + params.A * r)))
-    # {Phi, H} = dPhi/dq . dH/dp - dPhi/dp . dH/dq, and dH/dp = p
-    return v0, v1, float(dq @ state.p - dp @ dh_dq)
+    # -dH/dq = diff V'(r), V'(r) = r + r^2 + A r^3
+    dp_hat = spectral.sine_transform(np.diff(r * (1.0 + r * (1.0 + params.A * r))))
+    dxi = (dp_hat + 1j * ms.omega * ms.p_hat) / np.sqrt(2.0)
+    v0, v1, slope1 = _corrector_pass(ms, packet, dxi)
+    return v0, v1, _phi0_slope(ms, packet.g_k, ms.p_hat, dp_hat) + slope1
 
 
 def homological_residual(state: ChainState, packet: PacketObservable) -> float:
     """|{H0, Phi1} + {H1, Phi0}| / (1 + |{H1, Phi0}|).
 
     The defining property of the corrector; vanishes to rounding when the
-    table is consistent.  Needs no chain parameters: H0 and H1 are A-free,
-    with gradients (d/dq, d/dp) = (-diff r, p) and (-diff r^2, 0).
+    table is consistent.  {H0, Phi1} is minus Phi1's derivative along the
+    harmonic flow, dxi = i omega xi, and {H1, Phi0} is Phi0's derivative
+    along -X_H1 = (0, dH1/dq), dH1/dq = -diff r^2.  Needs no chain
+    parameters: H0 and H1 are A-free.
     """
-    _, _, d0, d1 = _corrector_pass(state, packet, gradient=True)
-    dq1, dp1 = map(spectral.sine_transform, d1)
-    dp0 = spectral.sine_transform(d0[1])
+    ms = spectral.to_modes(state)
+    _, _, slope1 = _corrector_pass(ms, packet, 1j * ms.omega * spectral.to_complex(ms))
     r = bond_extensions(state.q)
-    b1 = float(-np.diff(r) @ dp1 - state.p @ dq1)
-    b2 = float(-np.diff(r * r) @ dp0)
-    return abs(b1 + b2) / (1.0 + abs(b2))
+    b2 = _phi0_slope(ms, packet.g_k, 0.0, spectral.sine_transform(-np.diff(r * r)))
+    return abs(b2 - slope1) / (1.0 + abs(b2))
 
 
 def ps_observable(kind: str, profile: NuProfile, N: int,

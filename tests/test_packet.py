@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from oracles import (TAU8, bracket_norm_check, energies, from_modes, full_correc
 
 from fpu_packets.chain import ChainParams, ChainState, bond_extensions, cubic_energy
 from fpu_packets.gibbs import GibbsSampler
-from fpu_packets.packet import (_CUBIC_PREFACTOR, TAU_PATTERNS, _corrector_pass,
+from fpu_packets.packet import (_CUBIC_PREFACTOR, TAU_PATTERNS, _corrector_pass, _phi0_slope,
                                 build_phi1_table, homological_residual, mode_weights, phi0,
                                 phi1, phi_dot, ps_observable)
 from fpu_packets.profiles import DEFAULT_PROFILE_SPEC, eval_h1, make_profile
@@ -37,18 +38,20 @@ def _ratios(pk):
     return pk.coeffs / (_CUBIC_PREFACTOR * weight * TAU_PATTERNS.prod(axis=1)[None, :])
 
 
-def _grad_phi(state, pk):
-    """Particle-space gradient (d/dq, d/dp) of Phi0 and of Phi1."""
-    _, _, d0, d1 = _corrector_pass(state, pk, gradient=True)
-    return [sine_transform(g) for g in d0], [sine_transform(g) for g in d1]
+def _direction(pk, dq_hat, dp_hat):
+    """The corrector pass's complex direction for the mode tangent (dq_hat, dp_hat)."""
+    return (dp_hat + 1j * pk.omega * dq_hat) / np.sqrt(2.0)
 
 
 def _phi_dot_split(state, pk, params):
     """{Phi1, H1+H2} + {Phi0, H2}: the form of Phi-dot that the homological
     identity reduces {Phi, H} to, an independent reference for phi_dot.  H1
-    and H2 carry no momentum, so {F, G} = -dF/dp . dG/dq for both."""
+    and H2 carry no momentum, so {F, G} = -dF/dp . dG/dq for both; dPhi1/dp
+    comes from the 8-pattern oracle gradient and dPhi0/dp = T(g p_hat)."""
     r = bond_extensions(state.q)
-    (_, dp0), (_, dp1) = _grad_phi(state, pk)
+    _, dph1 = _grad_phi1_reference(state, pk, full_corrector_table(pk)[0])
+    dp1 = sine_transform(dph1)
+    dp0 = sine_transform(pk.g_k * to_modes(state).p_hat)
     return (-(dp1 @ -np.diff(r * r * (1.0 + params.A * r)))
             - dp0 @ -np.diff(params.A * r**3))
 
@@ -210,14 +213,42 @@ def _grad_phi1_reference(state, pk, coeffs8):
     return dqh, dph
 
 
-def _assert_matches_reference(pk, states):
+def _assert_tangent_matches_oracle(pk, coeffs8, state, dq_hat, dp_hat):
+    """The pass's dPhi1 along the mode tangent (dq_hat, dp_hat) equals the
+    oracle gradient dotted with it, to a rounding bound; returns the pass.
+
+    Both sides add the same leg terms, c times two legs of xi times the third
+    leg's tangent, 24 per triple, in other orders: the pass in gathered dots,
+    the oracle in scattered bins and then a 2N-term real dot.  By the
+    recursive-summation bound (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2002, sec. 4.2) each side is within gamma_n A of the
+    exact value, where A is the sum of the terms' moduli, scaled as in dPhi1,
+    and n = 24 T + 2N + 16 counts the additions on a term's path plus 16 for
+    its multiplications.  The oracle's real form bounds each term by
+    sqrt(2) |c x x dxi|, not |c x x dxi|, so the sides differ by at most
+    4 gamma_n A.
+    """
+    ms = to_modes(state)
+    got = _corrector_pass(ms, pk, _direction(pk, dq_hat, dp_hat))
+    dqh, dph = _grad_phi1_reference(state, pk, coeffs8)
+    xi = np.abs(to_complex(ms))
+    dxi = np.abs(_direction(pk, dq_hat, dp_hat))
+    (a1, b1), (a2, b2), (a3, b3) = ((xi[k - 1], dxi[k - 1]) for k in (pk.k1, pk.k2, pk.k3))
+    legs = b1 * a2 * a3 + a1 * b2 * a3 + a1 * a2 * b3
+    moduli = 2.0 * (np.abs(pk.coeffs).sum(axis=1) @ legs) / np.sqrt(pk.N + 1)
+    n = 24 * pk.n_triples + 2 * pk.N + 16
+    u = np.finfo(float).eps / 2
+    assert abs(got[2] - (dqh @ dq_hat + dph @ dp_hat)) <= 4 * n * u / (1 - n * u) * moduli
+    return got
+
+
+def _assert_matches_reference(pk, states, rng):
+    # Phi1 bit for bit, with and without a direction; its tangent to rounding
     coeffs8, _ = full_corrector_table(pk)
     for state in states:
-        _, value, _, (dqh, dph) = _corrector_pass(state, pk, gradient=True)
+        dq_hat, dp_hat = rng.normal(size=(2, pk.N))
+        _, value, _ = _assert_tangent_matches_oracle(pk, coeffs8, state, dq_hat, dp_hat)
         assert value == phi1(state, pk) == _phi1_reference(state, pk, coeffs8)
-        ref_dqh, ref_dph = _grad_phi1_reference(state, pk, coeffs8)
-        assert np.array_equal(dqh, ref_dqh)
-        assert np.array_equal(dph, ref_dph)
 
 
 _REFERENCE_SPECS = [
@@ -249,56 +280,53 @@ def test_phi1_and_gradient_bit_identical_to_8_patterns(spec, N):
     states = random_gibbs_states(N, 100.0, 3, seed=N)
     states += [ChainState(rng.normal(size=N), rng.normal(size=N)) for _ in range(3)]
     states.append(ChainState(np.zeros(N), np.zeros(N)))
-    _assert_matches_reference(pk, states)
-
-
-def _assert_same_pass(got, want):
-    assert got[:2] == want[:2]
-    if want[2] is None:
-        assert got[2:] == (None, None)
-        return
-    for a, b in zip(got[2] + got[3], want[2] + want[3]):
-        assert np.array_equal(a, b)
+    _assert_matches_reference(pk, states, rng)
 
 
 def test_corrector_scratch_carries_no_state():
     # a table's work buffers are reused by every pass on it: interleaved
-    # states, gradient or not, another table alive at another N and a Phi1
-    # observable must each give a fresh table's bits, and a returned result
-    # must not change under later passes
+    # states, with a direction or without, another table alive at another N
+    # and a Phi1 observable must each give a fresh table's bits, and a
+    # returned result must not change under later passes
     prof = make_profile(DEFAULT_PROFILE_SPEC)
     rng = np.random.default_rng(3)
     tables = {N: build_phi1_table(prof, N) for N in (31, 15)}
     a, b = (ChainState(rng.normal(size=31), rng.normal(size=31)) for _ in range(2))
     c = ChainState(rng.normal(size=15), rng.normal(size=15))
+    directions = {N: rng.normal(size=N) + 1j * rng.normal(size=N) for N in (31, 15)}
     observable = ps_observable("Phi1", prof, 31, build_phi1_table(prof, 31))[0]
     calls = [(a, True), (b, True), (c, True), (a, False), (a, True), (c, False),
              (b, False), (a, True)]
+
+    def corrector(state, tangent, table):
+        return _corrector_pass(to_modes(state), table, directions[state.n] if tangent else None)
+
     results = []
-    for state, gradient in calls:
-        results.append(_corrector_pass(state, tables[state.n], gradient))
+    for state, tangent in calls:
+        results.append(corrector(state, tangent, tables[state.n]))
         other = b if state is a else a
         assert observable(other) == phi1(other, build_phi1_table(prof, 31))
-    for (state, gradient), got in zip(calls, results):
-        _assert_same_pass(got, _corrector_pass(state, build_phi1_table(prof, state.n),
-                                               gradient))
+    for (state, tangent), got in zip(calls, results):
+        assert got == corrector(state, tangent, build_phi1_table(prof, state.n))
 
 
 def test_phi_dot_allocates_no_triple_sized_array():
-    # after a warm-up pass on the table, one phi_dot allocates less than one
-    # complex array of the T = N^2 - N triples: its scratch lives with the table
+    # after a warm-up pass on the table, one phi_dot or homological_residual
+    # allocates less than one complex array of the T = N^2 - N triples: its
+    # scratch lives with the table
     N = 127
     pk = build_phi1_table(make_profile(DEFAULT_PROFILE_SPEC), N)
-    params = ChainParams(N=N, beta=100.0)
     state = random_gibbs_states(N, 100.0, 1, seed=1)[0]
-    phi_dot(state, pk, params)
-    tracemalloc.start()
-    try:
-        phi_dot(state, pk, params)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * pk.n_triples
+    for observe in (partial(phi_dot, params=ChainParams(N=N, beta=100.0)),
+                    homological_residual):
+        observe(state, pk)
+        tracemalloc.start()
+        try:
+            observe(state, pk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * pk.n_triples
 
 
 _BUMP_SPECS = st.builds(
@@ -318,7 +346,27 @@ _POLY_SPECS = st.builds(
 def test_phi1_and_gradient_bit_identical_property(spec, N, seed):
     pk = build_phi1_table(make_profile(spec), N)
     rng = np.random.default_rng(seed)
-    _assert_matches_reference(pk, [ChainState(rng.normal(size=N), rng.normal(size=N))])
+    _assert_matches_reference(pk, [ChainState(rng.normal(size=N), rng.normal(size=N))], rng)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.one_of(_BUMP_SPECS, _POLY_SPECS), N=st.integers(3, 80),
+       seed=st.integers(0, 2**32 - 1), exponent=st.floats(-2.0, 1.0),
+       kind=st.sampled_from(["random", "q only", "p only", "harmonic flow"]))
+def test_tangent_is_oracle_gradient_along_direction_property(spec, N, seed, exponent, kind):
+    pk = build_phi1_table(make_profile(spec), N)
+    rng = np.random.default_rng(seed)
+    scale = 10.0**exponent
+    state = ChainState(scale * rng.normal(size=N), scale * rng.normal(size=N))
+    dq_hat, dp_hat = rng.normal(size=(2, N))
+    if kind == "q only":
+        dp_hat[:] = 0.0
+    elif kind == "p only":
+        dq_hat[:] = 0.0
+    elif kind == "harmonic flow":       # the direction i omega xi of the residual
+        ms = to_modes(state)
+        dq_hat, dp_hat = ms.p_hat, -ms.omega**2 * ms.q_hat
+    _assert_tangent_matches_oracle(pk, full_corrector_table(pk)[0], state, dq_hat, dp_hat)
 
 
 @settings(max_examples=40, deadline=None)
@@ -333,6 +381,7 @@ def test_homological_residual_property(spec, N, seed, exponent):
 
 
 def test_grad_phi_matches_finite_differences():
+    # the derivative of Phi0 + Phi1 along a random particle-space direction
     N = 15
     pk = build_phi1_table(make_profile(DEFAULT_PROFILE_SPEC), N)
     rng = np.random.default_rng(6)
@@ -343,29 +392,22 @@ def test_grad_phi_matches_finite_differences():
 
     for _ in range(100):
         st = ChainState(0.5 * rng.normal(size=N), 0.5 * rng.normal(size=N))
-        _, _, d0, d1 = _corrector_pass(st, pk, gradient=True)
-        dq, dp = (sine_transform(a + b) for a, b in zip(d0, d1))
-        fd_q = np.empty(N)
-        fd_p = np.empty(N)
-        for j in range(N):
-            qp, qm = st.q.copy(), st.q.copy()
-            qp[j] += h
-            qm[j] -= h
-            fd_q[j] = (f(ChainState(st.p, qp)) - f(ChainState(st.p, qm))) / (2 * h)
-            pp, pm = st.p.copy(), st.p.copy()
-            pp[j] += h
-            pm[j] -= h
-            fd_p[j] = (f(ChainState(pp, st.q)) - f(ChainState(pm, st.q))) / (2 * h)
-        scale = max(np.abs(dq).max(), np.abs(dp).max(), 1e-12)
-        assert np.abs(dq - fd_q).max() <= 1e-6 * scale
-        assert np.abs(dp - fd_p).max() <= 1e-6 * scale
+        dq, dp = rng.normal(size=(2, N))
+        ms = to_modes(st)
+        dq_hat, dp_hat = sine_transform(dq), sine_transform(dp)
+        slope1 = _corrector_pass(ms, pk, _direction(pk, dq_hat, dp_hat))[2]
+        an = _phi0_slope(ms, pk.g_k, dq_hat, dp_hat) + slope1
+        fd = (f(ChainState(st.p + h * dp, st.q + h * dq))
+              - f(ChainState(st.p - h * dp, st.q - h * dq))) / (2 * h)
+        assert abs(an - fd) <= 1e-6 * max(abs(an), 1e-12)
 
 
 def test_grad_phi1_zero_state():
+    # Phi1 is cubic: at the zero state its derivative vanishes in every direction
     pk = build_phi1_table(make_profile(DEFAULT_PROFILE_SPEC), 15)
-    _, (dq, dp) = _grad_phi(ChainState(np.zeros(15), np.zeros(15)), pk)
-    assert np.abs(dq).max() == 0.0
-    assert np.abs(dp).max() == 0.0
+    dq_hat, dp_hat = np.random.default_rng(13).normal(size=(2, 15))
+    zero = to_modes(ChainState(np.zeros(15), np.zeros(15)))
+    assert _corrector_pass(zero, pk, _direction(pk, dq_hat, dp_hat))[2] == 0.0
 
 
 def test_phi_dot_zero_state():

@@ -68,11 +68,11 @@ def test_traced_run_counts_steps_and_keeps_the_csv(tmp_path):
 
 
 def test_traced_ratio_run_transforms_each_state_once(tmp_path):
-    # phi_dot transforms p and q forward once and its two gradient rows back:
-    # 4 sine-transform rows per observed state
+    # phi_dot transforms p and q forward once and the force once, for the
+    # momentum leg of its direction: 3 sine-transform rows per observed state
     body = {"experiment": "ratio-scaling", "seed": 3, "N_list": [15],
             "beta_list": [50.0, 100.0, 200.0], "n_samples": 4}
     _, counters, spans = _traced_run(tmp_path, body)
-    assert counters["spectral.transform_rows"] == 4 * 12   # 3 betas x 4 states
+    assert counters["spectral.transform_rows"] == 3 * 12   # 3 betas x 4 states
     assert spans["gibbs.GibbsSampler.sample"] == 12
     assert spans["gibbs.GibbsSampler.sample_states"] == 3
