@@ -211,7 +211,7 @@ def _corrector_pass(ms: spectral.SpectralState, packet: PacketObservable,
             np.conjugate(x[flip], out=x[flip])
             if tangent:
                 np.conjugate(d[flip], out=d[flip])
-        if flip != 2:
+        if flip != 2:       # the first pattern of a pair
             np.multiply(x[0], x[1], out=p12)
             if tangent:
                 np.multiply(d[0], x[1], out=dp12)
