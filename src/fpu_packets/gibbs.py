@@ -14,16 +14,15 @@ stream contract, and a test pins the round's bits to a reference round
 The analytic backbone is the tilted one-bond density
 exp(-gamma r - beta V(r)) / q_gamma, whose quadrature moments at the zero-mean
 tilt gamma = theta serve as the oracle for the sampler's marginals (they agree
-up to O(1/N)).  The tilt is the root of the mean, found by `_brentq`, a
-statement-for-statement port of scipy's `brentq` (Brent's method), so the
-package needs numpy alone.
+up to O(1/N)).  The tilt is the root of the mean, found by Newton steps on
+the quadrature's own moments inside a shrinking bracket, so the package needs
+numpy alone.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,6 +35,7 @@ _PILOT_SWEEPS = 400
 _TARGET_ACCEPTANCE = 0.3
 _SLAB = 1e-3                # |sum r| <= _SLAB accepts a slab_rejection_bonds draw
 _SLAB_MAX_BATCHES = 10_000
+_THETA_MAX_STEPS = 100      # Newton or bisection steps of one solve_theta
 
 
 class ThetaSolveError(RuntimeError):
@@ -122,122 +122,39 @@ def _tilted_density(beta: float, A: float) -> TiltedDensity:
     return TiltedDensity(beta=beta, A=A, theta=theta, q_theta=q, moments=mom)
 
 
-def _brentq(f: Callable[[float], float], a: float, b: float, xtol: float = 2e-12,
-            rtol: float = 4 * sys.float_info.epsilon, maxiter: int = 100) -> float:
-    """Root of f in the bracket [a, b] by Brent's method (R. P. Brent,
-    Algorithms for Minimization Without Derivatives, 1973, ch. 4).
-
-    A port of scipy 1.17's `brentq.c` that keeps its iterates, and so its bits,
-    with the refusals of `scipy.optimize.brentq`: ValueError for a NaN
-    function value or a bracket without a sign change, and RuntimeError when
-    maxiter iterations do not converge.  The defaults are scipy's.
-    """
-    def fx(x: float) -> float:
-        y = float(f(x))
-        if math.isnan(y):
-            raise ValueError(f"The function value at x={x} is NaN; "
-                             "solver cannot continue.")
-        return y
-
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre = fx(xpre)
-    fcur = fx(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and \
-                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk = xpre
-            fblk = fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:
-                    # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:
-                    # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) \
-                        / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                stry = math.nan       # C's inf or nan: the test below bisects
-            bound = 3 * abs(sbis) - delta
-            if abs(spre) < bound:        # C's MIN(fabs(spre), 3*fabs(sbis) - delta)
-                bound = abs(spre)
-            if 2 * abs(stry) < bound:
-                # good short step
-                spre = scur
-                scur = stry
-            else:
-                # bisect
-                spre = sbis
-                scur = sbis
-        else:
-            # bisect
-            spre = sbis
-            scur = sbis
-
-        xpre = xcur
-        fpre = fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = fx(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations, "
-                       f"value is {xcur:f}")
-
-
 def solve_theta(beta: float, A: float, potential: Callable | None = None,
                 bracket: tuple[float, float] = (-10.0, 10.0)) -> float:
     """Tilt theta zeroing the mean: int r exp(-theta r - beta V) dr = 0.
 
-    The mean is strictly decreasing in the tilt, so the root is unique;
-    bracketing failure on [-10, 10] signals pathological parameters.  The
-    root is found by `_brentq` (the ported Brent solver) and polished by
-    Newton steps on the quadrature moments.
+    The mean m is strictly decreasing in the tilt, with derivative -Var, so
+    the root is unique; bracketing failure on [-10, 10] signals pathological
+    parameters.  From the midpoint, Newton steps theta += m / Var on the
+    quadrature moments stay inside a bracket narrowed by the sign of m, and a
+    step that would leave it bisects instead (`rtsafe`, Numerical Recipes,
+    3rd ed., sec. 9.4).  The root is accepted at |m| <= 1e-12 sigma.
     """
     V = potential if potential is not None else _default_potential(A)
 
-    def mean_at(g: float) -> float:
-        return _quad_moments(beta, g, V, n_max=2)[1][1]
+    def mean_var(g: float) -> tuple[float, float]:
+        mom = _quad_moments(beta, g, V, n_max=2)[1]
+        return mom[1], mom[2] - mom[1] ** 2
 
     lo, hi = bracket
-    ends = {lo: mean_at(lo), hi: mean_at(hi)}
-    m_lo, m_hi = ends[lo], ends[hi]
+    (m_lo, _), (m_hi, _) = mean_var(lo), mean_var(hi)
     if not (m_lo > 0 > m_hi):
         raise ThetaSolveError(
             f"cannot bracket theta in [{lo:g}, {hi:g}]: "
             f"mean({lo:g}) = {m_lo:.3e}, mean({hi:g}) = {m_hi:.3e}")
-    # Brent starts from the two ends: hand it the means just computed
-    theta = _brentq(lambda g: ends[g] if g in ends else mean_at(g), lo, hi,
-                    xtol=1e-14, rtol=8.9e-16)
-    q, mom = _quad_moments(beta, theta, V, n_max=2)
-    sigma = math.sqrt(mom[2] - mom[1] ** 2)
-    for _ in range(4):
-        if abs(mom[1]) <= 1e-12 * sigma:
-            break
-        theta += mom[1] / (mom[2] - mom[1] ** 2)  # Newton: d<r>/dgamma = -Var
-        q, mom = _quad_moments(beta, theta, V, n_max=2)
-    if abs(mom[1]) > 1e-12 * sigma:
-        raise ThetaSolveError(f"theta residual {mom[1]:.3e} above tolerance")
-    return float(theta)
+    theta = 0.5 * (lo + hi)
+    for _ in range(_THETA_MAX_STEPS):
+        m, var = mean_var(theta)
+        if abs(m) <= 1e-12 * math.sqrt(var):
+            return float(theta)
+        lo, hi = (theta, hi) if m > 0 else (lo, theta)
+        step = theta + m / var
+        theta = step if lo < step < hi else 0.5 * (lo + hi)
+    raise ThetaSolveError(
+        f"theta residual {m:.3e} above tolerance after {_THETA_MAX_STEPS} steps")
 
 
 def sample_momenta(rng: np.random.Generator, N: int, beta: float) -> np.ndarray:

@@ -8,13 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import energies, metropolis_round
 from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from fpu_packets.chain import ChainParams
 from fpu_packets.experiments import validate_config
-from fpu_packets.gibbs import (GibbsSampler, ThetaSolveError, _brentq, _default_potential,
-                               _InverseCdf, _quad_moments, bonds_to_state, sample_momenta,
-                               slab_rejection_bonds, solve_theta, tilted_density)
+from fpu_packets import gibbs
+from fpu_packets.gibbs import (GibbsSampler, ThetaSolveError, _InverseCdf, bonds_to_state,
+                               sample_momenta, slab_rejection_bonds, solve_theta,
+                               tilted_density)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -65,71 +65,50 @@ def _config_betas() -> list[float]:
     return sorted(betas)
 
 
-def _same_bits(x: float, y: float) -> bool:
-    return float(x).hex() == float(y).hex()
+def _tilted_mean_and_sigma(beta: float, A: float, theta: float) -> tuple[float, float]:
+    """(<r>, sigma) of exp(-theta r - beta V(r)) by scipy's adaptive quadrature.
+
+    Each moment is summed from its two halves at r = 0, near the density's
+    peak, where each integrand keeps one sign and so meets a relative
+    tolerance of 2e-14; the interval ends where the density has fallen below
+    exp(-700) of its value at 0."""
+    def log_w(r):
+        return -theta * r - beta * (r**2 / 2 + r**3 / 3 + A * r**4 / 4)
+
+    L = 1.0
+    while max(log_w(-L), log_w(L)) > -700.0:
+        L *= 2.0
+
+    def moment(n):
+        return sum(quad(lambda r: r**n * math.exp(log_w(r)), a, b, epsabs=0.0,
+                        epsrel=2e-14, limit=200)[0] for a, b in ((-L, 0.0), (0.0, L)))
+
+    m0, m1, m2 = (moment(n) for n in range(3))
+    mean = m1 / m0
+    return mean, math.sqrt(m2 / m0 - mean**2)
 
 
 @pytest.mark.parametrize("A", [0.25, 1.0, 2.0, 5.0])
-def test_brentq_port_bit_identical_on_theta_mean(A):
-    # solve_theta's mean function and its call, against scipy's brentq
-    V = _default_potential(A)
+def test_theta_zeroes_the_mean_by_independent_quadrature(A):
     for beta in _config_betas():
-        def mean_at(g):
-            return _quad_moments(beta, g, V, n_max=2)[1][1]
-        ours = _brentq(mean_at, -10.0, 10.0, xtol=1e-14, rtol=8.9e-16)
-        assert _same_bits(ours, brentq(mean_at, -10.0, 10.0, xtol=1e-14, rtol=8.9e-16))
+        mean, sigma = _tilted_mean_and_sigma(beta, A, solve_theta(beta, A))
+        assert abs(mean) <= 1e-12 * sigma, (beta, mean, sigma)
 
 
-def _smooth_function(rng):
-    """A seeded smooth function of one of four shapes."""
-    a, b, c = rng.uniform(0.1, 5.0, 3)
-    s = rng.uniform(-3.0, 3.0)
-    kind = rng.integers(4)
-    if kind == 0:
-        return lambda x: math.exp(a * x) - c
-    if kind == 1:
-        return lambda x: x**3 - a * x - s
-    if kind == 2:
-        return lambda x: math.tanh(a * (x - s)) + b * 1e-3 * (x - s) - c * 1e-4
-    return lambda x: math.sin(a * x) + 0.5 * math.sin(b * x + c) + 0.3 * s
+def test_theta_solver_refuses_when_out_of_steps(monkeypatch):
+    # a mean that jumps from +1 to -1 at 0.3: bracketed, but never within tolerance
+    calls = []
 
+    def jump(beta, gamma, V, n_max=8, tol=1e-9):
+        calls.append(gamma)
+        m = 1.0 if gamma < 0.3 else -1.0
+        return 1.0, np.array([1.0, m, 1.0 + m * m])
 
-@pytest.mark.parametrize("tols", [{"xtol": 1e-14, "rtol": 8.9e-16}, {}, {"xtol": 0.1}],
-                         ids=["solve_theta", "scipy-default", "coarse"])
-def test_brentq_port_bit_identical_on_random_brackets(tols):
-    # a coarse xtol makes the steps of size delta and the bound
-    # 3|sbis| - delta decide some iterations
-    rng = np.random.default_rng(20261018)
-    n = 0
-    while n < 1200:
-        f = _smooth_function(rng)
-        lo, hi = np.sort(rng.uniform(-4.0, 4.0, 2))
-        if f(lo) * f(hi) >= 0:
-            continue
-        ours = _brentq(f, lo, hi, **tols)
-        assert _same_bits(ours, brentq(f, lo, hi, **tols)), (n, lo, hi)
-        n += 1
-
-
-@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-170])
-def test_brentq_port_bit_identical_where_c_divides_by_zero(scale):
-    # f values this small underflow the extrapolation's denominator to 0,
-    # where C's inf or nan step makes brentq bisect
-    for f, lo, hi in [(lambda x: scale * (x**3 - 2 * x - 5), 2.0, 3.0),
-                      (lambda x: scale * (math.exp(x) - 3.0), -4.0, 7.0)]:
-        assert _same_bits(_brentq(f, lo, hi), brentq(f, lo, hi))
-
-
-@pytest.mark.parametrize("args, kwargs, error", [
-    ((lambda x: x * x + 1.0, -1.0, 1.0), {}, ValueError),              # same-sign bracket
-    ((lambda x: math.nan if abs(x) < 0.6 else x, -1.0, 1.0), {}, ValueError),  # NaN
-    ((lambda x: math.atan(x) - 0.5, -9.0, 11.0), {"maxiter": 3}, RuntimeError),
-], ids=["same-sign", "nan", "maxiter"])
-def test_brentq_port_refuses_as_scipy_does(args, kwargs, error):
-    with pytest.raises(error):
-        brentq(*args, **kwargs)
-    with pytest.raises(error):
-        _brentq(*args, **kwargs)
+    monkeypatch.setattr(gibbs, "_quad_moments", jump)
+    with pytest.raises(ThetaSolveError, match="above tolerance"):
+        solve_theta(BETA, A)
+    assert len(calls) == 2 + gibbs._THETA_MAX_STEPS
+    assert abs(calls[-1] - 0.3) <= 1e-12
 
 
 def test_tilted_moments_basics():
