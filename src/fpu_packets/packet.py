@@ -238,10 +238,13 @@ def _corrector_pass(ms: spectral.SpectralState, packet: PacketObservable,
     return v0, v1, float(-2.0 * slope / root) if tangent else None
 
 
-def _phi0_slope(ms: spectral.SpectralState, g_k: np.ndarray, dq_hat, dp_hat) -> float:
-    """Phi0's derivative along the tangent (dq_hat, dp_hat), in closed form:
-    Phi0 = sum_k g_k (p_hat_k^2 + omega_k^2 q_hat_k^2) / 2."""
-    return float(g_k @ (ms.p_hat * dp_hat + ms.omega**2 * ms.q_hat * dq_hat))
+def _phi0_slope(ms: spectral.SpectralState, g_k: np.ndarray, force_hat: np.ndarray) -> float:
+    """Phi0's derivative along the kick (dq_hat, dp_hat) = (0, force_hat), in
+    closed form: Phi0 = sum_k g_k (p_hat_k^2 + omega_k^2 q_hat_k^2) / 2.  The
+    harmonic flow (p_hat, -omega^2 q_hat) conserves Phi0, so this is also the
+    slope along that flow plus the kick; the two opposite sums of {Phi0, H0}
+    are never formed."""
+    return float(g_k @ (ms.p_hat * force_hat))
 
 
 def phi1(state: ChainState, packet: PacketObservable) -> float:
@@ -257,15 +260,17 @@ def phi_dot(state: ChainState, packet: PacketObservable, params: ChainParams
     X_H = (p, -dH/dq), whose mode components are dq_hat = p_hat and the
     transformed force dp_hat.
 
-    By the homological identity Phi-dot equals {Phi1, H1+H2} + {Phi0, H2}.
+    The force splits into its harmonic part, -omega^2 q_hat exactly, and the
+    transformed anharmonic force f_hat = T(diff(r^2 + A r^3)), so dp_hat =
+    f_hat - omega^2 q_hat and Phi0's slope is sum g p_hat f_hat.  By the
+    homological identity Phi-dot equals {Phi1, H1+H2} + {Phi0, H2}.
     """
     ms = spectral.to_modes(state)
     r = bond_extensions(state.q)
-    # -dH/dq = diff V'(r), V'(r) = r + r^2 + A r^3
-    dp_hat = spectral.sine_transform(np.diff(r * (1.0 + r * (1.0 + params.A * r))))
-    dxi = (dp_hat + 1j * ms.omega * ms.p_hat) / np.sqrt(2.0)
+    f_hat = spectral.sine_transform(np.diff(r * r * (1.0 + params.A * r)))
+    dxi = (f_hat - ms.omega**2 * ms.q_hat + 1j * ms.omega * ms.p_hat) / np.sqrt(2.0)
     v0, v1, slope1 = _corrector_pass(ms, packet, dxi)
-    return v0, v1, _phi0_slope(ms, packet.g_k, ms.p_hat, dp_hat) + slope1
+    return v0, v1, _phi0_slope(ms, packet.g_k, f_hat) + slope1
 
 
 def homological_residual(state: ChainState, packet: PacketObservable) -> float:
@@ -280,7 +285,7 @@ def homological_residual(state: ChainState, packet: PacketObservable) -> float:
     ms = spectral.to_modes(state)
     _, _, slope1 = _corrector_pass(ms, packet, 1j * ms.omega * spectral.to_complex(ms))
     r = bond_extensions(state.q)
-    b2 = _phi0_slope(ms, packet.g_k, 0.0, spectral.sine_transform(-np.diff(r * r)))
+    b2 = _phi0_slope(ms, packet.g_k, spectral.sine_transform(-np.diff(r * r)))
     return abs(b2 - slope1) / (1.0 + abs(b2))
 
 

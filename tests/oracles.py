@@ -2,8 +2,8 @@
 
 None of them is part of the package: the package integrates only ensembles
 (`chain.evolve_batch`) and never needs the inverse mode transform, the energy
-of one state, the corrector table over all 8 sign patterns or the coefficient
-table of {Phi0, H1}.  `metropolis_round` is the sampler's pair-move round as
+of one state, Phi0's derivative along a general tangent, the corrector table
+over all 8 sign patterns or the coefficient table of {Phi0, H1}.  `metropolis_round` is the sampler's pair-move round as
 two index halves with boolean compressions, the layout the shipped round's
 bits are pinned to.
 """
@@ -48,6 +48,12 @@ def integrate(state, params, dt, t_final, sample_stride=1, harmonic_only=False):
     ens = ChainState(state.p[None, :], state.q[None, :])
     snaps = evolve_batch(ens, params, dt, steps, harmonic_only)
     return [(step * dt, snap[0]) for step, snap in zip(steps, snaps)]
+
+
+def phi0_slope(ms, g_k, dq_hat, dp_hat) -> float:
+    """Phi0's derivative along the tangent (dq_hat, dp_hat), in closed form:
+    Phi0 = sum_k g_k (p_hat_k^2 + omega_k^2 q_hat_k^2) / 2."""
+    return float(g_k @ (ms.p_hat * dp_hat + ms.omega**2 * ms.q_hat * dq_hat))
 
 
 def metropolis_round(r, vpot, rng, sigma, beta, A) -> int:

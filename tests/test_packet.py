@@ -7,11 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (TAU8, bracket_norm_check, energies, from_modes, full_corrector_table,
-                     integrate)
+                     integrate, phi0_slope)
 
 from fpu_packets.chain import ChainParams, ChainState, bond_extensions, cubic_energy
 from fpu_packets.gibbs import GibbsSampler
-from fpu_packets.packet import (_CUBIC_PREFACTOR, TAU_PATTERNS, _corrector_pass, _phi0_slope,
+from fpu_packets.packet import (_CUBIC_PREFACTOR, TAU_PATTERNS, _corrector_pass,
                                 build_phi1_table, homological_residual, mode_weights, phi0,
                                 phi1, phi_dot, ps_observable)
 from fpu_packets.profiles import DEFAULT_PROFILE_SPEC, eval_h1, make_profile
@@ -396,7 +396,7 @@ def test_grad_phi_matches_finite_differences():
         ms = to_modes(st)
         dq_hat, dp_hat = sine_transform(dq), sine_transform(dp)
         slope1 = _corrector_pass(ms, pk, _direction(pk, dq_hat, dp_hat))[2]
-        an = _phi0_slope(ms, pk.g_k, dq_hat, dp_hat) + slope1
+        an = phi0_slope(ms, pk.g_k, dq_hat, dp_hat) + slope1
         fd = (f(ChainState(st.p + h * dp, st.q + h * dq))
               - f(ChainState(st.p - h * dp, st.q - h * dq))) / (2 * h)
         assert abs(an - fd) <= 1e-6 * max(abs(an), 1e-12)
@@ -438,6 +438,46 @@ def test_phi_dot_equals_split_form():
         full = phi_dot(st, pk, params)[2]
         split = _phi_dot_split(st, pk, params)
         assert abs(full - split) <= 1e-9 * max(abs(full), 1e-12)
+
+
+def _phi_dot_longdouble(state, pk, A) -> float:
+    """phi_dot's Phi-dot in extended precision (np.longdouble), from its
+    textbook form: the full force T(diff V'(r)) as dp_hat, Phi0's slope with
+    both of its {Phi0, H0} sums, and Phi1's slope by the product rule over
+    each stored monomial's legs.  Only the table's coefficients stay float64."""
+    ld = np.longdouble
+    jk = np.arange(1, pk.N + 1, dtype=ld)
+    pi = ld("3.14159265358979323846264338327950288")
+    T = np.sqrt(ld(2) / (pk.N + 1)) * np.sin(pi * np.outer(jk, jk) / (pk.N + 1))
+    omega = 2 * np.sin(pi * jk / (2 * (pk.N + 1)))
+    r = np.diff(state.q.astype(ld), prepend=ld(0), append=ld(0))
+    p_hat, q_hat = T @ state.p.astype(ld), T @ state.q.astype(ld)
+    dq_hat, dp_hat = p_hat, T @ np.diff(r + r * r + A * r**3)
+    slope0 = np.sum(pk.g_k.astype(ld) * (p_hat * dp_hat + omega**2 * q_hat * dq_hat))
+    # xi and the direction at 1..N, so that legs index by k
+    xi, dxi = (np.concatenate([[0], (a + 1j * omega * b) / np.sqrt(ld(2))]).astype(np.clongdouble)
+               for a, b in ((p_hat, q_hat), (dp_hat, dq_hat)))
+    ds = np.clongdouble(0)
+    for m, tau in enumerate(TAU_PATTERNS):
+        x, d = ([v[k] if t > 0 else np.conj(v[k]) for k, t in zip((pk.k1, pk.k2, pk.k3), tau)]
+                for v in (xi, dxi))
+        dX = d[0] * x[1] * x[2] + x[0] * d[1] * x[2] + x[0] * x[1] * d[2]
+        ds += np.sum(pk.coeffs[:, m].astype(ld) * dX)
+    return float(slope0 - 2 * ds.imag / np.sqrt(ld(pk.N + 1)))
+
+
+def test_phi_dot_is_accurate_at_low_temperature():
+    # At beta = 1e4 Phi-dot is far smaller than the two opposite sums of
+    # {Phi0, H0}; formed in float64 they cost 5e-10 to 9e-9 of it (worst of
+    # 20 states, seeds 1-7), and without them the worst is 5e-12 to 3e-11
+    N, beta = 31, 1e4
+    params = ChainParams(N=N, beta=beta)
+    pk = build_phi1_table(make_profile({"kind": "poly_x2", "coeffs": [1.0, 0.5]}), N)
+    worst = 0.0
+    for st in random_gibbs_states(N, beta, 20, seed=1):
+        ref = _phi_dot_longdouble(st, pk, params.A)
+        worst = max(worst, abs(phi_dot(st, pk, params)[2] - ref) / abs(ref))
+    assert worst <= 1e-10
 
 
 def test_phi_dot_values_are_phi0_and_phi1():

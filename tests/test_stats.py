@@ -2,12 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from oracles import phi0_slope
 
 from fpu_packets.chain import ChainParams, bond_extensions, evolve_batch
 from fpu_packets.experiments import (_chebyshev_cell, _lemma3_cell, _multipacket_cell,
                                      _steps, validate_config)
 from fpu_packets.gibbs import GibbsSampler, sample_momenta
-from fpu_packets.packet import _phi0_slope, build_phi1_table, mode_weights, phi0, phi_dot
+from fpu_packets.packet import build_phi1_table, mode_weights, phi0, phi_dot
 from fpu_packets.profiles import DEFAULT_PROFILE_SPEC, make_profile
 from fpu_packets.spectral import actions, sine_transform, to_modes
 from fpu_packets.stats import (autocorrelation, estimate_from_samples, fit_power_law,
@@ -153,8 +154,8 @@ def test_ratio_theorem1_harmonic_hook_vanishes():
         ms = to_modes(st)
         # Phi0's derivative along the harmonic flow X_H0 = (p, diff r), whose
         # mode components are p_hat and the transformed harmonic force
-        brackets[i] = _phi0_slope(ms, pk.g_k, ms.p_hat,
-                                  sine_transform(np.diff(bond_extensions(st.q))))
+        brackets[i] = phi0_slope(ms, pk.g_k, ms.p_hat,
+                                 sine_transform(np.diff(bond_extensions(st.q))))
     assert np.sqrt(np.mean(brackets**2)) / values.std() <= 1e-10
 
 
