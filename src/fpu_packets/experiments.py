@@ -323,15 +323,16 @@ def _grid(cell, cfg: ExperimentConfig, threads: int, axes=None) -> tuple[list, d
     """`cell(cfg, seed_sequence, *point) -> (rows, diag)` for every point of the
     product of `axes`, a name -> values dict (default N_list x beta_list), in
     order; cell i is seeded by index i, so the results do not depend on
-    `threads`.  Returns the rows of every cell in cell order, and each cell's
-    diag under its point's key."""
+    `threads`.  The pool has at most one worker per cell: under the fork start
+    method it forks all of its workers at the first submit.  Returns the rows
+    of every cell in cell order, and each cell's diag under its point's key."""
     axes = {"N": cfg.N_list, "beta": cfg.beta_list} if axes is None else axes
     points = list(product(*axes.values()))
     jobs = [(cell, cfg, i, point) for i, point in enumerate(points)]
     if threads <= 1 or len(jobs) < 2:
         cells = [_run_cell(job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             cells = list(pool.map(_run_cell, jobs))
     return ([row for rows, _ in cells for row in rows],
             {_point_key(axes, point): diag for point, (_, diag) in zip(points, cells)})
@@ -1013,6 +1014,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_help()
+        return 2
+    if args.command == "run" and args.threads < 1:
+        print(f"usage error: --threads must be >= 1, got {args.threads}", file=sys.stderr)
         return 2
     if args.command == "list-experiments":
         print(list_experiments())
