@@ -291,34 +291,31 @@ def test_run_threads_keep_the_rows_of_multi_row_cells(tmp_path):
     assert outputs[0][1].count(b"\n") == 1 + 2 * 2
 
 
-class _SerialPool:
-    """A stand-in for ProcessPoolExecutor that records the worker count it is
-    asked for and maps in this process."""
-
-    max_workers = []
-
-    def __init__(self, max_workers):
-        self.max_workers.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs):
-        return map(fn, jobs)
-
-
 def test_grid_pool_has_at_most_one_worker_per_cell(tmp_path, monkeypatch):
+    asked = []
+
+    class SerialPool:
+        """Records the worker count it is asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
     body = dict(MINIMAL, N_list=[15], beta_list=[50.0, 100.0], n_samples=4)
     cfg = validate_config(json.dumps(body))
     run(cfg, tmp_path / "serial", threads=1)
-    monkeypatch.setattr(_SerialPool, "max_workers", [])
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
     run(cfg, tmp_path / "wide", threads=64)
     run(validate_config(json.dumps(dict(body, N_list=[15, 19]))), tmp_path / "narrow", threads=3)
-    assert _SerialPool.max_workers == [2, 3]
+    assert asked == [2, 3]
     assert (tmp_path / "serial" / "homological_results.csv").read_bytes() == \
         (tmp_path / "wide" / "homological_results.csv").read_bytes()
 

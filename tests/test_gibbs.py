@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from oracles import energies, metropolis_round
 from scipy.integrate import quad
 
+from fpu_packets import gibbs
 from fpu_packets.chain import ChainParams
 from fpu_packets.experiments import validate_config
-from fpu_packets import gibbs
 from fpu_packets.gibbs import (GibbsSampler, ThetaSolveError, _InverseCdf, bonds_to_state,
                                sample_momenta, slab_rejection_bonds, solve_theta,
                                tilted_density)
