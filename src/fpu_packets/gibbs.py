@@ -12,11 +12,12 @@ stream contract, and a test pins the round's bits to a reference round
 (tests/oracles.py).
 
 The analytic backbone is the tilted one-bond density
-exp(-gamma r - beta V(r)) / q_gamma, whose quadrature moments at the zero-mean
-tilt gamma = theta serve as the oracle for the sampler's marginals (they agree
-up to O(1/N)).  The tilt is the root of the mean, found by Newton steps on
-the quadrature's own moments inside a shrinking bracket, so the package needs
-numpy alone.
+exp(-gamma r - beta V(r)) / q_gamma at the zero-mean tilt gamma = theta.  Its
+quadrature moments are the N -> infinity marginal.  The tilt is the root of
+the mean, found by Newton steps on the quadrature's own moments inside a
+shrinking bracket, so the package needs numpy alone.  `constrained_moments`
+convolves the density N times by FFT for the exact marginal of one bond on
+the constraint at finite N, the reference for the sampler's marginals.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ from .chain import ChainParams, ChainState, potential_v
 DEFAULT_BURN_IN = 100
 _PILOT_SWEEPS = 400
 _TARGET_ACCEPTANCE = 0.3
-_SLAB = 1e-3                # |sum r| <= _SLAB accepts a slab_rejection_bonds draw
-_SLAB_MAX_BATCHES = 10_000
 _THETA_MAX_STEPS = 100      # Newton or bisection steps of one solve_theta
+_CONV_STEPS_PER_SIGMA = 20  # constrained_moments' grid step is sigma / 20
+_CONV_REACH_SIGMAS = 12.0   # and its reach |support| + 12 sigma sqrt(N+1)
 
 
 class ThetaSolveError(RuntimeError):
@@ -120,6 +121,37 @@ def _tilted_density(beta: float, A: float) -> TiltedDensity:
     mom = mom.copy()
     mom.setflags(write=False)
     return TiltedDensity(beta=beta, A=A, theta=theta, q_theta=q, moments=mom)
+
+
+def constrained_moments(beta: float, A: float, N: int) -> tuple[np.ndarray, float]:
+    """Exact (<r_0^n> for n = 0..4, <r_0 r_1>) of N+1 bonds on sum r = 0.
+
+    With f the tilted one-bond density (the tilt cancels on the constraint),
+    r_0 has density f(x) f^{*N}(-x) / f^{*(N+1)}(0), the finite-N side of the
+    equivalence of ensembles (Khinchin, Mathematical Foundations of
+    Statistical Mechanics, 1949).  f is sampled on one circular grid of step
+    sigma/_CONV_STEPS_PER_SIGMA reaching |support| + _CONV_REACH_SIGMAS
+    sigma sqrt(N+1) each way, f^{*N} is one real FFT, a power and one
+    inverse, and the moments are Riemann sums.  Exchangeability gives
+    sum_j cov(r_0, r_j) = 0, so <r_0 r_1> = -<r_0^2> / N.
+    """
+    td = tilted_density(beta, A)
+    sigma = math.sqrt(td.moments[2])
+    V = _default_potential(A)
+    lo, hi = _support(beta, td.theta, V)
+    h = sigma / _CONV_STEPS_PER_SIGMA
+    reach = (hi - lo) + _CONV_REACH_SIGMAS * sigma * math.sqrt(N + 1)
+    m = 1 << math.ceil(math.log2(2.0 * reach / h))
+    x = np.fft.fftfreq(m, 1.0 / (m * h))           # 0, h, ..., then the negative half
+    inside = (x >= lo) & (x <= hi)
+    # f times the step, so that its transform is at most 1 and the power cannot overflow
+    fh = np.zeros(m)
+    fh[inside] = np.exp(-td.theta * x[inside] - beta * V(x[inside])) * h / td.q_theta
+    conv = np.fft.irfft(np.fft.rfft(fh) ** N, m)   # f^{*N} times the step
+    weight = fh * np.roll(conv[::-1], 1)            # f(x) f^{*N}(-x), up to h^2
+    mom = np.vander(x, 5, increasing=True).T @ weight
+    mom /= mom[0]
+    return mom, -float(mom[2]) / N
 
 
 def solve_theta(beta: float, A: float, potential: Callable | None = None,
@@ -307,44 +339,3 @@ def stream_record(rng: np.random.Generator) -> dict:
     `default_rng(SeedSequence(seed, spawn_key=spawn_key))` rebuilds it."""
     seq = rng.bit_generator.seed_seq
     return {"seed": seq.entropy, "spawn_key": list(seq.spawn_key)}
-
-
-class _InverseCdf:
-    """Inverse-CDF sampler for the one-bond tilted density (grid interpolation)."""
-
-    def __init__(self, beta: float, A: float, gamma: float):
-        V = _default_potential(A)
-        lo, hi = _support(beta, gamma, V)
-        x = np.linspace(lo, hi, 200_001)
-        e = -gamma * x - beta * V(x)
-        pdf = np.exp(e - e.max())
-        cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) * 0.5)])
-        self.x = x
-        self.cdf = cdf / cdf[-1]
-
-    def draw(self, rng: np.random.Generator, size) -> np.ndarray:
-        return np.interp(rng.random(size), self.cdf, self.x)
-
-
-def slab_rejection_bonds(rng: np.random.Generator, td: TiltedDensity, N: int,
-                         n_samples: int) -> np.ndarray:
-    """Independent reference sampler: iid bonds of `td` accepted on |sum r| <= slab.
-
-    Exact up to O(slab) tilt bias, which is far below Monte Carlo resolution;
-    feasible only for small N.  Returns (n_samples, N+1).
-    """
-    inv = _InverseCdf(td.beta, td.A, td.theta)
-    out = []
-    got = 0
-    batch = max(10_000, 4 * n_samples)
-    for _ in range(_SLAB_MAX_BATCHES):
-        r = inv.draw(rng, (batch, N + 1))
-        keep = np.abs(r.sum(axis=1)) <= _SLAB
-        if keep.any():
-            out.append(r[keep])
-            got += int(keep.sum())
-        if got >= n_samples:
-            break
-    else:
-        raise RuntimeError(f"slab sampler got only {got}/{n_samples} accepts")
-    return np.concatenate(out)[:n_samples]

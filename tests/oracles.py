@@ -5,12 +5,15 @@ None of them is part of the package: the package integrates only ensembles
 of one state, Phi0's derivative along a general tangent, the corrector table
 over all 8 sign patterns or the coefficient table of {Phi0, H1}.  `metropolis_round` is the sampler's pair-move round as
 two index halves with boolean compressions, the layout the shipped round's
-bits are pinned to.
+bits are pinned to.  `slab_rejection_bonds` is a Monte Carlo sampler of the
+constrained bonds on a code path of its own, an independent check of
+`gibbs.constrained_moments`.
 """
 
 import numpy as np
 
 from fpu_packets.chain import ChainState, bond_extensions, evolve_batch, potential_v
+from fpu_packets.gibbs import TiltedDensity, _support
 from fpu_packets.packet import _CUBIC_PREFACTOR, _WRAP_SIGN, build_phi1_table
 from fpu_packets.spectral import sine_transform
 
@@ -80,6 +83,51 @@ def metropolis_round(r, vpot, rng, sigma, beta, A) -> int:
     vpot[ia] = vi_new[acc]
     vpot[ja] = vj_new[acc]
     return int(acc.sum())
+
+
+_SLAB = 1e-3                # |sum r| <= _SLAB accepts a slab_rejection_bonds draw
+_SLAB_MAX_BATCHES = 10_000
+
+
+class _InverseCdf:
+    """Inverse-CDF sampler for the one-bond tilted density (grid interpolation)."""
+
+    def __init__(self, beta: float, A: float, gamma: float):
+        V = lambda r: potential_v(r, A)
+        lo, hi = _support(beta, gamma, V)
+        x = np.linspace(lo, hi, 200_001)
+        e = -gamma * x - beta * V(x)
+        pdf = np.exp(e - e.max())
+        cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) * 0.5)])
+        self.x = x
+        self.cdf = cdf / cdf[-1]
+
+    def draw(self, rng: np.random.Generator, size) -> np.ndarray:
+        return np.interp(rng.random(size), self.cdf, self.x)
+
+
+def slab_rejection_bonds(rng: np.random.Generator, td: TiltedDensity, N: int,
+                         n_samples: int) -> np.ndarray:
+    """Independent reference sampler: iid bonds of `td` accepted on |sum r| <= slab.
+
+    Exact up to O(slab) tilt bias, which is far below Monte Carlo resolution;
+    feasible only for small N.  Returns (n_samples, N+1).
+    """
+    inv = _InverseCdf(td.beta, td.A, td.theta)
+    out = []
+    got = 0
+    batch = max(10_000, 4 * n_samples)
+    for _ in range(_SLAB_MAX_BATCHES):
+        r = inv.draw(rng, (batch, N + 1))
+        keep = np.abs(r.sum(axis=1)) <= _SLAB
+        if keep.any():
+            out.append(r[keep])
+            got += int(keep.sum())
+        if got >= n_samples:
+            break
+    else:
+        raise RuntimeError(f"slab sampler got only {got}/{n_samples} accepts")
+    return np.concatenate(out)[:n_samples]
 
 
 # all 8 sign patterns, fixed order: row 7-m is -(row m), rows 0..3 have tau1 = +1

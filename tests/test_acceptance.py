@@ -72,7 +72,7 @@ def test_criterion_03_sampler_validity(tmp_path):
             "checks": ["moments", "slab"], "n_samples": 10000,
             "slab_samples": 8000}
     code = _run_experiment(tmp_path, body)
-    _report(3, "sampler marginals vs quadrature and slab reference", code == 0)
+    _report(3, "sampler marginals vs exact finite-N moments at N=128 and N=8", code == 0)
 
 
 def test_criterion_04_lemma5_covariance_trend(tmp_path):

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
-from fpu_packets import experiments, gibbs, stats
+from fpu_packets import experiments, gibbs
 from fpu_packets.chain import BlowupError, ChainParams, energy, evolve_batch
 from fpu_packets.experiments import (EXPERIMENTS, ConfigError, _draw, _phi0_flow, _ratio_cell,
                                      _write_csv, experiment_schema, main, run, validate_config)
-from fpu_packets.gibbs import GibbsSampler, slab_rejection_bonds, tilted_density
+from fpu_packets.gibbs import GibbsSampler, constrained_moments, tilted_density
 from fpu_packets.packet import build_phi1_table, mode_weights, phi0
 from fpu_packets.profiles import disjoint_profiles, make_profile
 
@@ -371,15 +371,22 @@ def test_recorded_streams_rebuild_their_samplers(tmp_path, experiment):
         for name in ("sigma_prop", "tau_int", "stride"):
             assert rebuilt[name] == diag[name], (key, name)
     if experiment == "sampler-validation":
+        # every reference but the constraint row's tolerance is the exact
+        # finite-N value at the row's N
         beta = cfg.beta_list[0]
-        slab = diags[f"slab N={cfg.slab_N} beta={beta:g}"]
-        ref = slab_rejection_bonds(_stream(slab["reference_rng"]),
-                                   tilted_density(beta, cfg.A), cfg.slab_N, cfg.slab_samples)
-        cols = [ref[:, 0] ** n for n in range(1, 5)] + [ref[:, 0] * ref[:, 1]]
         with (tmp_path / "sampler-validation_results.csv").open() as fh:
-            written = [float(row["reference"]) for row in csv.DictReader(fh)
-                       if row["check"] == "slab"]
-        assert written == [stats.estimate_from_samples(col).mean for col in cols]
+            written = [(row["check"], int(row["N"]), float(row["reference"]))
+                       for row in csv.DictReader(fh) if row["quantity"] != "max|sum r|"]
+
+        def exact(N):
+            mom, r0_r1 = constrained_moments(beta, cfg.A, N)
+            return [*mom[1:]], r0_r1
+
+        expected = [("moments", cfg.moments_N, m) for m in exact(cfg.moments_N)[0]]
+        mom, r0_r1 = exact(cfg.slab_N)
+        expected += [("slab", cfg.slab_N, m) for m in [*mom, r0_r1]]
+        expected += [("lemma5", N, exact(N)[1]) for N in cfg.lemma5_N]
+        assert written == expected
 
 
 def test_ratio_cell_reruns_from_its_metadata(tmp_path):
@@ -424,11 +431,11 @@ def test_sampler_validation_metadata_has_one_sampler_diag_per_check(tmp_path):
     checks = ["moments N=16 beta=100", "slab N=8 beta=100", "lemma5 N=8 beta=100",
               "lemma5 N=16 beta=100"]
     assert [k for k in diags if k != "tilted_density"] == checks
-    # the streams in the order the checks take them; slab's reference takes 2
-    for check, stream in zip(checks, [0, 1, 3, 4]):
+    # the streams in the order the checks take them, one per sampler
+    for check, stream in zip(checks, [0, 1, 2, 3]):
         assert {"tau_int", "stride", "acceptance_rate"} <= set(diags[check])
         assert diags[check]["rng"] == {"seed": 7, "spawn_key": [stream]}, check
-    assert diags["slab N=8 beta=100"]["reference_rng"] == {"seed": 7, "spawn_key": [2]}
+        assert "reference_rng" not in diags[check]
     # theta and q_theta are recorded once, under tilted_density
     assert "theta" not in diags["moments N=16 beta=100"]
 
@@ -699,7 +706,8 @@ def test_sampler_validation_solves_theta_once_per_beta(tmp_path, monkeypatch):
     calls = []
     solve = gibbs.solve_theta
     monkeypatch.setattr(gibbs, "solve_theta", lambda *a, **k: calls.append(a) or solve(*a, **k))
-    # lemma5 alone reads no theta, but run()'s metadata does: still one solve
+    # lemma5 alone reads theta for its reference and again for run()'s metadata:
+    # still one solve
     gibbs._tilted_density.cache_clear()
     body = dict(GOLDEN_CONFIGS["sampler-validation"], experiment="sampler-validation", seed=7)
     run(validate_config(json.dumps(dict(body, checks=["lemma5"]))), tmp_path / "lemma5")

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import energies, metropolis_round
-from scipy.integrate import quad
+from oracles import _InverseCdf, energies, metropolis_round, slab_rejection_bonds
+from scipy.integrate import dblquad, quad
 
 from fpu_packets import gibbs
 from fpu_packets.chain import ChainParams
 from fpu_packets.experiments import validate_config
-from fpu_packets.gibbs import (GibbsSampler, ThetaSolveError, _InverseCdf, bonds_to_state,
-                               sample_momenta, slab_rejection_bonds, solve_theta,
+from fpu_packets.gibbs import (GibbsSampler, ThetaSolveError, bonds_to_state,
+                               constrained_moments, sample_momenta, solve_theta,
                                tilted_density)
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -252,3 +252,57 @@ def test_slab_rejection_matches_constrained_sampler():
     se = np.hypot(mc.std(ddof=1) / np.sqrt(n), ref2.std(ddof=1) / np.sqrt(n))
     assert abs(mc.mean() - ref2.mean()) <= 3 * se
 
+
+
+
+# QUADPACK reports roundoff where the inner integrand has underflowed far from
+# the origin; the agreement below is the test of the result
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_constrained_moments_match_2d_quadrature_at_n2():
+    # three bonds on r0 + r1 + r2 = 0: the tilt cancels, so (x, y) = (r0, r1)
+    # has density exp(-beta (V(x) + V(y) + V(-x - y))) on the plane
+    def V(r):
+        return r**2 / 2 + r**3 / 3 + A * r**4 / 4
+
+    def integral(g):
+        return dblquad(lambda y, x: g(x, y) * math.exp(-BETA * (V(x) + V(y) + V(-x - y))),
+                       -1.5, 1.5, -1.5, 1.5, epsabs=0.0, epsrel=1e-13)[0]
+
+    mom, r0_r1 = constrained_moments(BETA, A, 2)
+    z = integral(lambda x, y: 1.0)
+    for n in (2, 3, 4):
+        assert mom[n] == pytest.approx(integral(lambda x, y: x**n) / z, rel=1e-12, abs=0)
+    assert r0_r1 == pytest.approx(integral(lambda x, y: x * y) / z, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("constant, value", [("_CONV_STEPS_PER_SIGMA", 40),
+                                             ("_CONV_REACH_SIGMAS", 20.0)])
+@pytest.mark.parametrize("N", [8, 128])
+def test_constrained_moments_do_not_move_with_the_grid(monkeypatch, N, constant, value):
+    # half the grid step, or a reach of 20 sigma sqrt(N+1) in place of 12
+    mom, _ = constrained_moments(BETA, A, N)
+    monkeypatch.setattr(gibbs, constant, value)
+    finer, _ = constrained_moments(BETA, A, N)
+    assert np.abs(finer[2:] - mom[2:]).max() <= 1e-13 * np.abs(mom[2:]).min()
+
+
+@pytest.mark.parametrize("N", [2, 8, 64, 511])
+def test_constrained_moments_identities(N):
+    mom, r0_r1 = constrained_moments(BETA, A, N)
+    assert mom[0] == 1.0
+    assert abs(mom[1]) <= 1e-12 * math.sqrt(mom[2])
+    assert r0_r1 == -mom[2] / N
+    # O(1/N) below the one-bond moment, which is the N -> infinity limit
+    assert mom[2] < tilted_density(BETA, A).moments[2]
+
+
+@pytest.mark.parametrize("N, seed", [(8, 21), (16, 22)])
+def test_slab_rejection_agrees_with_constrained_moments(N, seed):
+    # an independent Monte Carlo check of the exact reference
+    n = 4000
+    ref = slab_rejection_bonds(np.random.default_rng(seed), tilted_density(BETA, A), N, n)
+    mom, r0_r1 = constrained_moments(BETA, A, N)
+    cols = [ref[:, 0] ** k for k in range(1, 5)] + [ref[:, 0] * ref[:, 1]]
+    for col, exact in zip(cols, [*mom[1:], r0_r1]):
+        z = (col.mean() - exact) / (col.std(ddof=1) / math.sqrt(n))
+        assert abs(z) <= 3.0
