@@ -13,7 +13,7 @@ constrained bonds on a code path of its own, an independent check of
 import numpy as np
 
 from fpu_packets.chain import ChainState, bond_extensions, evolve_batch, potential_v
-from fpu_packets.gibbs import TiltedDensity, _support
+from fpu_packets.gibbs import TiltedDensity, _default_potential, _support
 from fpu_packets.packet import _CUBIC_PREFACTOR, _WRAP_SIGN, build_phi1_table
 from fpu_packets.spectral import sine_transform
 
@@ -93,7 +93,7 @@ class _InverseCdf:
     """Inverse-CDF sampler for the one-bond tilted density (grid interpolation)."""
 
     def __init__(self, beta: float, A: float, gamma: float):
-        V = lambda r: potential_v(r, A)
+        V = _default_potential(A)
         lo, hi = _support(beta, gamma, V)
         x = np.linspace(lo, hi, 200_001)
         e = -gamma * x - beta * V(x)

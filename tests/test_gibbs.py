@@ -253,8 +253,6 @@ def test_slab_rejection_matches_constrained_sampler():
     assert abs(mc.mean() - ref2.mean()) <= 3 * se
 
 
-
-
 # QUADPACK reports roundoff where the inner integrand has underflowed far from
 # the origin; the agreement below is the test of the result
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
