@@ -14,12 +14,16 @@ one after another, with one zero between two rows that is q_{N+1} of the row
 before it and q_0 of the row after it, and a zero pad slot after each row of
 p.  Bonds and forces of the whole ensemble are then one subtraction each over
 contiguous memory, and the forces are set to 0 in the pad slots, so the pads
-stay exactly 0.
+stay exactly 0.  The integrator keeps no trajectory: it hands the ensemble's
+state at each requested step to an observer, as views valid only during that
+call, so a flow holds O(B N) memory however many steps are observed.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -132,10 +136,17 @@ def _batch_forces(z: np.ndarray, n: int, A: float, c: float, harmonic_only: bool
     f[n::n + 1] = 0.0
 
 
-def evolve_batch(states: ChainState, params: ChainParams, dt: float,
-                 step_targets, harmonic_only: bool = False) -> tuple[ChainState, ...]:
-    """Leapfrog a (B, N) ensemble in lockstep; one (B, N) snapshot per target
-    step index, step 0 being the start.
+def evolve_batch(states: ChainState, params: ChainParams, dt: float, step_targets,
+                 observe: Callable[[ChainState], Any], harmonic_only: bool = False) -> list:
+    """Leapfrog a (B, N) ensemble in lockstep and call `observe` on its (B, N)
+    state at each target step index, step 0 being the start; returns what
+    `observe` returned, one entry per target in order.
+
+    The state handed to `observe` is valid only during the call: step 0
+    passes `states` itself, and every later step passes views into the
+    integrator's buffers, which the next step overwrites.  An observer keeps
+    what it needs (a copy, or the values it computes) and never writes to
+    the state.  A repeated target calls `observe` again on the same state.
 
     The whole ensemble lives in two flat buffers, so every operation of a
     step is one pass over contiguous memory.  The displacements z have
@@ -150,11 +161,12 @@ def evolve_batch(states: ChainState, params: ChainParams, dt: float,
     is the drift z += P, the forces f = dt^2 F(q), the kick P += f and the
     finiteness test.  The half-kicks that close one step and open the next
     are that one kick.  The full-step momentum p = (P - f/2) / dt is formed
-    only for a snapshot; snapshots are copies of the (B, N) views, and the
-    step-0 snapshot is a copy of the input.
+    only at a target step, in the force kernel's scratch buffer, which is
+    free between two steps; q is the view into z.
 
     Raises BlowupError (with the offending time) if the state goes
-    non-finite, the fail-fast signal for a too-large dt.
+    non-finite, the fail-fast signal for a too-large dt; `observe` never sees
+    a non-finite state.
     """
     targets = [int(s) for s in step_targets]
     if any(b < a for a, b in zip(targets, targets[1:])) or (targets and targets[0] < 0):
@@ -172,19 +184,7 @@ def evolve_batch(states: ChainState, params: ChainParams, dt: float,
     w = np.empty_like(P)
     f = np.empty_like(P)
     fv = f.reshape(B, N + 1)[:, :N]
-    out = []
-
-    def snapshot():
-        p = np.multiply(fv, 0.5)
-        np.subtract(Pv, p, out=p)
-        p /= dt
-        out.append(ChainState(p, q.copy()))
-
-    it = iter(targets)
-    nxt = next(it, None)
-    while nxt == 0:
-        out.append(ChainState(states.p.copy(), states.q.copy()))
-        nxt = next(it, None)
+    p = w.reshape(B, N + 1)[:, :N]
     A = params.A
     c = dt * dt
     with np.errstate(over="ignore", invalid="ignore"):
@@ -192,15 +192,20 @@ def evolve_batch(states: ChainState, params: ChainParams, dt: float,
         _batch_forces(z, N, A, 0.5 * c, harmonic_only, r, w, f)
         np.multiply(states.p, dt, out=Pv)
         P += f
-        step = 0
-        while nxt is not None:
-            step += 1
-            zq += P
-            _batch_forces(z, N, A, c, harmonic_only, r, w, f)
-            P += f
-            if not np.isfinite(np.dot(P, P)):
-                raise BlowupError(step * dt)
-            while nxt == step:
-                snapshot()
-                nxt = next(it, None)
-    return tuple(out)
+    state, step, out = states, 0, []
+    for target in targets:
+        if target > step:
+            with np.errstate(over="ignore", invalid="ignore"):
+                while step < target:
+                    step += 1
+                    zq += P
+                    _batch_forces(z, N, A, c, harmonic_only, r, w, f)
+                    P += f
+                    if not np.isfinite(np.dot(P, P)):
+                        raise BlowupError(step * dt)
+            np.multiply(fv, 0.5, out=p)
+            np.subtract(Pv, p, out=p)
+            p /= dt
+            state = ChainState(p, q)
+        out.append(observe(state))
+    return out

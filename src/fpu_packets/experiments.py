@@ -362,16 +362,41 @@ def _draw(cfg, seed, N: int, beta: float) -> tuple[ChainParams, ChainState, dict
 
 def _phi0_flow(cfg, seed, N: int, beta: float, steps) -> tuple[np.ndarray, dict]:
     """Phi0 of each of the K packets of `_packets` on a cell's drawn ensemble
-    after each of the ascending integrator `steps`, as a (K, len(steps), n)
-    array, and the cell's diagnostics with the integrator's energy error: the
-    largest |H(t) - H(0)| / |H(0)| over trajectories and snapshots."""
-    weights = [packet_mod.mode_weights(p, N)[1] for p in _packets(cfg)[1]]
+    after each of the ascending integrator `steps` from step 0, as a
+    (K, len(steps), n) array, and the cell's diagnostics with the
+    integrator's energy error (the largest |H(t) - H(0)| / |H(0)| over
+    trajectories and steps) and the cell's stage times in seconds: drawing
+    the ensemble, and the flow split into the observer's time and the rest.
+    The observer keeps H(0), each step's energy error and the Phi0 values, no
+    snapshot of the ensemble."""
+    if steps[0] != 0:
+        raise ValueError("the flow's steps start at 0, where H(0) is read")
+    start = time.perf_counter()
     params, states, diag = _draw(cfg, seed, N, beta)
-    snaps = evolve_batch(states, params, cfg.dt, steps)
-    h0 = energy(states, cfg.A)
-    err = max(float((np.abs(energy(snap, cfg.A) - h0) / np.abs(h0)).max()) for snap in snaps)
-    vals = np.array([[packet_mod.phi0(snap, nu_k) for snap in snaps] for nu_k in weights])
-    return vals, {"energy_rel_err": err, **diag}
+    drawn = time.perf_counter()
+    weights = [packet_mod.mode_weights(p, N)[1] for p in _packets(cfg)[1]]
+    vals = np.empty((len(weights), len(steps), len(states)))
+    column = count()
+    h0 = None
+    observe_s = 0.0
+
+    def observe(snap: ChainState) -> float:
+        nonlocal h0, observe_s
+        t = time.perf_counter()
+        i = next(column)
+        for k, nu_k in enumerate(weights):
+            vals[k, i] = packet_mod.phi0(snap, nu_k)
+        h = energy(snap, cfg.A)
+        if h0 is None:      # step 0: the drawn ensemble itself
+            h0 = h
+        err = float((np.abs(h - h0) / np.abs(h0)).max())
+        observe_s += time.perf_counter() - t
+        return err
+
+    err = max(evolve_batch(states, params, cfg.dt, steps, observe))
+    flow_s = time.perf_counter() - drawn
+    stage_s = {"sample": drawn - start, "integrate": flow_s - observe_s, "observe": observe_s}
+    return vals, {"energy_rel_err": err, **diag, "stage_s": stage_s}
 
 
 # ---------------------------------------------------------------- homological

@@ -43,13 +43,20 @@ def from_modes(p_hat, q_hat) -> ChainState:
     return ChainState(sine_transform(p_hat), sine_transform(q_hat))
 
 
+def copied(state: ChainState) -> ChainState:
+    """An evolve_batch observer that keeps a copy of each state it is shown,
+    so the flow returns its snapshots; the shown state is valid only during
+    the call."""
+    return ChainState(state.p.copy(), state.q.copy())
+
+
 def integrate(state, params, dt, t_final, sample_stride=1, harmonic_only=False):
     """Leapfrog trajectory of one (N,) state as [(t, state)], snapshots every
     sample_stride steps, t = 0 included: evolve_batch on a one-state ensemble."""
     n_steps = int(np.floor(t_final / dt + 1e-9))
     steps = range(0, n_steps + 1, sample_stride)
     ens = ChainState(state.p[None, :], state.q[None, :])
-    snaps = evolve_batch(ens, params, dt, steps, harmonic_only)
+    snaps = evolve_batch(ens, params, dt, steps, copied, harmonic_only)
     return [(step * dt, snap[0]) for step, snap in zip(steps, snaps)]
 
 

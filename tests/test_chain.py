@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import energies, from_modes, integrate, potential_dv, total_energy
+from oracles import copied, energies, from_modes, integrate, potential_dv, total_energy
 
 from fpu_packets import chain
 from fpu_packets.chain import (BlowupError, ChainParams, ChainState, bond_extensions,
@@ -99,7 +99,8 @@ def test_state_validation():
     with pytest.raises(TypeError):
         ChainState(np.zeros(3), np.zeros(3))[0]
     with pytest.raises(TypeError):
-        chain.evolve_batch(ChainState(np.zeros(3), np.zeros(3)), ChainParams(N=3), 0.1, [0])
+        chain.evolve_batch(ChainState(np.zeros(3), np.zeros(3)), ChainParams(N=3), 0.1, [0],
+                           copied)
 
 
 def test_ensemble_len_and_indexing():
@@ -172,7 +173,7 @@ def test_forces_match_finite_differences():
 
 def test_verlet_zero_state_fixed_point():
     zero = ChainState(np.zeros((1, 5)), np.zeros((1, 5)))
-    for out in chain.evolve_batch(zero, ChainParams(N=5), 0.02, [1, 50]):
+    for out in chain.evolve_batch(zero, ChainParams(N=5), 0.02, [1, 50], copied):
         assert np.all(out.p == 0.0) and np.all(out.q == 0.0)
 
 
@@ -185,8 +186,8 @@ def test_evolve_batch_reversibility_property(N, B, dt, n_steps, A, seed):
     rng = np.random.default_rng(seed)
     params = ChainParams(N=N, A=A)
     start = ChainState(rng.uniform(-0.1, 0.1, (B, N)), rng.uniform(-0.1, 0.1, (B, N)))
-    (fwd,) = chain.evolve_batch(start, params, dt, [n_steps])
-    (back,) = chain.evolve_batch(ChainState(-fwd.p, fwd.q), params, dt, [n_steps])
+    (fwd,) = chain.evolve_batch(start, params, dt, [n_steps], copied)
+    (back,) = chain.evolve_batch(ChainState(-fwd.p, fwd.q), params, dt, [n_steps], copied)
     assert np.abs(-back.p - start.p).max() <= 1e-12
     assert np.abs(back.q - start.q).max() <= 1e-12
 
@@ -202,13 +203,14 @@ def test_ensemble_row_has_the_bits_of_the_single_state(N, B, n_steps, seed):
     nu_k = mode_weights(make_profile(DEFAULT_PROFILE_SPEC), N)[1]
     params = ChainParams(N=N)
     targets = [0, n_steps // 2, n_steps]
-    snaps = chain.evolve_batch(ens, params, 0.02, targets)
+    snaps = chain.evolve_batch(ens, params, 0.02, targets, copied)
     values = phi0(ens, nu_k)
     transformed = sine_transform(ens.p)
     for b in range(B):
         assert np.array_equal(transformed[b], sine_transform(ens.p[b]))
         assert values[b] == phi0(ens[b], nu_k)
-        for snap, alone in zip(snaps, chain.evolve_batch(ens[b:b + 1], params, 0.02, targets)):
+        for snap, alone in zip(snaps, chain.evolve_batch(ens[b:b + 1], params, 0.02, targets,
+                                                            copied)):
             assert np.array_equal(snap[b].p, alone[0].p)
             assert np.array_equal(snap[b].q, alone[0].q)
 
@@ -283,7 +285,7 @@ def test_evolve_batch_matches_stepper(N, B, harmonic_only, seed):
     dt = 0.02
     states = ChainState(0.1 * rng.normal(size=(B, N)), 0.1 * rng.normal(size=(B, N)))
     targets = (0, 37, 100)
-    batch = chain.evolve_batch(states, params, dt, targets, harmonic_only)
+    batch = chain.evolve_batch(states, params, dt, targets, copied, harmonic_only)
     for i, state in enumerate(states):
         P, q = kick_drift_start(state.p, state.q, params.A, dt, harmonic_only), state.q
         reached = [(state.p, q)]
@@ -314,7 +316,7 @@ def test_evolve_batch_agrees_with_the_classic_leapfrog(N, B, harmonic_only, A, s
     rng = np.random.default_rng(seed)
     params = ChainParams(N=N, A=A)
     states = ChainState(0.1 * rng.normal(size=(B, N)), 0.1 * rng.normal(size=(B, N)))
-    (end,) = chain.evolve_batch(states, params, 0.02, [100], harmonic_only)
+    (end,) = chain.evolve_batch(states, params, 0.02, [100], copied, harmonic_only)
     for i, state in enumerate(states):
         p, q = state.p, state.q
         for _ in range(100):
@@ -333,10 +335,10 @@ def test_evolve_batch_allocates_no_array_per_step():
     rng = np.random.default_rng(0)
     states = ChainState(0.1 * rng.normal(size=(B, N)), 0.1 * rng.normal(size=(B, N)))
     params = ChainParams(N=N)
-    chain.evolve_batch(states, params, 0.02, [1])     # numpy's one-time setup
+    chain.evolve_batch(states, params, 0.02, [1], copied)     # numpy's one-time setup
     tracemalloc.start()
     try:
-        (end,) = chain.evolve_batch(states, params, 0.02, [2000])
+        (end,) = chain.evolve_batch(states, params, 0.02, [2000], copied)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -345,9 +347,18 @@ def test_evolve_batch_allocates_no_array_per_step():
     assert peak <= buffers + held + 4096, (peak, buffers, held)
 
 
-@pytest.mark.parametrize("N, amplitudes, dt", [
-    (15, (30.0, 3.0), 2.0), (15, (3.0, 2.0), 0.5), (8, (1.0, 0.5), 1.5),
-    (9, (2.0, 0.1), 1.2), (7, (0.5, 0.4), 0.9)])
+BLOWUPS = [(15, (30.0, 3.0), 2.0), (15, (3.0, 2.0), 0.5), (8, (1.0, 0.5), 1.5),
+           (9, (2.0, 0.1), 1.2), (7, (0.5, 0.4), 0.9)]
+
+
+def alternating(N, amplitudes) -> ChainState:
+    """One state per amplitude at rest, q_j = +-amplitude in alternation."""
+    signs = np.where(np.arange(N) % 2, 1.0, -1.0)
+    q = np.array([a * signs for a in amplitudes])
+    return ChainState(np.zeros_like(q), q)
+
+
+@pytest.mark.parametrize("N, amplitudes, dt", BLOWUPS)
 def test_blowup_time_is_the_stepper_s_first_non_finite_step(N, amplitudes, dt):
     # evolve_batch tests finiteness on P.P, P = dt p at the half step after
     # it, and stops at the first step at which p.p + q.q is non-finite for
@@ -355,11 +366,10 @@ def test_blowup_time_is_the_stepper_s_first_non_finite_step(N, amplitudes, dt):
     # overflow in the same step.  The stepper's state itself is non-finite
     # there or one step later (its squares overflow before its entries do)
     params = ChainParams(N=N, beta=1.0)
-    signs = np.where(np.arange(N) % 2, 1.0, -1.0)
-    q = np.array([a * signs for a in amplitudes])
+    start = alternating(N, amplitudes)
     first_norm, first_entry = [], []     # per row: first step with p.p + q.q, p or q non-finite
     with np.errstate(over="ignore", invalid="ignore"):
-        for row in q:
+        for row in start.q:
             p, x, norm_seen = np.zeros(N), row, False
             for step in range(1, 1000):
                 p, x = leapfrog_step(p, x, params.A, dt)
@@ -370,6 +380,52 @@ def test_blowup_time_is_the_stepper_s_first_non_finite_step(N, amplitudes, dt):
                     first_entry.append(step)
                     break
     with pytest.raises(BlowupError) as exc:
-        chain.evolve_batch(ChainState(np.zeros_like(q), q), params, dt, [10_000])
+        chain.evolve_batch(start, params, dt, [10_000], copied)
     assert exc.value.time == min(first_norm) * dt
     assert min(first_entry) - min(first_norm) in (0, 1)
+
+
+@pytest.mark.parametrize("N, amplitudes, dt", BLOWUPS)
+def test_observed_flow_blows_up_at_the_same_step_and_shows_only_finite_states(N, amplitudes,
+                                                                              dt):
+    params = ChainParams(N=N, beta=1.0)
+    start = alternating(N, amplitudes)
+    with pytest.raises(BlowupError) as unobserved:
+        chain.evolve_batch(start, params, dt, [10_000], copied)
+    finite = []
+    with pytest.raises(BlowupError) as observed:
+        chain.evolve_batch(start, params, dt, range(10_000),
+                           lambda s: finite.append(np.isfinite(s.p).all() and
+                                                   np.isfinite(s.q).all()))
+    assert observed.value.time == unobserved.value.time
+    # steps 0 .. k-1 were observed, k being the step that went non-finite
+    assert len(finite) == round(observed.value.time / dt) and all(finite)
+
+
+def test_observe_is_called_once_per_target_in_order():
+    rng = np.random.default_rng(1)
+    B, N, dt = 3, 9, 0.02
+    params = ChainParams(N=N)
+    ens = ChainState(0.1 * rng.normal(size=(B, N)), 0.1 * rng.normal(size=(B, N)))
+    targets = [0, 0, 4, 4, 4, 9, 30]
+    seen = []
+
+    def observe(state):
+        seen.append(copied(state))
+        return len(seen)
+
+    assert chain.evolve_batch(ens, params, dt, targets, observe) == [1, 2, 3, 4, 5, 6, 7]
+    for target, snap in zip(targets, seen):
+        (alone,) = chain.evolve_batch(ens, params, dt, [target], copied)
+        assert np.array_equal(snap.p, alone.p) and np.array_equal(snap.q, alone.q)
+
+
+def test_step_zero_shows_the_input_ensemble_itself():
+    rng = np.random.default_rng(2)
+    ens = ChainState(0.1 * rng.normal(size=(2, 5)), 0.1 * rng.normal(size=(2, 5)))
+    p, q = ens.p.copy(), ens.q.copy()
+    shown = chain.evolve_batch(ens, ChainParams(N=5), 0.02, [0, 0, 3], lambda s: s)
+    assert shown[0] is ens and shown[1] is ens
+    assert np.array_equal(ens.p, p) and np.array_equal(ens.q, q)
+    # a later step's state is views into the integrator's buffers, not copies
+    assert not shown[2].p.flags.owndata and not shown[2].q.flags.owndata

@@ -2,10 +2,12 @@ import csv
 import dataclasses
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import copied
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 from fpu_packets import experiments, gibbs
@@ -285,8 +287,11 @@ def test_run_threads_keep_the_rows_of_multi_row_cells(tmp_path):
         out = tmp_path / f"threads{threads}"
         code = main(["run", str(path), "--out", str(out), "--threads", threads])
         meta = json.loads((out / "multi-packet_metadata.json").read_text())
+        # every diagnostic but the cells' wall-clock stage times
+        diags = {key: {name: v for name, v in diag.items() if name != "stage_s"}
+                 for key, diag in meta["diagnostics"].items()}
         outputs.append((code, (out / "multi-packet_results.csv").read_bytes(),
-                        (out / "multi-packet_summary.txt").read_bytes(), meta["diagnostics"]))
+                        (out / "multi-packet_summary.txt").read_bytes(), diags))
     assert outputs[0] == outputs[1]
     assert outputs[0][1].count(b"\n") == 1 + 2 * 2
 
@@ -687,6 +692,44 @@ def test_evolved_cells_record_their_energy_error(tmp_path, experiment):
         assert 0.0 < diag["energy_rel_err"] < 1e-3
 
 
+@pytest.mark.parametrize("experiment", ["autocorrelation", "chebyshev", "multi-packet"])
+def test_evolved_cells_record_their_stage_times(tmp_path, experiment):
+    body = dict(GOLDEN_CONFIGS[experiment], experiment=experiment, seed=7)
+    cfg = validate_config(json.dumps(body))
+    run(cfg, tmp_path, threads=1)
+    meta = json.loads((tmp_path / f"{experiment}_metadata.json").read_text())
+    cells = [meta["diagnostics"][f"N={N},beta={beta:g}"]
+             for N in cfg.N_list for beta in cfg.beta_list]
+    total = 0.0
+    for diag in cells:
+        assert set(diag["stage_s"]) == {"sample", "integrate", "observe"}
+        assert all(v >= 0.0 for v in diag["stage_s"].values())
+        total += sum(diag["stage_s"].values())
+    # one process runs the cells one after another inside the timed run
+    assert total <= meta["wall_time_seconds"]
+
+
+def test_phi0_flow_memory_does_not_grow_with_the_observed_steps():
+    # the flow hands each observed state to an observer that keeps Phi0, so 40
+    # observed steps peak within one (B, N) array of 2.  The (K, steps, B)
+    # output itself grows by 38 B floats, less than B N at N = 63
+    N, B, beta = 63, 64, 100.0
+    cfg = validate_config(json.dumps({"experiment": "autocorrelation", "seed": 1,
+                                      "N_list": [N], "beta_list": [beta], "n_samples": B,
+                                      "t_grid": [0.0, 1.0]}))
+    seed = np.random.SeedSequence(1, spawn_key=(0,))
+    _phi0_flow(cfg, seed, N, beta, [0, 1])    # numpy's and the packet weights' setup
+    peaks = []
+    for steps in ([0, 39], list(range(40))):
+        tracemalloc.start()
+        try:
+            _phi0_flow(cfg, seed, N, beta, steps)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < B * N * np.dtype(float).itemsize, peaks
+
+
 @pytest.mark.parametrize("experiment", [name for name, spec in EXPERIMENTS.items()
                                         if "beta_list" in spec.keys])
 def test_every_sampling_cell_records_its_constraint_residual(tmp_path, experiment):
@@ -745,7 +788,9 @@ def test_draw_and_flow_helpers_keep_the_sampler_s_draws():
     assert vals.shape == (K, len(steps), n)
     for l, nu_k in enumerate(weights):
         assert vals[l, 0].tobytes() == phi0(states, nu_k).tobytes()
-    snaps = evolve_batch(states, params, cfg.dt, steps[1:])
+    snaps = evolve_batch(states, params, cfg.dt, steps[1:], copied)
     h0 = energy(states, cfg.A)
     worst = max(float((np.abs(energy(s, cfg.A) - h0) / np.abs(h0)).max()) for s in snaps)
+    stage_s = flow_diag.pop("stage_s")      # wall-clock times, see the stage timer test
     assert flow_diag == {"energy_rel_err": worst, **diag}
+    assert set(stage_s) == {"sample", "integrate", "observe"}

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from oracles import phi0_slope
+from oracles import copied, phi0_slope
 
 from fpu_packets.chain import ChainParams, bond_extensions, evolve_batch
 from fpu_packets.experiments import (_chebyshev_cell, _lemma3_cell, _multipacket_cell,
@@ -24,7 +24,7 @@ def gibbs_states(N, beta, n, seed):
 def measured_curve(observable, states, params, dt, times, harmonic_only=False):
     """The autocorrelation curve of `observable` along the flow of `states`,
     the grid starting at t = 0 and snapped to whole steps of dt."""
-    snaps = evolve_batch(states, params, dt, _steps(times, dt), harmonic_only)
+    snaps = evolve_batch(states, params, dt, _steps(times, dt), copied, harmonic_only)
     return autocorrelation(np.array([observable(snap) for snap in snaps]).T, times)
 
 
