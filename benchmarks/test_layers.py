@@ -116,8 +116,9 @@ def test_solve_theta(benchmark, beta):
     assert np.isfinite(benchmark(solve_theta, beta, 1.0))
 
 
-# eval_h1 has no N: its unit is one grid, at the h1-grid workload's sizes
-@pytest.mark.parametrize("grid", [256, 1024, 1536])
+# eval_h1 has no N: its unit is one grid, at the h1-grid workload's sizes and
+# at 4096, the largest grid of the default theorem2-h1 config
+@pytest.mark.parametrize("grid", [256, 1024, 1536, 4096])
 def test_eval_h1_per_grid(benchmark, grid):
     profile = make_profile(DEFAULT_PROFILE_SPEC)
     assert np.isfinite(benchmark(eval_h1, profile, grid).value)

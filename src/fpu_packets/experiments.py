@@ -714,12 +714,22 @@ def _run_theorem2(cfg: ExperimentConfig, threads: int):
     grids = sorted(cfg.grid_sizes)
     stab_pair = [g for g in grids if g >= 1024][:2]
     ratios_at = {}
+    timings = {}
+
+    def timed_h1(prof: NuProfile, label: str, g: int):
+        """eval_h1(prof, g), its wall time recorded under the row's profile and grid."""
+        start = time.perf_counter()
+        res = eval_h1(prof, g)
+        timings.setdefault(label, {})[_point_key(("grid",), (g,))] = {
+            "eval_s": time.perf_counter() - start}
+        return res
+
     for spec in cfg.profiles:
         prof = make_profile(spec)
         label = json.dumps(spec, sort_keys=True)
         denom = prof.c0 + prof.c2
         for g in grids:
-            res = eval_h1(prof, g)
+            res = timed_h1(prof, label, g)
             rows.append({"profile": label, "admissible": prof.admissible, "grid": g,
                          "h1": res.value, "c0": prof.c0, "c2": prof.c2,
                          "ratio": res.value / denom,
@@ -739,9 +749,9 @@ def _run_theorem2(cfg: ExperimentConfig, threads: int):
 
     div = make_profile(cfg.divergence_profile)
     g_lo, g_hi = grids[0], grids[-1]
-    res_lo = eval_h1(div, g_lo)
-    res_hi = eval_h1(div, g_hi)
     label = json.dumps(cfg.divergence_profile, sort_keys=True)
+    res_lo = timed_h1(div, label, g_lo)
+    res_hi = timed_h1(div, label, g_hi)
     for g, res in ((g_lo, res_lo), (g_hi, res_hi)):
         rows.append({"profile": label, "admissible": div.admissible, "grid": g,
                      "h1": res.value, "c0": div.c0, "c2": div.c2, "ratio": math.nan,
@@ -750,7 +760,7 @@ def _run_theorem2(cfg: ExperimentConfig, threads: int):
     checks.append((f"divergence for g'(0) != 0: h1({g_hi})/h1({g_lo}) = {growth:.2f} "
                    f">= {THRESHOLDS['h1_divergence']}",
                    growth >= THRESHOLDS["h1_divergence"]))
-    return rows, checks, {"family_constant": family_const}
+    return rows, checks, {"family_constant": family_const, "rows": timings}
 
 
 # ------------------------------------------------------------ sampler-validation
@@ -992,7 +1002,8 @@ def run(cfg: ExperimentConfig, out_dir: str | Path, threads: int = 1) -> int:
         tilted = {}
         for beta in cfg.beta_list:
             td = tilted_density(beta, cfg.A)
-            tilted[f"beta={beta:g}"] = {"theta": td.theta, "q_theta": td.q_theta}
+            tilted[f"beta={beta:g}"] = {"theta": td.theta, "q_theta": td.q_theta,
+                                        "moments": td.moments.tolist()}
         diags = {**diags, "tilted_density": tilted}
     write_metadata(diagnostics=diags, wall_time_seconds=wall)
     if not checks:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def omega_of(x):
@@ -24,7 +25,11 @@ def omega_of(x):
 
 def z_fold(x, y):
     """x + y folded back into [0, 1]: x+y if x+y <= 1, else 2-x-y."""
-    s = np.asarray(x, dtype=float) + np.asarray(y, dtype=float)
+    return _fold(np.asarray(x, dtype=float) + np.asarray(y, dtype=float))
+
+
+def _fold(s):
+    """A computed sum s = x + y folded as z_fold folds it."""
     return np.where(s <= 1.0, s, 2.0 - s)
 
 
@@ -174,7 +179,9 @@ def eval_h1(profile: NuProfile, grid_size: int = 1024, block: int = 16) -> H1Res
     a vanishing denominator with nonzero numerator triggers a warning, not a
     crash, and the point is left out of the max.
 
-    Two exact symmetries cut the work to a quarter of the 8 (g+1)^2 terms:
+    Two exact symmetries cut the work to a quarter of the 8 (g+1)^2 terms,
+    and a third reduction evaluates z, omega(z) and nu(z) once per
+    anti-diagonal, not at every point:
 
     - Sign flip: tau -> -tau negates num and den exactly in IEEE arithmetic
       (negation is exact and rounding is symmetric about 0), so the four
@@ -184,6 +191,15 @@ def eval_h1(profile: NuProfile, grid_size: int = 1024, block: int = 16) -> H1Res
       patterns are closed under this swap up to sign, so each block of rows
       x = pts[i] only visits the columns y = pts[j] with j >= the block's
       first row.
+    - Anti-diagonals: z, omega(z) and nu(z) = g(z) omega(z) depend on (x, y)
+      only through the computed sum s = fl(pts[i] + pts[j]).  They are
+      tabulated once per k = i + j from one split, s_k = pts[a] + pts[k - a]
+      with a = min(k, g), and each block slices the tables' Hankel views,
+      whose [i, j] is table[i + j].  Another split of the same k can round
+      to another s (never at a power-of-two g, where every sum is exact), so
+      each block forms its own sums, checks them against s_k, and recomputes
+      z, omega(z) and nu(z) from its own s wherever they differ.  Every
+      point thus gets the floats a per-point evaluation gives.
 
     The visited |num|/|den| and |den| values are therefore the same set of
     floats as on the full square with all 8 patterns, so `value` and
@@ -199,17 +215,34 @@ def eval_h1(profile: NuProfile, grid_size: int = 1024, block: int = 16) -> H1Res
     pts = np.linspace(0.0, 1.0, grid_size + 1)
     nu_pts = profile.nu(pts)
     om_pts = omega_of(pts)
+    # one sum per anti-diagonal k = i + j, and z, omega(z), nu(z) from it
+    k = np.arange(2 * grid_size + 1)
+    split = np.minimum(k, grid_size)
+    s_k = pts[split] + pts[k - split]
+    z_k = _fold(s_k)
+    om_k = omega_of(z_k)
+    nu_k = profile.g(z_k) * om_k  # profile.nu(z) without a second omega_of(z)
+    # read-only Hankel views of the whole square: [i, j] is table[i + j]
+    s_sq, om_sq, nu_sq = (sliding_window_view(t, grid_size + 1) for t in (s_k, om_k, nu_k))
 
     best = -np.inf
     best_at = (0.0, 0.0, (1, 1, 1))
     min_den = np.inf
     for start in range(0, grid_size + 1, block):
         rows = slice(start, start + block)
-        z = z_fold(pts[rows, None], pts[None, start:])
-        omz = omega_of(z)
-        nuz = profile.g(z) * omz  # profile.nu(z) without a second omega_of(z)
-        num = np.empty_like(z)
-        den = np.empty_like(z)
+        cols = slice(start, None)
+        s = pts[rows, None] + pts[None, cols]
+        omz, nuz = om_sq[rows, cols], nu_sq[rows, cols]
+        # the points whose split rounds to another sum than their table's
+        off = np.flatnonzero(s != s_sq[rows, cols])
+        if off.size:
+            z = _fold(s.take(off))
+            om = omega_of(z)
+            omz, nuz = omz.copy(), nuz.copy()
+            omz.put(off, om)
+            nuz.put(off, profile.g(z) * om)
+        num = np.empty_like(s)
+        den = np.empty_like(s)
         for t2 in (1, -1):  # tau1 = +1: the sign flip gives the other four patterns
             add_y = np.add if t2 > 0 else np.subtract
             nu_xy = add_y(nu_pts[rows, None], nu_pts[None, start:])

@@ -764,7 +764,8 @@ def test_sampler_validation_solves_theta_once_per_beta(tmp_path, monkeypatch):
     beta = cfg.beta_list[0]
     gibbs._tilted_density.cache_clear()
     td = tilted_density(beta, cfg.A)
-    assert tilted == {f"beta={beta:g}": {"theta": td.theta, "q_theta": td.q_theta}}
+    assert tilted == {f"beta={beta:g}": {"theta": td.theta, "q_theta": td.q_theta,
+                                         "moments": td.moments.tolist()}}
 
 
 def test_draw_and_flow_helpers_keep_the_sampler_s_draws():

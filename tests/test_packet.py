@@ -227,6 +227,23 @@ def _assert_tangent_matches_oracle(pk, coeffs8, state, dq_hat, dp_hat):
     its multiplications.  The oracle's real form bounds each term by
     sqrt(2) |c x x dxi|, not |c x x dxi|, so the sides differ by at most
     4 gamma_n A.
+
+    That bound assumes no underflow.  With gradual underflow the standard
+    model is fl(x op y) = (x op y)(1 + delta) + eta, where eta = 0 for + and -
+    and |eta| <= 2^-1075 for * and / (Higham, sec. 2.1).  The deltas give
+    4 gamma_n A; the etas add an absolute error, which is all there is when
+    A is subnormal (an amplitude of 5e-324 makes A about 3e-323, and
+    4 gamma_n A rounds to 0).  The pass multiplies by c last, one eta per
+    stored term, then scales by 2/sqrt(N+1) <= 1.  The oracle forms each of
+    its 24 T leg terms as (c x) x', 6 real products, and each of its 2N bins
+    takes at most 6 more in the scalings and the final dots.  That is at most
+    4 T + 1 + 6 (24 T) + 12 N <= 8 n etas.  An eta is carried to the result
+    only by the factors after it: at most one leg |x| <= L = max(1, max|xi|),
+    a bin's scaling (omega + 1) / sqrt(2 (N+1)) <= 2 (a bin reaches both
+    dq_hat and dp_hat, and omega <= 2), and one tangent component
+    <= D = max(1, max|dq_hat|, max|dp_hat|).  So the sides also differ by at
+    most 8 n (2 L D) 2^-1075 = 8 n L D 2^-1074, which is far below
+    4 gamma_n A unless A is near underflow.
     """
     ms = to_modes(state)
     got = _corrector_pass(ms, pk, _direction(pk, dq_hat, dp_hat))
@@ -238,7 +255,11 @@ def _assert_tangent_matches_oracle(pk, coeffs8, state, dq_hat, dp_hat):
     moduli = 2.0 * (np.abs(pk.coeffs).sum(axis=1) @ legs) / np.sqrt(pk.N + 1)
     n = 24 * pk.n_triples + 2 * pk.N + 16
     u = np.finfo(float).eps / 2
-    assert abs(got[2] - (dqh @ dq_hat + dph @ dp_hat)) <= 4 * n * u / (1 - n * u) * moduli
+    L = max(1.0, xi.max())
+    D = max(1.0, np.abs(dq_hat).max(), np.abs(dp_hat).max())
+    underflow = 8 * n * L * D * 2.0**-1074
+    assert abs(got[2] - (dqh @ dq_hat + dph @ dp_hat)) <= \
+        4 * n * u / (1 - n * u) * moduli + underflow
     return got
 
 
@@ -343,6 +364,7 @@ _POLY_SPECS = st.builds(
 @given(spec=st.one_of(_BUMP_SPECS, _POLY_SPECS), N=st.integers(3, 80),
        seed=st.integers(0, 2**32 - 1))
 @example(spec={"kind": "poly_x2", "coeffs": [0.0, 0.0, 1.0, 5e-324]}, N=3, seed=0)
+@example(spec={"kind": "poly_x2", "coeffs": [5e-324]}, N=3, seed=0)    # subnormal A
 def test_phi1_and_gradient_bit_identical_property(spec, N, seed):
     pk = build_phi1_table(make_profile(spec), N)
     rng = np.random.default_rng(seed)
@@ -353,6 +375,8 @@ def test_phi1_and_gradient_bit_identical_property(spec, N, seed):
 @given(spec=st.one_of(_BUMP_SPECS, _POLY_SPECS), N=st.integers(3, 80),
        seed=st.integers(0, 2**32 - 1), exponent=st.floats(-2.0, 1.0),
        kind=st.sampled_from(["random", "q only", "p only", "harmonic flow"]))
+@example(spec={"kind": "poly_x2", "coeffs": [5e-324]}, N=3, seed=0, exponent=0.0,
+         kind="random")     # subnormal A
 def test_tangent_is_oracle_gradient_along_direction_property(spec, N, seed, exponent, kind):
     pk = build_phi1_table(make_profile(spec), N)
     rng = np.random.default_rng(seed)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -220,7 +222,7 @@ _H1_SPECS = [
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("grid_size", [2, 3, 100, 257, 999, 1536])
+@pytest.mark.parametrize("grid_size", [2, 3, 100, 257, 999, 1024, 1536])
 @pytest.mark.parametrize("spec", _H1_SPECS, ids=lambda spec: spec["kind"])
 def test_eval_h1_bit_identical_to_full_sweep(spec, grid_size):
     _assert_h1_matches_reference(make_profile(spec), grid_size, blocks=(1, 7, 256))
@@ -242,6 +244,28 @@ _POLY_SPECS = st.builds(
        block=st.integers(1, 70))
 def test_eval_h1_bit_identical_property(spec, grid_size, block):
     _assert_h1_matches_reference(make_profile(spec), grid_size, blocks=(block,))
+
+
+def test_eval_h1_memory_stays_per_block():
+    """eval_h1 holds O(block (g+1)) memory, never a (g+1)^2 array.
+
+    At g = 1536 and block 16 one block-sized float64 array is 16/1537, about
+    1/96, of the (g+1)^2 square (18.9 MB).  A block step holds about a dozen
+    of them at once (the sums and their check, the omega(z) and nu(z)
+    copies, the two pair sums, num, den and the masks), about 1/8 of the
+    square, and the length-(2g+1) tables add under 1%.  A bound of 1/4
+    leaves twice that, and any full-square temporary fails it.
+    """
+    g = 1536
+    prof = make_profile(DEFAULT_PROFILE_SPEC)
+    eval_h1(prof, g, 16)
+    tracemalloc.start()
+    try:
+        eval_h1(prof, g, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (g + 1) ** 2 / 4
 
 
 def test_eval_h1_warns_on_zero_denominator_with_nonzero_numerator():
