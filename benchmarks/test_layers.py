@@ -12,8 +12,10 @@ timed call.  Where a call does several units of work, its `extra_info` holds
 the median divided by the units, in perfbench's unit where it has one:
 `ns_per_particle_step` for the leapfrog (`chain.ns_per_particle_step`),
 `ns_per_row` for the sine transform (`spectral.ns_per_row`), `us_per_phi0`
-for Phi0 on an ensemble (`packet.us_per_phi0`) and `ns_per_site_sweep` for a
-Gibbs sweep over N+1 bonds (`gibbs.ns_per_site_sweep`).
+for Phi0 on an ensemble (`packet.us_per_phi0`), `ns_per_site_sweep` for a
+Gibbs sweep over N+1 bonds (`gibbs.ns_per_site_sweep`) and
+`ns_per_grid_point` for h1 on a family, 8 (g+1)^2 points per profile
+(`profiles.ns_per_grid_point`).
 """
 
 import functools
@@ -22,10 +24,10 @@ import numpy as np
 import pytest
 
 from fpu_packets.chain import ChainParams, ChainState, evolve_batch
-from fpu_packets.experiments import RATIO_PROFILE_SPEC
+from fpu_packets.experiments import RATIO_PROFILE_SPEC, THEOREM2_FAMILY
 from fpu_packets.gibbs import GibbsSampler, solve_theta
 from fpu_packets.packet import build_phi1_table, mode_weights, phi0, phi1, phi_dot
-from fpu_packets.profiles import DEFAULT_PROFILE_SPEC, eval_h1, make_profile
+from fpu_packets.profiles import eval_h1, make_profile
 from fpu_packets.spectral import sine_transform
 
 STEPS = 20
@@ -117,8 +119,13 @@ def test_solve_theta(benchmark, beta):
 
 
 # eval_h1 has no N: its unit is one grid, at the h1-grid workload's sizes and
-# at 4096, the largest grid of the default theorem2-h1 config
+# at 4096, the largest grid of the default theorem2-h1 config.  The call is
+# theorem2-h1's: the default family, and g(x) = x at the smallest and the
+# largest grid of the workload (256, 1536) and of the default config (4096).
 @pytest.mark.parametrize("grid", [256, 1024, 1536, 4096])
 def test_eval_h1_per_grid(benchmark, grid):
-    profile = make_profile(DEFAULT_PROFILE_SPEC)
-    assert np.isfinite(benchmark(eval_h1, profile, grid).value)
+    specs = THEOREM2_FAMILY + ([{"kind": "linear"}] if grid != 1024 else [])
+    family = [make_profile(spec) for spec in specs]
+    results = benchmark(eval_h1, family, grid)
+    assert all(np.isfinite(res.value) for res in results)
+    per_unit(benchmark, "ns_per_grid_point", len(family) * 8 * (grid + 1) ** 2)

@@ -161,6 +161,17 @@ def _admissible(v):
     return v
 
 
+def _divergent(v):
+    """A profile with g'(0) != 0, the only kind whose h1 grows with the grid:
+    with g'(0) = 0 the divergence check fails whatever h1 measures, or, where
+    h1 is 0 (nu = 0), divides by zero."""
+    prof = make_profile(v)
+    if prof.admissible:
+        raise ValueError(f"must be an inadmissible profile (g'(0) != 0), "
+                         f"got g'(0) = {prof.dg0:g}")
+    return v
+
+
 def _h1_bounded(v):
     """A profile with c0 >= 0 and c0 + c2 > 0.  The bound h1 <= C (c0 + c2)
     reads c0 = g(0) and c2 = sup|g''| as sizes: with c0 < 0 the two can
@@ -713,23 +724,31 @@ def _run_theorem2(cfg: ExperimentConfig, threads: int):
     checks = []
     grids = sorted(cfg.grid_sizes)
     stab_pair = [g for g in grids if g >= 1024][:2]
-    ratios_at = {}
+    g_lo, g_hi = grids[0], grids[-1]
+    family = [make_profile(spec) for spec in cfg.profiles]
+    labels = [json.dumps(spec, sort_keys=True) for spec in cfg.profiles]
+    div = make_profile(cfg.divergence_profile)
+    div_label = json.dumps(cfg.divergence_profile, sort_keys=True)
+
+    # one eval_h1 call per grid for the whole family, the divergence profile
+    # included at the smallest and largest grid; its wall time is recorded
+    # under the grid, with the labels of the profiles it covered
+    h1 = {}
     timings = {}
-
-    def timed_h1(prof: NuProfile, label: str, g: int):
-        """eval_h1(prof, g), its wall time recorded under the row's profile and grid."""
+    for g in dict.fromkeys(grids):
+        profs, covered = family, labels
+        if g in (g_lo, g_hi):
+            profs, covered = family + [div], labels + [div_label]
         start = time.perf_counter()
-        res = eval_h1(prof, g)
-        timings.setdefault(label, {})[_point_key(("grid",), (g,))] = {
-            "eval_s": time.perf_counter() - start}
-        return res
+        h1[g] = eval_h1(profs, g)
+        timings[_point_key(("grid",), (g,))] = {"eval_s": time.perf_counter() - start,
+                                                "profiles": covered}
 
-    for spec in cfg.profiles:
-        prof = make_profile(spec)
-        label = json.dumps(spec, sort_keys=True)
+    ratios_at = {}
+    for p, (prof, label) in enumerate(zip(family, labels)):
         denom = prof.c0 + prof.c2
         for g in grids:
-            res = timed_h1(prof, label, g)
+            res = h1[g][p]
             rows.append({"profile": label, "admissible": prof.admissible, "grid": g,
                          "h1": res.value, "c0": prof.c0, "c2": prof.c2,
                          "ratio": res.value / denom,
@@ -742,25 +761,21 @@ def _run_theorem2(cfg: ExperimentConfig, threads: int):
             checks.append((f"h1 ratio stable {label} grids {stab_pair[0]}->{stab_pair[1]}: "
                            f"drift {drift:.3%} <= {THRESHOLDS['h1_stability']:.0%}",
                            drift <= THRESHOLDS["h1_stability"]))
-    ref = stab_pair[0] if stab_pair else grids[-1]
+    ref = stab_pair[0] if stab_pair else g_hi
     family_const = max(v for (_, g), v in ratios_at.items() if g == ref)
     checks.append((f"family-wide constant on {ref}-grid: "
                    f"max h1/(c0+c2) = {family_const:.3f} finite", math.isfinite(family_const)))
 
-    div = make_profile(cfg.divergence_profile)
-    g_lo, g_hi = grids[0], grids[-1]
-    label = json.dumps(cfg.divergence_profile, sort_keys=True)
-    res_lo = timed_h1(div, label, g_lo)
-    res_hi = timed_h1(div, label, g_hi)
+    res_lo, res_hi = h1[g_lo][-1], h1[g_hi][-1]
     for g, res in ((g_lo, res_lo), (g_hi, res_hi)):
-        rows.append({"profile": label, "admissible": div.admissible, "grid": g,
+        rows.append({"profile": div_label, "admissible": div.admissible, "grid": g,
                      "h1": res.value, "c0": div.c0, "c2": div.c2, "ratio": math.nan,
                      "min_denominator": res.min_denominator})
     growth = res_hi.value / res_lo.value
     checks.append((f"divergence for g'(0) != 0: h1({g_hi})/h1({g_lo}) = {growth:.2f} "
                    f">= {THRESHOLDS['h1_divergence']}",
                    growth >= THRESHOLDS["h1_divergence"]))
-    return rows, checks, {"family_constant": family_const, "rows": timings}
+    return rows, checks, {"family_constant": family_const, "grids": timings}
 
 
 # ------------------------------------------------------------ sampler-validation
@@ -924,7 +939,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         "h1/(c0+c2) bounded on the admissible family, divergent for g(x)=x",
         {"grid_sizes": Key([256, 1024, 2048, 4096], _h1_grids),
          "profiles": Key(THEOREM2_FAMILY, _list(_h1_bounded)),
-         "divergence_profile": Key({"kind": "linear"}, _profile)},
+         "divergence_profile": Key({"kind": "linear"}, _divergent)},
         ("profile", "admissible", "grid", "h1", "c0", "c2", "ratio", "min_denominator"),
         _run_theorem2),
     "sampler-validation": ExperimentSpec(

@@ -159,6 +159,10 @@ def make_profile(spec: dict) -> NuProfile:
         raise ValueError(f"bad parameters for profile kind {kind!r}: {exc}") from exc
 
 
+# a sign +1 or -1 as the ufunc that applies it to the second operand
+_SIGNED = {1: np.add, -1: np.subtract}
+
+
 @dataclass(frozen=True)
 class H1Result:
     """Grid supremum of the sign-combination functional, with diagnostics."""
@@ -170,8 +174,10 @@ class H1Result:
     min_denominator: float
 
 
-def eval_h1(profile: NuProfile, grid_size: int = 1024, block: int = 16) -> H1Result:
-    """Maximize |tau.nu| / |tau.omega| over the 8 sign patterns and a grid.
+def eval_h1(profiles: list[NuProfile], grid_size: int = 1024,
+            block: int = 16) -> list[H1Result]:
+    """Maximize |tau.nu| / |tau.omega| over the 8 sign patterns and a grid,
+    for each profile of a family; one H1Result per profile, in order.
 
     The grid is x, y = i/grid_size, i = 0..grid_size, with the corner (0,0)
     excluded (0/0 there).  Points where a pattern makes the denominator vanish
@@ -179,8 +185,11 @@ def eval_h1(profile: NuProfile, grid_size: int = 1024, block: int = 16) -> H1Res
     a vanishing denominator with nonzero numerator triggers a warning, not a
     crash, and the point is left out of the max.
 
-    Two exact symmetries cut the work to a quarter of the 8 (g+1)^2 terms,
-    and a third reduction evaluates z, omega(z) and nu(z) once per
+    The denominators |tau.omega| do not depend on the profile, so each block
+    of rows forms them once for the whole family, with their minimum and
+    zero mask; each profile only forms its numerators, the ratio and its
+    argmax.  Two exact symmetries cut the work to a quarter of the 8 (g+1)^2
+    terms, and a third reduction evaluates z, omega(z) and nu(z) once per
     anti-diagonal, not at every point:
 
     - Sign flip: tau -> -tau negates num and den exactly in IEEE arithmetic
@@ -196,89 +205,109 @@ def eval_h1(profile: NuProfile, grid_size: int = 1024, block: int = 16) -> H1Res
       tabulated once per k = i + j from one split, s_k = pts[a] + pts[k - a]
       with a = min(k, g), and each block slices the tables' Hankel views,
       whose [i, j] is table[i + j].  Another split of the same k can round
-      to another s (never at a power-of-two g, where every sum is exact), so
-      each block forms its own sums, checks them against s_k, and recomputes
-      z, omega(z) and nu(z) from its own s wherever they differ.  Every
-      point thus gets the floats a per-point evaluation gives.
+      to another s (never at a power-of-two grid, where every sum is exact),
+      so each block forms its own sums, checks them against s_k, and
+      recomputes z, omega(z) and nu(z) from its own s wherever they differ.
+      Every point thus gets the floats a per-point evaluation gives.
 
     The visited |num|/|den| and |den| values are therefore the same set of
-    floats as on the full square with all 8 patterns, so `value` and
-    `min_denominator` are bit-identical to the full sweep.  (x, y, tau) is a
-    point where the maximum is reached.
+    floats as on the full square with all 8 patterns, so each `value` and
+    `min_denominator` is bit-identical to the full sweep of that profile
+    alone.  (x, y, tau) is a point where the maximum is reached.
+    `min_denominator` is the same for every profile.
 
     `block` is the number of grid rows evaluated per vectorized step.  The
     default is small so that a step's working arrays stay in cache (16 rows
     of 4097 columns are 0.5 MiB per array); it does not change the result.
+    A step holds the same arrays whatever the number of profiles.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
     pts = np.linspace(0.0, 1.0, grid_size + 1)
-    nu_pts = profile.nu(pts)
     om_pts = omega_of(pts)
+    nu_pts = [prof.nu(pts) for prof in profiles]
     # one sum per anti-diagonal k = i + j, and z, omega(z), nu(z) from it
     k = np.arange(2 * grid_size + 1)
     split = np.minimum(k, grid_size)
     s_k = pts[split] + pts[k - split]
     z_k = _fold(s_k)
     om_k = omega_of(z_k)
-    nu_k = profile.g(z_k) * om_k  # profile.nu(z) without a second omega_of(z)
-    # read-only Hankel views of the whole square: [i, j] is table[i + j]
-    s_sq, om_sq, nu_sq = (sliding_window_view(t, grid_size + 1) for t in (s_k, om_k, nu_k))
+    # read-only Hankel views of the whole square: [i, j] is table[i + j];
+    # profile.nu(z) without a second omega_of(z)
+    s_sq, om_sq = (sliding_window_view(t, grid_size + 1) for t in (s_k, om_k))
+    nu_sq = [sliding_window_view(prof.g(z_k) * om_k, grid_size + 1) for prof in profiles]
 
-    best = -np.inf
-    best_at = (0.0, 0.0, (1, 1, 1))
+    best = [-np.inf] * len(profiles)
+    best_at = [(0.0, 0.0, (1, 1, 1))] * len(profiles)
     min_den = np.inf
     for start in range(0, grid_size + 1, block):
         rows = slice(start, start + block)
         cols = slice(start, None)
         s = pts[rows, None] + pts[None, cols]
-        omz, nuz = om_sq[rows, cols], nu_sq[rows, cols]
+        omz = om_sq[rows, cols]
         # the points whose split rounds to another sum than their table's
         off = np.flatnonzero(s != s_sq[rows, cols])
         if off.size:
-            z = _fold(s.take(off))
-            om = omega_of(z)
-            omz, nuz = omz.copy(), nuz.copy()
-            omz.put(off, om)
-            nuz.put(off, profile.g(z) * om)
-        num = np.empty_like(s)
-        den = np.empty_like(s)
-        for t2 in (1, -1):  # tau1 = +1: the sign flip gives the other four patterns
-            add_y = np.add if t2 > 0 else np.subtract
-            nu_xy = add_y(nu_pts[rows, None], nu_pts[None, start:])
-            om_xy = add_y(om_pts[rows, None], om_pts[None, start:])
+            z_off = _fold(s.take(off))
+            om_off = omega_of(z_off)
+            omz = omz.copy()
+            omz.put(off, om_off)
+        # the sums are spent: their buffer takes omega(x) +- omega(y), then
+        # each profile's nu(x) +- nu(y)
+        pair = s
+        # |tau.omega| of the patterns with tau1 = +1 (the sign flip gives the
+        # other four), shared by the family; a zero denominator is set to inf
+        # and masked
+        dens = {}
+        for t2 in (1, -1):
+            _SIGNED[t2](om_pts[rows, None], om_pts[None, start:], out=pair)
             for t3 in (1, -1):
-                tau = (1, t2, t3)
-                add_z = np.add if t3 > 0 else np.subtract
-                add_z(nu_xy, nuz, out=num)
-                add_z(om_xy, omz, out=den)
+                den = _SIGNED[t3](pair, omz)
                 if start == 0:
-                    num[0, 0] = den[0, 0] = 0.0  # the corner (0, 0) is 0/0: excluded
-                np.abs(num, out=num)
+                    den[0, 0] = 0.0  # the corner (0, 0) is 0/0: excluded
                 np.abs(den, out=den)
                 least = den.min()
                 zero = None
                 if least == 0.0:
                     zero = den == 0.0
-                    bad = zero & (num != 0.0)
-                    if bad.any():
-                        i, j = np.unravel_index(int(bad.argmax()), bad.shape)
-                        warnings.warn(
-                            f"h1 grid: zero denominator with nonzero numerator at "
-                            f"(x={pts[start + i]:g}, y={pts[start + j]:g}), tau={tau}",
-                            RuntimeWarning)
                     den[zero] = np.inf
                     least = den.min()
                 min_den = min(min_den, float(least))
-                ratio = np.divide(num, den, out=num)
-                if zero is not None:
-                    ratio[zero] = -np.inf
-                arg = int(ratio.argmax())
-                if ratio.flat[arg] > best:
-                    best = float(ratio.flat[arg])
-                    i, j = np.unravel_index(arg, ratio.shape)
-                    best_at = (float(pts[start + i]), float(pts[start + j]), tau)
-    return H1Result(best, best_at[0], best_at[1], best_at[2], min_den)
+                dens[t2, t3] = den, zero
+        del omz  # spent: freed before the profile loop allocates num and nu(z) copies
+        num = np.empty_like(s)
+        for p, prof in enumerate(profiles):
+            nuz = nu_sq[p][rows, cols]
+            if off.size:
+                nuz = nuz.copy()
+                nuz.put(off, prof.g(z_off) * om_off)
+            for t2 in (1, -1):
+                _SIGNED[t2](nu_pts[p][rows, None], nu_pts[p][None, start:], out=pair)
+                for t3 in (1, -1):
+                    tau = (1, t2, t3)
+                    den, zero = dens[t2, t3]
+                    _SIGNED[t3](pair, nuz, out=num)
+                    np.abs(num, out=num)
+                    if zero is not None:
+                        if start == 0:
+                            num[0, 0] = 0.0  # the excluded corner warns of nothing
+                        bad = zero & (num != 0.0)
+                        if bad.any():
+                            i, j = np.unravel_index(int(bad.argmax()), bad.shape)
+                            warnings.warn(
+                                f"h1 grid: zero denominator with nonzero numerator at "
+                                f"(x={pts[start + i]:g}, y={pts[start + j]:g}), tau={tau}, "
+                                f"profile {p}", RuntimeWarning)
+                    ratio = np.divide(num, den, out=num)
+                    if zero is not None:
+                        ratio[zero] = -np.inf
+                    arg = int(ratio.argmax())
+                    if ratio.flat[arg] > best[p]:
+                        best[p] = float(ratio.flat[arg])
+                        i, j = np.unravel_index(arg, ratio.shape)
+                        best_at[p] = (float(pts[start + i]), float(pts[start + j]), tau)
+    return [H1Result(value, x, y, tau, min_den)
+            for value, (x, y, tau) in zip(best, best_at)]
 
 
 def disjoint_profiles(K: int) -> list[NuProfile]:

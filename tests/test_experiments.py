@@ -125,6 +125,9 @@ def test_every_key_is_validated(tmp_path, experiment, key):
     # too few samples for the jackknife error of a variance
     ("homological", "n_samples", 2),
     ("sampler-validation", "lemma5_samples", 2),
+    # a divergence profile with g'(0) = 0, whose h1 does not diverge (and
+    # with nu = 0 is 0 on every grid)
+    ("theorem2-h1", "divergence_profile", {"kind": "constant", "value": 0.0}),
 ])
 def test_rejects_bad_or_vacuous_values(tmp_path, experiment, key, value):
     body = {"experiment": experiment, "seed": 1, key: value}

@@ -151,3 +151,29 @@ def test_experiments_names_its_packets_in_one_place():
     source = (SRC / "experiments.py").read_text()
     assert callers(source, "disjoint_profiles") == {"_packets"}
     assert callers(source, "mode_weights") == {"validate_config", "_phi0_flow"}
+
+
+def test_h1_is_evaluated_once_per_grid(tmp_path, monkeypatch):
+    from fpu_packets import experiments
+
+    source = (SRC / "experiments.py").read_text()
+    assert callers(source, "eval_h1") == {"_run_theorem2"}
+    calls = []
+    real = experiments.eval_h1
+
+    def counted(profiles, grid_size, *args, **kwargs):
+        calls.append((grid_size, len(profiles)))
+        return real(profiles, grid_size, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "eval_h1", counted)
+    # the golden theorem2-h1 config: the six default profiles and g(x) = x,
+    # each grid both the smallest and the largest
+    body = {"experiment": "theorem2-h1", "seed": 7, "grid_sizes": [32, 64]}
+    experiments.run(experiments.validate_config(json.dumps(body)), tmp_path)
+    assert calls == [(32, 7), (64, 7)]
+    meta = json.loads((tmp_path / "theorem2-h1_metadata.json").read_text())
+    labels = [json.dumps(spec, sort_keys=True) for spec in
+              experiments.THEOREM2_FAMILY + [{"kind": "linear"}]]
+    timings = meta["diagnostics"]["grids"]
+    assert list(timings) == ["grid=32", "grid=64"]
+    assert all(t["profiles"] == labels and t["eval_s"] > 0 for t in timings.values())

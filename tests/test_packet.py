@@ -95,7 +95,7 @@ def test_ratios_unity_for_nu_equals_omega():
 
 def test_table_coefficients_bounded_by_h1():
     prof = make_profile(DEFAULT_PROFILE_SPEC)
-    h1 = eval_h1(prof, 2048).value
+    h1 = eval_h1([prof], 2048)[0].value
     assert np.abs(_ratios(build_phi1_table(prof, 127))).max() <= h1 * 1.05
 
 

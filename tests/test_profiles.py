@@ -66,14 +66,18 @@ def _h1_term(profile, grid_size, x, y, tau):
     return abs(num) / abs(den)
 
 
-def _assert_h1_matches_reference(profile, grid_size, blocks):
-    value, min_den = _eval_h1_reference(profile, grid_size)
+def _assert_h1_matches_reference(family, grid_size, blocks):
+    """One eval_h1 call on the family gives each profile the bits of its own
+    full sweep, in order."""
+    expected = [_eval_h1_reference(profile, grid_size) for profile in family]
     for block in blocks:
-        res = eval_h1(profile, grid_size, block)
-        assert res.value == value, (grid_size, block)
-        assert res.min_denominator == min_den, (grid_size, block)
-        assert res.tau in _ALL_SIGN_PATTERNS
-        assert _h1_term(profile, grid_size, res.x, res.y, res.tau) == value
+        results = eval_h1(family, grid_size, block)
+        assert len(results) == len(family)
+        for profile, (value, min_den), res in zip(family, expected, results):
+            assert res.value == value, (grid_size, block, profile.kind)
+            assert res.min_denominator == min_den, (grid_size, block, profile.kind)
+            assert res.tau in _ALL_SIGN_PATTERNS
+            assert _h1_term(profile, grid_size, res.x, res.y, res.tau) == value
 
 
 def test_z_fold_examples():
@@ -148,38 +152,39 @@ def test_admissible_families_have_a_flat_origin(spec):
 
 def test_eval_h1_constant_profiles():
     one = make_profile({"kind": "constant", "value": 1.0})
-    res = eval_h1(one, 128)
+    (res,) = eval_h1([one], 128)
     assert res.value == pytest.approx(1.0, rel=1e-12)
     assert res.min_denominator > 0
     two = make_profile({"kind": "constant", "value": 2.0})
-    assert eval_h1(two, 128).value == pytest.approx(2.0, rel=1e-12)
+    assert eval_h1([two], 128)[0].value == pytest.approx(2.0, rel=1e-12)
 
 
 def test_h1_homogeneity():
     prof = make_profile({"kind": "poly_x2", "coeffs": [1.0, 1.0]})
     scaled = make_profile({"kind": "poly_x2", "coeffs": [3.0, 3.0]})
-    assert eval_h1(scaled, 200).value == pytest.approx(3 * eval_h1(prof, 200).value, rel=1e-10)
+    base, tripled = eval_h1([prof, scaled], 200)
+    assert tripled.value == pytest.approx(3 * base.value, rel=1e-10)
 
 
 def test_h1_refinement_stability_admissible():
     for spec in ({"kind": "poly_x2", "coeffs": [0.0, 1.0]}, DEFAULT_PROFILE_SPEC):
         prof = make_profile(spec)
-        v512 = eval_h1(prof, 512).value
-        v1024 = eval_h1(prof, 1024).value
+        v512 = eval_h1([prof], 512)[0].value
+        v1024 = eval_h1([prof], 1024)[0].value
         assert v1024 >= v512 - 1e-12  # nested grids: monotone
         assert abs(v1024 - v512) / v512 <= 0.10
 
 
 def test_h1_divergence_for_linear_profile():
     lin = make_profile({"kind": "linear"})
-    v64 = eval_h1(lin, 64).value
-    v256 = eval_h1(lin, 256).value
+    v64 = eval_h1([lin], 64)[0].value
+    v256 = eval_h1([lin], 256)[0].value
     assert v256 >= 2.0 * v64
 
 
 def test_denominator_positivity_and_origin_exclusion():
     prof = make_profile(DEFAULT_PROFILE_SPEC)
-    res = eval_h1(prof, 256)
+    (res,) = eval_h1([prof], 256)
     assert res.min_denominator > 0
     assert np.isfinite(res.value)
 
@@ -193,8 +198,8 @@ def test_disjoint_profiles():
     for i in range(4):
         for j in range(i + 1, 4):
             assert np.abs(nus[i] * nus[j]).max() == 0.0
-    for p in profs:
-        assert p.admissible and np.isfinite(eval_h1(p, 256).value)
+    assert all(p.admissible for p in profs)
+    assert all(np.isfinite(res.value) for res in eval_h1(profs, 256))
     with pytest.raises(ValueError):
         disjoint_profiles(17)
 
@@ -225,7 +230,7 @@ _H1_SPECS = [
 @pytest.mark.parametrize("grid_size", [2, 3, 100, 257, 999, 1024, 1536])
 @pytest.mark.parametrize("spec", _H1_SPECS, ids=lambda spec: spec["kind"])
 def test_eval_h1_bit_identical_to_full_sweep(spec, grid_size):
-    _assert_h1_matches_reference(make_profile(spec), grid_size, blocks=(1, 7, 256))
+    _assert_h1_matches_reference([make_profile(spec)], grid_size, blocks=(1, 7, 256))
 
 
 _BUMP_SPECS = st.builds(
@@ -243,29 +248,59 @@ _POLY_SPECS = st.builds(
 @given(spec=st.one_of(_BUMP_SPECS, _POLY_SPECS), grid_size=st.integers(2, 60),
        block=st.integers(1, 70))
 def test_eval_h1_bit_identical_property(spec, grid_size, block):
-    _assert_h1_matches_reference(make_profile(spec), grid_size, blocks=(block,))
+    _assert_h1_matches_reference([make_profile(spec)], grid_size, blocks=(block,))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(specs=st.lists(st.one_of(_BUMP_SPECS, _POLY_SPECS, st.just({"kind": "linear"})),
+                      min_size=1, max_size=4),
+       grid_size=st.integers(2, 60), block=st.integers(1, 70), data=st.data())
+def test_eval_h1_family_matches_each_profile_alone_property(specs, grid_size, block, data):
+    # the shared denominators change no bit of any profile's result, and the
+    # results follow the family's order
+    family = [make_profile(spec) for spec in specs]
+    _assert_h1_matches_reference(family, grid_size, blocks=(block,))
+    results = eval_h1(family, grid_size, block)
+    order = data.draw(st.permutations(range(len(family))))
+    assert eval_h1([family[i] for i in order], grid_size, block) == [results[i] for i in order]
+
+
+# the h1-grid benchmark workload's family: six admissible profiles and g(x) = x
+_H1_GRID_FAMILY = [
+    {"kind": "constant", "value": 1.0},
+    {"kind": "poly_x2", "coeffs": [0.0, 1.0]},
+    {"kind": "poly_x2", "coeffs": [1.0, 1.0]},
+    {"kind": "cosine", "amplitude": 1.0},
+    {"kind": "bump", "center": 0.18, "width": 0.25, "amplitude": 1.0},
+    {"kind": "bump", "center": 0.5, "width": 0.5, "amplitude": 1.0},
+    {"kind": "linear"},
+]
 
 
 def test_eval_h1_memory_stays_per_block():
-    """eval_h1 holds O(block (g+1)) memory, never a (g+1)^2 array.
+    """eval_h1 holds O(block (g+1)) memory, never a (g+1)^2 array, whatever
+    the family's size.
 
     At g = 1536 and block 16 one block-sized float64 array is 16/1537, about
     1/96, of the (g+1)^2 square (18.9 MB).  A block step holds about a dozen
-    of them at once (the sums and their check, the omega(z) and nu(z)
-    copies, the two pair sums, num, den and the masks), about 1/8 of the
-    square, and the length-(2g+1) tables add under 1%.  A bound of 1/4
-    leaves twice that, and any full-square temporary fails it.
+    of them at once (the sums, reused for the pair sums, and their check,
+    the omega(z) and nu(z) copies, the four shared |den|, num and the
+    masks), about 1/8 of the square.  The tables add 3g + 2 floats per
+    profile and 4g + 3 in all, under 2% for the 7 profiles of h1-grid.  A
+    bound of 1/4 leaves twice that, and any full-square temporary fails it.
     """
     g = 1536
-    prof = make_profile(DEFAULT_PROFILE_SPEC)
-    eval_h1(prof, g, 16)
-    tracemalloc.start()
-    try:
-        eval_h1(prof, g, 16)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * (g + 1) ** 2 / 4
+    for family in ([make_profile(DEFAULT_PROFILE_SPEC)],
+                   [make_profile(spec) for spec in _H1_GRID_FAMILY]):
+        eval_h1(family, g, 16)
+        tracemalloc.start()
+        try:
+            eval_h1(family, g, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (g + 1) ** 2 / 4, len(family)
 
 
 def test_eval_h1_warns_on_zero_denominator_with_nonzero_numerator():
@@ -278,4 +313,4 @@ def test_eval_h1_warns_on_zero_denominator_with_nonzero_numerator():
     prof = NuProfile("inverse", c0=np.inf, c2=np.inf, dg0=-np.inf, _g=g)
     with np.errstate(invalid="ignore"), \
             pytest.warns(RuntimeWarning, match="zero denominator with nonzero numerator"):
-        eval_h1(prof, 8)
+        eval_h1([prof], 8)
