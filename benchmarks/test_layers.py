@@ -55,8 +55,9 @@ def per_unit(benchmark, key, units, scale=1e9):
         benchmark.extra_info[key] = benchmark.stats.stats.median * scale / units
 
 
-@pytest.mark.parametrize("B", [1, 64, 384])
-@pytest.mark.parametrize("N", SIZES)
+# the default configs evolve 384 (autocorrelation), 400 (multi-packet) and
+# 1500 (chebyshev) states at N = 127; at B = 1500 the buffers outgrow L2
+@pytest.mark.parametrize("N, B", [(N, B) for N in SIZES for B in (1, 64, 384)] + [(127, 1500)])
 def test_evolve_batch_per_particle_step(benchmark, N, B):
     # the observer only reads the end state's shape, so the timed work is the flow
     (shape,) = benchmark(evolve_batch, ensemble(B, N), ChainParams(N=N), 0.02, [STEPS],

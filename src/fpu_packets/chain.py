@@ -9,18 +9,19 @@ statements over times of order beta meaningful at dt = 0.02.  It runs in
 kick-drift form on the scaled momenta dt p at half steps, which is the same
 scheme with fewer operations per step.
 
-The integrator keeps a (B, N) ensemble in flat padded buffers: the rows of q
-one after another, with one zero between two rows that is q_{N+1} of the row
-before it and q_0 of the row after it, and a zero pad slot after each row of
-p.  Bonds and forces of the whole ensemble are then one subtraction each over
-contiguous memory, and the forces are set to 0 in the pad slots, so the pads
-stay exactly 0.  The integrator keeps no trajectory: it hands the ensemble's
-state at each requested step to an observer, as views valid only during that
-call, so a flow holds O(B N) memory however many steps are observed.
+The integrator keeps a (B, N) ensemble site-major: row j of each buffer
+holds site j of all B states, and the displacements carry the fixed ends as
+rows 0 and N+1, which stay 0.  Bonds and forces of the whole ensemble are
+then one subtraction each of two row-shifted views over contiguous memory,
+and each buffer starts on a cache line.  The integrator keeps no
+trajectory: it hands the ensemble's state at each requested step to an
+observer, valid only during that call, so a flow holds O(B N) memory
+however many steps are observed.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
@@ -28,6 +29,7 @@ from typing import Any
 import numpy as np
 
 DEFAULT_DT = 0.02
+_LINE = 64     # bytes in a cache line, where each buffer of evolve_batch starts
 
 
 class BlowupError(RuntimeError):
@@ -115,12 +117,25 @@ def energy(states: ChainState, A: float) -> np.ndarray:
     return 0.5 * (states.p * states.p).sum(axis=-1) + potential_v(r, A).sum(axis=-1)
 
 
-def _batch_forces(z: np.ndarray, n: int, A: float, c: float, harmonic_only: bool,
-                  r: np.ndarray, w: np.ndarray, f: np.ndarray) -> None:
-    """c times the forces on the padded flat displacements z of an ensemble of
-    chains of n sites (see evolve_batch), written into f with 0 in every pad
-    slot; r and w are scratch of f's length.  c = 1 gives the forces."""
-    np.subtract(z[1:], z[:-1], out=r)      # every bond of every row
+def _aligned(shape: tuple[int, int]) -> np.ndarray:
+    """A zeroed C-contiguous float64 array whose first entry starts a 64-byte
+    cache line: one over-allocation, sliced to the aligned start."""
+    size = shape[0] * shape[1]
+    buf = np.zeros(size + _LINE // 8)
+    start = (-buf.ctypes.data % _LINE) // buf.itemsize
+    return buf[start:start + size].reshape(shape)
+
+
+def _batch_forces(z_hi: np.ndarray, z_lo: np.ndarray, r: np.ndarray, r_hi: np.ndarray,
+                  r_lo: np.ndarray, w: np.ndarray, f: np.ndarray, A: float, c: float,
+                  harmonic_only: bool) -> None:
+    """c times the forces on the sites of a site-major ensemble (see
+    evolve_batch), written into f.  z_hi and z_lo are the displacements
+    without their first and without their last row, r_hi and r_lo the same
+    views of the bond buffer r; w is scratch of r's shape, and f may be
+    w[:-1], which the polynomial no longer needs when f is written.  c = 1
+    gives the forces."""
+    np.subtract(z_hi, z_lo, out=r)         # every bond of every state
     if harmonic_only:
         r *= c
     else:
@@ -130,10 +145,7 @@ def _batch_forces(z: np.ndarray, n: int, A: float, c: float, harmonic_only: bool
         w *= r
         w += c
         r *= w
-    np.subtract(r[1:], r[:-1], out=f[:-1])
-    # the pad slots' differences straddle two rows; a fill, not a strided
-    # ufunc: numpy 2.4 misread a strided np.negative input at a stride of 8
-    f[n::n + 1] = 0.0
+    np.subtract(r_hi, r_lo, out=f)
 
 
 def evolve_batch(states: ChainState, params: ChainParams, dt: float, step_targets,
@@ -143,26 +155,29 @@ def evolve_batch(states: ChainState, params: ChainParams, dt: float, step_target
     `observe` returned, one entry per target in order.
 
     The state handed to `observe` is valid only during the call: step 0
-    passes `states` itself, and every later step passes views into the
-    integrator's buffers, which the next step overwrites.  An observer keeps
-    what it needs (a copy, or the values it computes) and never writes to
-    the state.  A repeated target calls `observe` again on the same state.
+    passes `states` itself, and every later step passes C-contiguous (B, N)
+    arrays in the integrator's scratch, which the next step overwrites.  An
+    observer keeps what it needs (a copy, or the values it computes) and
+    never writes to the state.  A repeated target calls `observe` again on
+    the same state.
 
-    The whole ensemble lives in two flat buffers, so every operation of a
-    step is one pass over contiguous memory.  The displacements z have
-    1 + B(N+1) entries: state b's q_1..q_N sit at z[1 + b(N+1):], and the
-    zero between two rows is both q_{N+1} of row b and q_0 of row b+1, so
-    r = z[1:] - z[:-1] holds every bond of every row.  The momenta have
-    B(N+1) entries, with a pad slot after each row.  The forces are 0 in the
-    pad slots, which keeps the pads of both buffers at exactly 0.
+    The ensemble lives in four site-major buffers, each starting on a 64-byte
+    cache line, so every operation of a step is one pass over contiguous
+    memory whose operands sit whole rows apart.  The displacements z have
+    shape (N+2, B): row j holds q_j of every state, and rows 0 and N+1 are
+    the fixed ends, never written, so r = z[1:] - z[:-1] holds every bond of
+    every state.  The bonds r and the scratch w have shape (N+1, B), the
+    momenta P shape (N, B), and the forces go into w[:-1].  The row-shifted
+    views the force kernel reads are formed once per flow.
 
     The step is Stoermer-Verlet in kick-drift form: the momentum buffer holds
     P = dt p at the half steps, and the forces come scaled by dt^2, so a step
-    is the drift z += P, the forces f = dt^2 F(q), the kick P += f and the
+    is the drift q += P, the forces f = dt^2 F(q), the kick P += f and the
     finiteness test.  The half-kicks that close one step and open the next
-    are that one kick.  The full-step momentum p = (P - f/2) / dt is formed
-    only at a target step, in the force kernel's scratch buffer, which is
-    free between two steps; q is the view into z.
+    are that one kick.  Only at a target step is the full-step momentum
+    p = (P - f/2) / dt formed, site-major in r, and then p and q are
+    transposed into (B, N) rows of w and r, which are free between two
+    steps.
 
     Raises BlowupError (with the offending time) if the state goes
     non-finite, the fail-fast signal for a too-large dt; `observe` never sees
@@ -174,23 +189,22 @@ def evolve_batch(states: ChainState, params: ChainParams, dt: float, step_target
     if dt <= 0:
         raise ValueError("dt must be > 0")
     B, N = len(states), states.n          # a single (N,) state has no len()
-    z = np.zeros(1 + B * (N + 1))
-    P = np.zeros(B * (N + 1))
-    zq = z[1:]
-    q = zq.reshape(B, N + 1)[:, :N]
-    Pv = P.reshape(B, N + 1)[:, :N]
-    q[...] = states.q
-    r = np.empty_like(P)
-    w = np.empty_like(P)
-    f = np.empty_like(P)
-    fv = f.reshape(B, N + 1)[:, :N]
-    p = w.reshape(B, N + 1)[:, :N]
+    z = _aligned((N + 2, B))
+    r = _aligned((N + 1, B))
+    w = _aligned((N + 1, B))
+    P = _aligned((N, B))
+    q_sites, f, p_sites = z[1:-1], w[:-1], r[:-1]
+    views = (z[1:], z[:-1], r, r[1:], r[:-1], w, f)
+    P_flat = P.reshape(-1)
+    p = w.reshape(-1)[:B * N].reshape(B, N)
+    q = r.reshape(-1)[:B * N].reshape(B, N)
+    q_sites[...] = states.q.T
     A = params.A
     c = dt * dt
     with np.errstate(over="ignore", invalid="ignore"):
         # the opening half-kick: P = dt p + (dt^2 / 2) F(q)
-        _batch_forces(z, N, A, 0.5 * c, harmonic_only, r, w, f)
-        np.multiply(states.p, dt, out=Pv)
+        _batch_forces(*views, A, 0.5 * c, harmonic_only)
+        np.multiply(states.p.T, dt, out=P)
         P += f
     state, step, out = states, 0, []
     for target in targets:
@@ -198,14 +212,16 @@ def evolve_batch(states: ChainState, params: ChainParams, dt: float, step_target
             with np.errstate(over="ignore", invalid="ignore"):
                 while step < target:
                     step += 1
-                    zq += P
-                    _batch_forces(z, N, A, c, harmonic_only, r, w, f)
+                    q_sites += P
+                    _batch_forces(*views, A, c, harmonic_only)
                     P += f
-                    if not np.isfinite(np.dot(P, P)):
+                    if not math.isfinite(np.dot(P_flat, P_flat)):
                         raise BlowupError(step * dt)
-            np.multiply(fv, 0.5, out=p)
-            np.subtract(Pv, p, out=p)
-            p /= dt
+            np.multiply(f, 0.5, out=p_sites)
+            np.subtract(P, p_sites, out=p_sites)
+            p_sites /= dt
+            p[...] = p_sites.T      # into w, free once f has been read
+            q[...] = q_sites.T      # into r, free once p has been read
             state = ChainState(p, q)
         out.append(observe(state))
     return out

@@ -189,8 +189,9 @@ def _h1_grids(v):
     """At least two grid sizes, the largest at least h1_divergence times the
     smallest: h1 of a profile with g'(0) != 0 grows about in proportion to
     the grid, so on a smaller span the divergence check fails whatever h1
-    measures."""
-    grids = _list(_int(2), distinct=2)(v)
+    measures.  A repeated size would write its rows twice and compare that
+    grid with itself in the stability check."""
+    grids = _list(_int(2), distinct=2, repeats=False)(v)
     span = max(grids) / min(grids)
     if span < THRESHOLDS["h1_divergence"]:
         raise ValueError(f"largest/smallest = {span:.3g} must be >= "

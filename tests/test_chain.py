@@ -17,14 +17,14 @@ from fpu_packets.spectral import frequencies, sine_transform
 
 def forces(q, A, harmonic_only=False):
     """-dH/dq from the shipped leapfrog's force kernel at c = 1, on a one-state
-    padded flat buffer: the fixed ends are the zeros around q."""
+    site-major buffer: the fixed ends are the zero rows around q."""
     q = np.asarray(q, dtype=float)
     n = q.size
-    z = np.concatenate([[0.0], q, [0.0]])
-    r, w, f = np.empty((3, n + 1))
-    chain._batch_forces(z, n, A, 1.0, harmonic_only, r, w, f)
-    assert f[n] == 0.0      # the pad slot
-    return f[:n]
+    z = np.zeros((n + 2, 1))
+    z[1:-1, 0] = q
+    r, w = np.empty((2, n + 1, 1))
+    chain._batch_forces(z[1:], z[:-1], r, r[1:], r[:-1], w, w[:-1], A, 1.0, harmonic_only)
+    return w[:-1, 0]
 
 
 def plain_force(q, A, harmonic_only=False):
@@ -273,8 +273,8 @@ def test_blowup_detection():
 @settings(max_examples=40, deadline=None)
 @given(N=st.integers(3, 64), B=st.integers(1, 8), harmonic_only=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
-# at N = 7 the pad slots f[N::N+1] sit 8 elements apart, the stride at which
-# numpy 2.4 misread a strided np.negative input
+# around N = 7 a stride of N + 1 elements is 8, the stride at which numpy 2.4
+# misread a strided np.negative input
 @example(N=7, B=4, harmonic_only=False, seed=5)
 @example(N=8, B=4, harmonic_only=False, seed=5)
 @example(N=9, B=4, harmonic_only=True, seed=5)
@@ -327,10 +327,11 @@ def test_evolve_batch_agrees_with_the_classic_leapfrog(N, B, harmonic_only, A, s
 
 
 def test_evolve_batch_allocates_no_array_per_step():
-    # the traced peak of a 2000-step run is its five work buffers of the
-    # padded length (z has one entry more), the snapshot it returns and at
-    # most 4 KiB of Python objects and small temporaries (3.1 KiB with numpy
-    # 2.4).  A kick written as P = P + f holds two more 2 KiB buffers and fails
+    # the traced peak of a 2000-step run is its four work buffers, (4N + 4) B
+    # doubles with at most one cache line of alignment slack each, the
+    # snapshot it returns and at most 4 KiB of Python objects and small
+    # temporaries (3.5 KiB with numpy 2.4).  A kick written as P = P + f holds
+    # two more 2 KiB buffers and fails
     B, N = 8, 31
     rng = np.random.default_rng(0)
     states = ChainState(0.1 * rng.normal(size=(B, N)), 0.1 * rng.normal(size=(B, N)))
@@ -342,7 +343,7 @@ def test_evolve_batch_allocates_no_array_per_step():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    buffers = (5 * B * (N + 1) + 1) * np.dtype(float).itemsize
+    buffers = (4 * N + 4) * B * np.dtype(float).itemsize + 4 * 64
     assert end.p.nbytes + end.q.nbytes <= held
     assert peak <= buffers + held + 4096, (peak, buffers, held)
 
@@ -418,6 +419,25 @@ def test_observe_is_called_once_per_target_in_order():
     for target, snap in zip(targets, seen):
         (alone,) = chain.evolve_batch(ens, params, dt, [target], copied)
         assert np.array_equal(snap.p, alone.p) and np.array_equal(snap.q, alone.q)
+
+
+@pytest.mark.parametrize("B", [1, 3, 8, 64])
+def test_observed_states_are_contiguous_rows(B):
+    # sine_transform may round a strided row differently from a contiguous
+    # one, so the observables' bits rely on every observed state being
+    # C-contiguous (B, N) rows
+    N = 11
+    rng = np.random.default_rng(B)
+    ens = ChainState(0.1 * rng.normal(size=(B, N)), 0.1 * rng.normal(size=(B, N)))
+    owned = []
+
+    def observe(state):
+        for a in (state.p, state.q):
+            assert a.shape == (B, N) and a.dtype == np.float64 and a.flags.c_contiguous
+        owned.append(state.p.flags.owndata or state.q.flags.owndata)
+
+    chain.evolve_batch(ens, ChainParams(N=N), 0.02, [0, 1, 5], observe)
+    assert len(owned) == 3 and not any(owned[1:])
 
 
 def test_step_zero_shows_the_input_ensemble_itself():

@@ -128,6 +128,9 @@ def test_every_key_is_validated(tmp_path, experiment, key):
     # a divergence profile with g'(0) = 0, whose h1 does not diverge (and
     # with nu = 0 is 0 on every grid)
     ("theorem2-h1", "divergence_profile", {"kind": "constant", "value": 0.0}),
+    # a grid size twice, which writes its rows twice and checks its
+    # stability against itself
+    ("theorem2-h1", "grid_sizes", [1024, 1024, 2048]),
 ])
 def test_rejects_bad_or_vacuous_values(tmp_path, experiment, key, value):
     body = {"experiment": experiment, "seed": 1, key: value}
