@@ -30,7 +30,6 @@ import subprocess
 import sys
 import time
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import count, product
 from pathlib import Path
@@ -335,14 +334,18 @@ def _grid(cell, cfg: ExperimentConfig, threads: int, axes=None) -> tuple[list, d
     product of `axes`, a name -> values dict (default N_list x beta_list), in
     order; cell i is seeded by index i, so the results do not depend on
     `threads`.  The pool has at most one worker per cell: under the fork start
-    method it forks all of its workers at the first submit.  Returns the rows
-    of every cell in cell order, and each cell's diag under its point's key."""
+    method it forks all of its workers at the first submit.  With one worker
+    or one cell the cells run in this process, which neither starts nor
+    imports the pool.  Returns the rows of every cell in cell order, and each
+    cell's diag under its point's key."""
     axes = {"N": cfg.N_list, "beta": cfg.beta_list} if axes is None else axes
     points = list(product(*axes.values()))
     jobs = [(cell, cfg, i, point) for i, point in enumerate(points)]
     if threads <= 1 or len(jobs) < 2:
         cells = [_run_cell(job) for job in jobs]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             cells = list(pool.map(_run_cell, jobs))
     return ([row for rows, _ in cells for row in rows],
@@ -506,7 +509,9 @@ def _autocorr_times(cfg, beta) -> np.ndarray:
     horizon = cfg.horizon_factor * beta
     near = np.linspace(0.0, min(beta, horizon), 11)
     far = np.linspace(min(beta, horizon), horizon, 18)[1:]
-    return np.unique(np.concatenate([near, far]))
+    # sorted, exact repeats dropped: np.unique's floats without loading numpy.ma
+    t = np.sort(np.concatenate([near, far]))
+    return t[np.concatenate([[True], t[1:] != t[:-1]])]
 
 
 def _autocorr_joint(cfg):
@@ -981,7 +986,7 @@ def _git_describe() -> str:
                              text=True, timeout=10)
         if out.returncode == 0:
             return out.stdout.strip()
-    except OSError:
+    except (OSError, subprocess.SubprocessError):    # no git, or it timed out
         pass
     return "unknown"
 
@@ -1071,7 +1076,7 @@ def main(argv=None) -> int:
         return 0
     try:
         text = args.config.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
@@ -1082,6 +1087,11 @@ def main(argv=None) -> int:
     if args.command == "validate":
         print(f"valid config for experiment {cfg.experiment!r}")
         return 0
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot create output directory: {exc}", file=sys.stderr)
+        return 2
     try:
         return run(cfg, args.out, threads=args.threads)
     except NUMERICAL_FAILURES as exc:

@@ -10,6 +10,7 @@ control.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -101,9 +102,13 @@ def _make_cosine(amplitude: float = 1.0) -> NuProfile:
                      _g=lambda x: a * np.cos(np.pi * np.asarray(x, dtype=float)))
 
 
-# C^2 bump kernel on [0,1]: u^3 (1-u)^3 normalized to peak 1.
-_BUMP = np.polynomial.Polynomial([0.0, 0.0, 0.0, 64.0, -192.0, 192.0, -64.0])
-_BUMP_D2_MAX = _max_abs_poly_on_unit(_BUMP.deriv(2))
+@functools.cache
+def _bump_kernel() -> tuple[np.polynomial.Polynomial, float]:
+    """The C^2 bump kernel on [0,1], u^3 (1-u)^3 normalized to peak 1, and
+    its bound on |kernel''|; built at the first bump, so a run that builds no
+    profile never loads numpy.polynomial."""
+    kernel = np.polynomial.Polynomial([0.0, 0.0, 0.0, 64.0, -192.0, 192.0, -64.0])
+    return kernel, _max_abs_poly_on_unit(kernel.deriv(2))
 
 
 def _make_bump(center: float = 0.5, width: float = 0.5, amplitude: float = 1.0) -> NuProfile:
@@ -111,16 +116,17 @@ def _make_bump(center: float = 0.5, width: float = 0.5, amplitude: float = 1.0) 
     if not (w > 0 and c - w / 2 >= -1e-12 and c + w / 2 <= 1.0 + 1e-12):
         raise ValueError(f"bump support [{c - w / 2:g}, {c + w / 2:g}] must lie in [0, 1]")
     lo = c - w / 2
+    kernel, kernel_d2_max = _bump_kernel()
 
     def g(x):
         u = (np.asarray(x, dtype=float) - lo) / w
-        out = np.where((u >= 0.0) & (u <= 1.0), _BUMP(np.clip(u, 0.0, 1.0)), 0.0)
+        out = np.where((u >= 0.0) & (u <= 1.0), kernel(np.clip(u, 0.0, 1.0)), 0.0)
         return a * out
 
     # the support starts at x >= 0 (up to the rounding allowed above), where
     # g is 0 or the kernel's flat cubic zero: g'(0) = 0
     c0 = float(g(0.0))
-    return NuProfile("bump", c0=c0, c2=abs(a) * _BUMP_D2_MAX / w**2, dg0=0.0, _g=g)
+    return NuProfile("bump", c0=c0, c2=abs(a) * kernel_d2_max / w**2, dg0=0.0, _g=g)
 
 
 def _make_linear() -> NuProfile:

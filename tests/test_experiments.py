@@ -2,8 +2,10 @@ import csv
 import dataclasses
 import json
 import re
+import subprocess
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,8 +14,9 @@ from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 from fpu_packets import experiments, gibbs
 from fpu_packets.chain import BlowupError, ChainParams, energy, evolve_batch
-from fpu_packets.experiments import (EXPERIMENTS, ConfigError, _draw, _phi0_flow, _ratio_cell,
-                                     _write_csv, experiment_schema, main, run, validate_config)
+from fpu_packets.experiments import (EXPERIMENTS, ConfigError, _autocorr_times, _draw, _phi0_flow,
+                                     _ratio_cell, _write_csv, experiment_schema, main, run,
+                                     validate_config)
 from fpu_packets.gibbs import GibbsSampler, constrained_moments, tilted_density
 from fpu_packets.packet import build_phi1_table, mode_weights, phi0
 from fpu_packets.profiles import disjoint_profiles, make_profile
@@ -323,7 +326,7 @@ def test_grid_pool_has_at_most_one_worker_per_cell(tmp_path, monkeypatch):
     body = dict(MINIMAL, N_list=[15], beta_list=[50.0, 100.0], n_samples=4)
     cfg = validate_config(json.dumps(body))
     run(cfg, tmp_path / "serial", threads=1)
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     run(cfg, tmp_path / "wide", threads=64)
     run(validate_config(json.dumps(dict(body, N_list=[15, 19]))), tmp_path / "narrow", threads=3)
     assert asked == [2, 3]
@@ -467,6 +470,19 @@ def test_cli_exit_codes(tmp_path, capsys):
     good.write_text(json.dumps(MINIMAL))
     assert main(["validate", str(good)]) == 0
     assert main([]) == 2
+    capsys.readouterr()
+    # a config that is not UTF-8, and an --out that is a regular file
+    undecodable = tmp_path / "undecodable.json"
+    undecodable.write_bytes(b"\xff\xfe\xfa{}")
+    assert main(["validate", str(undecodable)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot read config: ") and err.count("\n") == 1
+    occupied = tmp_path / "occupied"
+    occupied.write_text("")
+    assert main(["run", str(good), "--out", str(occupied)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot create output directory: ") and err.count("\n") == 1
+    assert occupied.read_text() == ""
     # at beta = 0.01 the bonds are large enough for dt = 0.5 to blow up
     blowup = {"experiment": "autocorrelation", "seed": 1, "N_list": [15],
               "beta_list": [0.01], "persistence_betas": [0.01], "n_samples": 3,
@@ -489,6 +505,22 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert meta["config"] == body
         assert meta["failure"]["exception"] == "BlowupError"
         assert err.rstrip("\n").endswith(meta["failure"]["message"])
+
+
+def test_git_describe_timeout_records_an_unknown_build(tmp_path, monkeypatch):
+    cfg = validate_config(json.dumps(MINIMAL))
+    code = run(cfg, tmp_path / "git")
+
+    def timed_out(cmd, **kwargs):
+        raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
+
+    monkeypatch.setattr(experiments.subprocess, "run", timed_out)
+    out = tmp_path / "timeout"
+    assert run(cfg, out) == code
+    meta = json.loads((out / "homological_metadata.json").read_text())
+    assert meta["build"] == "unknown"
+    assert (out / "homological_summary.txt").read_bytes() == \
+        (tmp_path / "git" / "homological_summary.txt").read_bytes()
 
 
 def test_cli_run_small(tmp_path):
@@ -539,6 +571,25 @@ def test_run_autocorrelation_custom_grid(tmp_path):
     lines = (tmp_path / "autocorrelation_results.csv").read_text().splitlines()
     times = [float(line.split(",")[2]) for line in lines[1:]]
     assert times == [0.0, 1.0, 3.0]
+
+
+# horizon factors below, at and above 1, and a horizon one ulp either side of beta
+@pytest.mark.parametrize("horizon_factor", [0.3, 1.0, 6.5, np.nextafter(1.0, 0.0),
+                                            np.nextafter(1.0, 2.0)])
+@pytest.mark.parametrize("beta", [0.5, 50.0, 100.0, 200.0])
+def test_autocorr_times_is_the_sorted_unique_default_grid(beta, horizon_factor):
+    horizon = horizon_factor * beta
+    near = np.linspace(0.0, min(beta, horizon), 11)
+    far = np.linspace(min(beta, horizon), horizon, 18)[1:]
+    expected = np.unique(np.concatenate([near, far]))
+    got = _autocorr_times(SimpleNamespace(t_grid=None, horizon_factor=horizon_factor), beta)
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+def test_autocorr_times_passes_a_custom_grid_through():
+    t_grid = [0.0, 0.5, 1.0, 3.0, 40.0]
+    got = _autocorr_times(SimpleNamespace(t_grid=t_grid, horizon_factor=6.5), 100.0)
+    assert got.tobytes() == np.asarray(t_grid, dtype=float).tobytes()
 
 
 def test_rows_report_the_time_evolved_to(tmp_path):

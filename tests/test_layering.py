@@ -118,6 +118,31 @@ def test_run_loads_no_scipy(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
+# a one-worker run imports neither the process pool nor numpy.ma, and a run
+# that builds no profile does not import numpy.polynomial
+ONE_WORKER_UNUSED = {"scipy", "concurrent", "multiprocessing", "numpy.ma"}
+
+
+@pytest.mark.parametrize("body, unused", [
+    ({"experiment": "autocorrelation", "seed": 3, "N_list": [15], "beta_list": [20.0],
+      "persistence_betas": [20.0], "n_samples": 4}, ONE_WORKER_UNUSED),
+    ({"experiment": "sampler-validation", "seed": 3, "n_samples": 200, "moments_N": 8,
+      "slab_samples": 200, "lemma5_N": [8, 16], "lemma5_samples": 200},
+     ONE_WORKER_UNUSED | {"numpy.polynomial"}),
+], ids=["autocorrelation", "sampler-validation"])
+def test_one_worker_run_loads_only_what_it_executes(tmp_path, body, unused):
+    code = (f"import sys, json; sys.path.insert(0, {str(SRC.parent)!r})\n"
+            "from fpu_packets import experiments\n"
+            f"cfg = experiments.validate_config({json.dumps(body)!r})\n"
+            f"experiments.run(cfg, {str(tmp_path)!r}, threads=1)\n"
+            "print(json.dumps(sorted(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert [m for m in loaded if any(m == u or m.startswith(u + ".") for u in unused)] == []
+
+
 def callers(source: str, name: str) -> set[str]:
     """The module-level functions and classes of a source whose bodies call
     `name`, as a plain name or an attribute; a call outside them counts as
