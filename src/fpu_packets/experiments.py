@@ -4,11 +4,14 @@ Each experiment is one ExperimentSpec in EXPERIMENTS: its description, the
 config keys its code reads (each with a default and a validator), its CSV
 columns, the function that computes its rows, checks and diagnostics, and a
 check of values wrong only together where there are such.  A config may set
-`experiment`, `seed` and its experiment's keys, nothing else.  An experiment
-over a grid of points runs one cell per point, and every cell returns the
-same shape: its CSV rows and a dict of diagnostics for the metadata.  Every
-grid cell draws its Gibbs ensemble through `_draw`, and the cells that evolve
-it do so through `_phi0_flow`, the one caller of the integrator.  `_packets`
+`experiment`, `seed` and its experiment's keys, nothing else.  Every
+experiment that samples the Gibbs measure runs as grid cells, one per point
+(sampler-validation's points are its checks at each N), and every cell
+returns the same shape: its CSV rows and a dict of diagnostics for the
+metadata.  A sampler-validation cell reads the bonds of its own sampler after
+each decorrelated draw; every other cell draws its Gibbs ensemble through
+`_draw`, and the cells that evolve it do so through `_phi0_flow`, the one
+caller of the integrator.  `_packets`
 names the packets the grid cells observe: validation refuses a config in
 which one of them is empty, and `_phi0_flow` evolves their Phi0.
 
@@ -329,17 +332,17 @@ def _point_key(names, point) -> str:
     return ",".join(f"{name}={_label(v)}" for name, v in zip(names, point))
 
 
-def _grid(cell, cfg: ExperimentConfig, threads: int, axes=None) -> tuple[list, dict]:
-    """`cell(cfg, seed_sequence, *point) -> (rows, diag)` for every point of the
-    product of `axes`, a name -> values dict (default N_list x beta_list), in
-    order; cell i is seeded by index i, so the results do not depend on
-    `threads`.  The pool has at most one worker per cell: under the fork start
-    method it forks all of its workers at the first submit.  With one worker
-    or one cell the cells run in this process, which neither starts nor
-    imports the pool.  Returns the rows of every cell in cell order, and each
-    cell's diag under its point's key."""
-    axes = {"N": cfg.N_list, "beta": cfg.beta_list} if axes is None else axes
-    points = list(product(*axes.values()))
+def _grid(cell, cfg: ExperimentConfig, threads: int, points=None,
+          names=("N", "beta")) -> tuple[list, dict]:
+    """`cell(cfg, seed_sequence, *point) -> (rows, diag)` for every point, in
+    order (default N_list x beta_list), whose entries `names` names; cell i
+    is seeded by index i, so the results do not depend on `threads`.  The
+    pool has at most one worker per cell: under the fork start method it
+    forks all of its workers at the first submit.  With one worker or one
+    cell the cells run in this process, which neither starts nor imports the
+    pool.  Returns the rows of every cell in cell order, and each cell's diag
+    under its point's key."""
+    points = list(product(cfg.N_list, cfg.beta_list) if points is None else points)
     jobs = [(cell, cfg, i, point) for i, point in enumerate(points)]
     if threads <= 1 or len(jobs) < 2:
         cells = [_run_cell(job) for job in jobs]
@@ -349,7 +352,7 @@ def _grid(cell, cfg: ExperimentConfig, threads: int, axes=None) -> tuple[list, d
         with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             cells = list(pool.map(_run_cell, jobs))
     return ([row for rows, _ in cells for row in rows],
-            {_point_key(axes, point): diag for point, (_, diag) in zip(points, cells)})
+            {_point_key(names, point): diag for point, (_, diag) in zip(points, cells)})
 
 
 @functools.lru_cache(maxsize=1)
@@ -538,8 +541,13 @@ def _run_autocorr(cfg: ExperimentConfig, threads: int):
     for N, beta in product(cfg.N_list, cfg.beta_list):
         if beta in cfg.persistence_betas:
             last = _steps(beta, cfg.dt)
-            worst = min(r["corr_normalized"] for r in rows
-                        if r["N"] == N and r["beta"] == beta and _steps(r["t"], cfg.dt) <= last)
+            window = [(_steps(r["t"], cfg.dt), r["corr_normalized"]) for r in rows
+                      if r["N"] == N and r["beta"] == beta]
+            if not any(0 < step <= last for step, _ in window):    # C/C0 = 1 at t = 0
+                checks.append((f"persistence N={N} beta={beta:g}: no grid time in "
+                               f"(0, beta]; inconclusive", False))
+                continue
+            worst = min(c for step, c in window if step <= last)
             checks.append((f"persistence N={N} beta={beta:g}: "
                            f"min C/C0 over t<=beta = {worst:.3f} >= {level}",
                            worst >= level))
@@ -596,6 +604,9 @@ def _lemma3_cell(cfg, seed, kind, N, beta):
 
 
 def _lemma3_joint(cfg):
+    if len(cfg.N_list) * len(cfg.beta_list) < 2:
+        raise ConfigError("fields 'N_list' and 'beta_list': need at least two (N, beta) "
+                          "points, or the band max/min of one value is 1 whatever it measures")
     if "Phi1" in cfg.kinds and not make_profile(cfg.profile).admissible:
         raise ConfigError("field 'profile': must be an admissible profile (g'(0) = 0) "
                           "when kinds include 'Phi1', whose corrector table needs it")
@@ -603,7 +614,7 @@ def _lemma3_joint(cfg):
 
 def _run_lemma3(cfg: ExperimentConfig, threads: int):
     rows, diags = _grid(_lemma3_cell, cfg, threads,
-                        axes={"kind": cfg.kinds, "N": cfg.N_list, "beta": cfg.beta_list})
+                        product(cfg.kinds, cfg.N_list, cfg.beta_list), ("kind", "N", "beta"))
     checks = []
     band = THRESHOLDS["lemma3_band"]
     for kind in cfg.kinds:
@@ -786,86 +797,71 @@ def _run_theorem2(cfg: ExperimentConfig, threads: int):
 
 # ------------------------------------------------------------ sampler-validation
 
-def _run_sampler_validation(cfg: ExperimentConfig, threads: int):
+def _sampler_cell(cfg, seed, check, N, beta):
+    """One check of the sampler at one N: a new sampler on `seed`, its bonds
+    read after each of the check's decorrelated draws, and one row per
+    quantity with its mean over the draws against its exact finite-N value.
+    The moments check adds the largest |sum r| over its draws."""
+    sampler = GibbsSampler(ChainParams(N=N, A=cfg.A, beta=beta), seed)
+    exact, r0_r1 = constrained_moments(beta, cfg.A, N)
+    labels = [f"<r^{n}>" for n in range(1, 5)] + ["<r0 r1>"]
+    refs = [*exact[1:], r0_r1]
+    if check == "moments":    # r0, ..., r0^4 and |sum r| per draw
+        n, labels, refs = cfg.n_samples, labels[:4], refs[:4]
+        read = lambda r: (r[0], r[0]**2, r[0]**3, r[0]**4, abs(float(r.sum())))
+    elif check == "slab":    # at small N the exact marginal is furthest from the one-bond moments
+        n = cfg.slab_samples
+        read = lambda r: (r[0], r[0]**2, r[0]**3, r[0]**4, r[0] * r[1])
+    else:
+        # disjoint-site covariance averaged over site pairs (valid by
+        # exchangeability; single-site means vanish exactly on the constraint)
+        n, labels, refs = cfg.lemma5_samples, ["disjoint-site cov"], [r0_r1]
+        m = (N + 1) // 2 * 2
+        read = lambda r: float((r[0:m:2] * r[1:m:2]).mean())
+    out = []
+    for _ in range(n):
+        sampler.sweep(sampler.stride)
+        out.append(read(sampler.r))
+    draws = np.array(out).reshape(n, -1)
     rows = []
-    checks = []
-    diags = {}
-    zmax = THRESHOLDS["moment_z"]
-    beta = cfg.beta_list[0]
-    # streams are numbered in the order the enabled checks take them
-    streams = (_cell_seed(cfg.seed, i) for i in count())
-
-    def draws(N: int, n: int, f) -> tuple[np.ndarray, GibbsSampler]:
-        """`f(bonds)` after each of n decorrelated draws of a new sampler on the
-        next stream, as an array with one entry or row per draw, and the sampler."""
-        sampler = GibbsSampler(ChainParams(N=N, A=cfg.A, beta=beta), next(streams))
-        out = []
-        for _ in range(n):
-            sampler.sweep(sampler.stride)
-            out.append(f(sampler.r))
-        return np.array(out), sampler
-
-    def z_test(check: str, name: str, N: int, quantity: str, value: float,
-               stderr: float, reference: float) -> None:
-        """One CSV row and one check: `value` off `reference` by z standard errors."""
-        z = (value - reference) / stderr
-        rows.append({"check": check, "N": N, "beta": beta, "quantity": quantity,
-                     "value": value, "stderr": stderr, "reference": reference, "z": z})
-        checks.append((f"{name} {quantity} N={N}: z = {z:+.2f} within {zmax:g}",
-                       abs(z) <= zmax))
-
-    if "moments" in cfg.checks:
-        N = cfg.moments_N
-        # r0, ..., r0^4 and |sum r| per draw
-        site, sampler = draws(N, cfg.n_samples, lambda r: (
-            r[0], r[0]**2, r[0]**3, r[0]**4, abs(float(r.sum()))))
-        worst_sum = float(site[:, 4].max())
-        diags[f"moments N={N} beta={beta:g}"] = sampler.diagnostics()
-        exact, _ = constrained_moments(beta, cfg.A, N)
-        for n in range(1, 5):
-            est = stats_mod.estimate_from_samples(site[:, n - 1])
-            z_test("moments", "site moment", N, f"<r^{n}>", est.mean, est.stderr_mean,
-                   float(exact[n]))
+    for column, label, ref in zip(draws.T, labels, refs):
+        est = stats_mod.estimate_from_samples(column)
+        z = (est.mean - float(ref)) / est.stderr_mean if est.stderr_mean > 0 else math.inf
+        rows.append({"check": check, "N": N, "beta": beta, "quantity": label, "value": est.mean,
+                     "stderr": est.stderr_mean, "reference": float(ref), "z": z})
+    if check == "moments":
+        worst_sum = float(draws[:, 4].max())
         tol = THRESHOLDS["sum_r_tol"] * (N + 1)
-        rows.append({"check": "moments", "N": N, "beta": beta, "quantity": "max|sum r|",
+        rows.append({"check": check, "N": N, "beta": beta, "quantity": "max|sum r|",
                      "value": worst_sum, "stderr": 0.0, "reference": tol,
                      "z": worst_sum / tol})
-        checks.append((f"constraint |sum r| max = {worst_sum:.2e} <= {tol:.2e}",
-                       worst_sum <= tol))
-        lo, hi = THRESHOLDS["acceptance_band"]
-        acc = sampler.acceptance_rate
-        checks.append((f"acceptance rate {acc:.3f} in [{lo}, {hi}]", lo <= acc <= hi))
+    return rows, sampler.diagnostics()
 
-    if "slab" in cfg.checks:
-        # at small N the exact marginal is furthest from the one-bond moments
-        N = cfg.slab_N
-        mc, sampler = draws(N, cfg.slab_samples, lambda r: (
-            r[0], r[0]**2, r[0]**3, r[0]**4, r[0] * r[1]))
-        diags[f"slab N={N} beta={beta:g}"] = sampler.diagnostics()
-        exact, r0_r1 = constrained_moments(beta, cfg.A, N)
-        refs = [*exact[1:], r0_r1]
-        labels = [f"<r^{n}>" for n in range(1, 5)] + ["<r0 r1>"]
-        for mc_col, ref, lab in zip(mc.T, refs, labels):
-            est = stats_mod.estimate_from_samples(mc_col)
-            z_test("slab", "slab reference", N, lab, est.mean, est.stderr_mean, float(ref))
 
+def _run_sampler_validation(cfg: ExperimentConfig, threads: int):
+    beta = cfg.beta_list[0]
+    names = ("check", "N", "beta")
+    # one cell per enabled check and N, in a fixed order that numbers their streams
+    points = [(check, N, beta) for check, Ns in (("moments", [cfg.moments_N]),
+                                                 ("slab", [cfg.slab_N]),
+                                                 ("lemma5", cfg.lemma5_N))
+              if check in cfg.checks for N in Ns]
+    rows, diags = _grid(_sampler_cell, cfg, threads, points, names)
+    checks = []
+    zmax = THRESHOLDS["moment_z"]
+    for r in rows:
+        if r["quantity"] == "max|sum r|":
+            checks.append((f"constraint |sum r| max = {r['value']:.2e} <= {r['reference']:.2e}",
+                           r["value"] <= r["reference"]))
+            lo, hi = THRESHOLDS["acceptance_band"]
+            acc = diags[_point_key(names, ("moments", r["N"], beta))]["acceptance_rate"]
+            checks.append((f"acceptance rate {acc:.3f} in [{lo}, {hi}]", lo <= acc <= hi))
+        elif r["check"] != "lemma5":
+            name = "site moment" if r["check"] == "moments" else "slab reference"
+            checks.append((f"{name} {r['quantity']} N={r['N']}: z = {r['z']:+.2f} "
+                           f"within {zmax:g}", abs(r["z"]) <= zmax))
     if "lemma5" in cfg.checks:
-        covs = {}
-        for N in cfg.lemma5_N:
-            # disjoint-site covariance averaged over site pairs (valid by
-            # exchangeability; single-site means vanish exactly on the constraint)
-            m = (N + 1) // 2 * 2
-            xs, sampler = draws(N, cfg.lemma5_samples,
-                                lambda r: float((r[0:m:2] * r[1:m:2]).mean()))
-            diags[f"lemma5 N={N} beta={beta:g}"] = sampler.diagnostics()
-            est = stats_mod.estimate_from_samples(xs)
-            cov, se = est.mean, est.stderr_mean
-            covs[N] = (cov, se)
-            _, r0_r1 = constrained_moments(beta, cfg.A, N)
-            rows.append({"check": "lemma5", "N": N, "beta": beta,
-                         "quantity": "disjoint-site cov", "value": cov,
-                         "stderr": se, "reference": r0_r1,
-                         "z": (cov - r0_r1) / se if se > 0 else math.inf})
+        covs = {r["N"]: (r["value"], r["stderr"]) for r in rows if r["check"] == "lemma5"}
         n_lo, n_hi = min(cfg.lemma5_N), max(cfg.lemma5_N)
         c_lo, se_lo = covs[n_lo]
         c_hi, se_hi = covs[n_hi]
@@ -956,7 +952,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
          "lemma5_N": Key([64, 256], _list(_int(3), distinct=2, repeats=False)),
          "lemma5_samples": Key(20000, _COUNT), "slab_samples": Key(8000, _COUNT),
          "checks": Key(["moments", "slab", "lemma5"],
-                       _list(_one_of("moments", "slab", "lemma5")))},
+                       _list(_one_of("moments", "slab", "lemma5"), repeats=False))},
         ("check", "N", "beta", "quantity", "value", "stderr", "reference", "z"),
         _run_sampler_validation),
 }

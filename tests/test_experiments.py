@@ -134,6 +134,8 @@ def test_every_key_is_validated(tmp_path, experiment, key):
     # a grid size twice, which writes its rows twice and checks its
     # stability against itself
     ("theorem2-h1", "grid_sizes", [1024, 1024, 2048]),
+    # a check twice, which would run it once
+    ("sampler-validation", "checks", ["slab", "slab"]),
 ])
 def test_rejects_bad_or_vacuous_values(tmp_path, experiment, key, value):
     body = {"experiment": experiment, "seed": 1, key: value}
@@ -170,11 +172,14 @@ def test_rejects_bad_or_vacuous_values(tmp_path, experiment, key, value):
     # a grid span below h1_divergence, on which the divergence check can only FAIL
     {"experiment": "theorem2-h1", "seed": 1, "grid_sizes": [300, 512]},
     {"experiment": "autocorrelation", "seed": 1, "t_grid": [1.0, 2.0]},
+    # one (N, beta) point, whose band max/min is 1 whatever it measures
+    {"experiment": "lemma3-scan", "seed": 1, "N_list": [15], "beta_list": [100.0],
+     "n_samples": 8},
 ], ids=["inadmissible-corrector", "zero-step-quarter-beta", "zero-step-t-grid",
         "persistence-beta-not-run", "two-times-one-step", "beta-keys-collide",
         "ratio-beta-keys-collide", "h1-family-linear", "h1-family-zero-amplitude",
         "h1-family-negative", "h1-family-negative-c0", "h1-grid-span-undecidable",
-        "t-grid-after-zero"])
+        "t-grid-after-zero", "lemma3-one-point"])
 def test_refused_before_any_output(tmp_path, body):
     assert _exit_codes(tmp_path, body) == (2, 2)
     assert not (tmp_path / "out").exists()
@@ -305,12 +310,12 @@ def test_run_threads_keep_the_rows_of_multi_row_cells(tmp_path):
     assert outputs[0][1].count(b"\n") == 1 + 2 * 2
 
 
-def test_grid_pool_has_at_most_one_worker_per_cell(tmp_path, monkeypatch):
+def _serial_pool(monkeypatch) -> list:
+    """Put in place of the process pool a stand-in that maps in this process;
+    returns the list of worker counts it is asked for."""
     asked = []
 
     class SerialPool:
-        """Records the worker count it is asked for and maps in this process."""
-
         def __init__(self, max_workers):
             asked.append(max_workers)
 
@@ -323,15 +328,48 @@ def test_grid_pool_has_at_most_one_worker_per_cell(tmp_path, monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+    return asked
+
+
+def test_grid_pool_has_at_most_one_worker_per_cell(tmp_path, monkeypatch):
     body = dict(MINIMAL, N_list=[15], beta_list=[50.0, 100.0], n_samples=4)
     cfg = validate_config(json.dumps(body))
     run(cfg, tmp_path / "serial", threads=1)
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+    asked = _serial_pool(monkeypatch)
     run(cfg, tmp_path / "wide", threads=64)
     run(validate_config(json.dumps(dict(body, N_list=[15, 19]))), tmp_path / "narrow", threads=3)
     assert asked == [2, 3]
     assert (tmp_path / "serial" / "homological_results.csv").read_bytes() == \
         (tmp_path / "wide" / "homological_results.csv").read_bytes()
+
+
+def test_sampler_validation_shares_its_cells_among_threads(tmp_path, monkeypatch):
+    # one cell per check and N: moments, slab and lemma5 at two N
+    body = dict(GOLDEN_CONFIGS["sampler-validation"], experiment="sampler-validation", seed=7)
+    cfg = validate_config(json.dumps(body))
+    outputs = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        code = run(cfg, out, threads=threads)
+        meta = json.loads((out / "sampler-validation_metadata.json").read_text())
+        outputs.append((code, (out / "sampler-validation_results.csv").read_bytes(),
+                        (out / "sampler-validation_summary.txt").read_bytes(),
+                        meta["diagnostics"]))
+    assert outputs[0] == outputs[1]
+    asked = _serial_pool(monkeypatch)
+    run(cfg, tmp_path / "wide", threads=8)
+    assert asked == [4]
+
+
+@pytest.mark.parametrize("t_grid", [[0.0], [0.0, 250.0]])
+def test_persistence_without_an_evolved_time_in_its_window_fails(tmp_path, capsys, t_grid):
+    # the window t <= beta holds only t = 0, where C/C0 = 1 by definition
+    body = {"experiment": "autocorrelation", "seed": 1, "N_list": [7],
+            "beta_list": [100.0], "n_samples": 4, "t_grid": t_grid}
+    assert _exit_codes(tmp_path, body) == (0, 1)
+    assert ("FAIL  persistence N=7 beta=100: no grid time in (0, beta]; inconclusive"
+            in capsys.readouterr().out.splitlines())
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
@@ -441,8 +479,8 @@ def test_sampler_validation_metadata_has_one_sampler_diag_per_check(tmp_path):
     body = dict(GOLDEN_CONFIGS["sampler-validation"], experiment="sampler-validation", seed=7)
     run(validate_config(json.dumps(body)), tmp_path)
     diags = json.loads((tmp_path / "sampler-validation_metadata.json").read_text())["diagnostics"]
-    checks = ["moments N=16 beta=100", "slab N=8 beta=100", "lemma5 N=8 beta=100",
-              "lemma5 N=16 beta=100"]
+    checks = ["check=moments,N=16,beta=100", "check=slab,N=8,beta=100",
+              "check=lemma5,N=8,beta=100", "check=lemma5,N=16,beta=100"]
     assert [k for k in diags if k != "tilted_density"] == checks
     # the streams in the order the checks take them, one per sampler
     for check, stream in zip(checks, [0, 1, 2, 3]):
@@ -450,7 +488,7 @@ def test_sampler_validation_metadata_has_one_sampler_diag_per_check(tmp_path):
         assert diags[check]["rng"] == {"seed": 7, "spawn_key": [stream]}, check
         assert "reference_rng" not in diags[check]
     # theta and q_theta are recorded once, under tilted_density
-    assert "theta" not in diags["moments N=16 beta=100"]
+    assert "theta" not in diags["check=moments,N=16,beta=100"]
 
 
 def test_write_csv_refuses_a_key_outside_the_columns(tmp_path):

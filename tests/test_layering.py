@@ -168,7 +168,7 @@ def test_callers_sees_names_attributes_and_nested_calls():
 def test_experiments_draws_and_evolves_in_one_place():
     source = (SRC / "experiments.py").read_text()
     assert callers(source, "evolve_batch") == {"_phi0_flow"}
-    assert callers(source, "GibbsSampler") == {"_draw", "_run_sampler_validation"}
+    assert callers(source, "GibbsSampler") == {"_draw", "_sampler_cell"}
     assert callers(source, "sample") == set()
 
 
