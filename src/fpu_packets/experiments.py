@@ -4,16 +4,18 @@ Each experiment is one ExperimentSpec in EXPERIMENTS: its description, the
 config keys its code reads (each with a default and a validator), its CSV
 columns, the function that computes its rows, checks and diagnostics, and a
 check of values wrong only together where there are such.  A config may set
-`experiment`, `seed` and its experiment's keys, nothing else.  Every
-experiment that samples the Gibbs measure runs as grid cells, one per point
-(sampler-validation's points are its checks at each N), and every cell
-returns the same shape: its CSV rows and a dict of diagnostics for the
-metadata.  A sampler-validation cell reads the bonds of its own sampler after
-each decorrelated draw; every other cell draws its Gibbs ensemble through
-`_draw`, and the cells that evolve it do so through `_phi0_flow`, the one
-caller of the integrator.  `_packets`
-names the packets the grid cells observe: validation refuses a config in
-which one of them is empty, and `_phi0_flow` evolves their Phi0.
+`experiment`, `seed` and its experiment's keys, nothing else; a key that the
+config's own values leave unread is refused too.  Every experiment runs as
+grid cells, one per point (sampler-validation's points are its checks at
+each N, theorem2-h1's its grid sizes), and every cell returns the same shape:
+its CSV rows and a dict of diagnostics for the metadata.  A cell that
+samples the Gibbs measure draws from its own stream; a theorem2-h1 cell
+draws nothing and gets none.  A sampler-validation cell reads the bonds of
+its own sampler after each decorrelated draw; every other sampling cell
+draws its Gibbs ensemble through `_draw`, and the cells that evolve it do so
+through `_phi0_flow`, the one caller of the integrator.  `_packets` names
+the packets the grid cells observe: validation refuses a config in which one
+of them is empty, and `_phi0_flow` evolves their Phi0.
 
 Every experiment's PASS thresholds live in THRESHOLDS, which the acceptance
 test suite imports, so there is a single source of truth.  (config, seed)
@@ -187,6 +189,17 @@ def _h1_bounded(v):
     return v
 
 
+def _h1_family(v):
+    """Profiles that `_h1_bounded` accepts, no two with one label, the
+    sorted-key JSON that the CSV writes: a repeated profile would write its
+    rows twice and print its stability line twice."""
+    family = _list(_h1_bounded)(v)
+    labels = [json.dumps(spec, sort_keys=True) for spec in family]
+    if len(set(labels)) < len(labels):
+        raise ValueError(f"must not repeat a profile, as the CSV labels it, got {v!r}")
+    return family
+
+
 def _h1_grids(v):
     """At least two grid sizes, the largest at least h1_divergence times the
     smallest: h1 of a profile with g'(0) != 0 grows about in proportion to
@@ -319,7 +332,9 @@ def _cell_seed(seed: int, index: int) -> np.random.SeedSequence:
 
 def _run_cell(job):
     cell, cfg, index, point = job
-    return cell(cfg, _cell_seed(cfg.seed, index), *point)
+    # a cell that draws nothing gets no stream: a SeedSequence loads numpy.random
+    draws = "beta_list" in EXPERIMENTS[cfg.experiment].keys
+    return cell(cfg, _cell_seed(cfg.seed, index) if draws else None, *point)
 
 
 def _label(v) -> str:
@@ -336,12 +351,12 @@ def _grid(cell, cfg: ExperimentConfig, threads: int, points=None,
           names=("N", "beta")) -> tuple[list, dict]:
     """`cell(cfg, seed_sequence, *point) -> (rows, diag)` for every point, in
     order (default N_list x beta_list), whose entries `names` names; cell i
-    is seeded by index i, so the results do not depend on `threads`.  The
-    pool has at most one worker per cell: under the fork start method it
-    forks all of its workers at the first submit.  With one worker or one
-    cell the cells run in this process, which neither starts nor imports the
-    pool.  Returns the rows of every cell in cell order, and each cell's diag
-    under its point's key."""
+    is seeded by index i (by None where the experiment draws nothing), so
+    the results do not depend on `threads`.  The pool has at most one worker
+    per cell: under the fork start method it forks all of its workers at the
+    first submit.  With one worker or one cell the cells run in this
+    process, which neither starts nor imports the pool.  Returns the rows of
+    every cell in cell order, and each cell's diag under its point's key."""
     points = list(product(cfg.N_list, cfg.beta_list) if points is None else points)
     jobs = [(cell, cfg, i, point) for i, point in enumerate(points)]
     if threads <= 1 or len(jobs) < 2:
@@ -518,6 +533,9 @@ def _autocorr_times(cfg, beta) -> np.ndarray:
 
 
 def _autocorr_joint(cfg):
+    if cfg.t_grid is not None and "horizon_factor" in cfg.raw:
+        raise ConfigError("field 'horizon_factor': unread, since 't_grid' replaces the "
+                          "default grid it sets")
     stray = [b for b in cfg.persistence_betas if b not in cfg.beta_list]
     if stray:
         raise ConfigError(f"field 'persistence_betas': entry {stray[0]:g} is not in "
@@ -736,60 +754,60 @@ def _run_multipacket(cfg: ExperimentConfig, threads: int):
 
 # ------------------------------------------------------------------ theorem2-h1
 
+@functools.cache
+def _cached_profile(label: str) -> NuProfile:
+    """A profile from its CSV label (sorted-key JSON), built once per process
+    however many grid cells evaluate it: a poly_x2 profile finds its c2 from
+    polynomial roots, which costs about as much as a 256-grid cell's h1."""
+    return make_profile(json.loads(label))
+
+
+def _h1_cell(cfg, seed, grid):
+    """h1 at one grid of the family, and of the divergence profile at the
+    smallest and the largest grid, from one eval_h1 call: one row per
+    profile, and the call's wall time with the labels of the profiles it
+    covered."""
+    specs = cfg.profiles
+    if grid in (min(cfg.grid_sizes), max(cfg.grid_sizes)):
+        specs = [*specs, cfg.divergence_profile]
+    labels = [json.dumps(spec, sort_keys=True) for spec in specs]
+    profs = [_cached_profile(label) for label in labels]
+    start = time.perf_counter()
+    results = eval_h1(profs, grid)
+    eval_s = time.perf_counter() - start
+    # the divergence profile's h1 is read against no bound: its ratio is NaN
+    rows = [{"profile": label, "admissible": prof.admissible, "grid": grid,
+             "h1": res.value, "c0": prof.c0, "c2": prof.c2,
+             "ratio": res.value / (prof.c0 + prof.c2) if i < len(cfg.profiles) else math.nan,
+             "min_denominator": res.min_denominator}
+            for i, (label, prof, res) in enumerate(zip(labels, profs, results))]
+    return rows, {"eval_s": eval_s, "profiles": labels}
+
+
 def _run_theorem2(cfg: ExperimentConfig, threads: int):
-    rows = []
-    checks = []
     grids = sorted(cfg.grid_sizes)
-    stab_pair = [g for g in grids if g >= 1024][:2]
-    g_lo, g_hi = grids[0], grids[-1]
-    family = [make_profile(spec) for spec in cfg.profiles]
+    rows, timings = _grid(_h1_cell, cfg, threads, [(g,) for g in grids], ("grid",))
+    # the cells' rows are grid-major; the CSV's are profile-major: each family
+    # profile at its grids in ascending order, then the divergence profile
     labels = [json.dumps(spec, sort_keys=True) for spec in cfg.profiles]
-    div = make_profile(cfg.divergence_profile)
-    div_label = json.dumps(cfg.divergence_profile, sort_keys=True)
-
-    # one eval_h1 call per grid for the whole family, the divergence profile
-    # included at the smallest and largest grid; its wall time is recorded
-    # under the grid, with the labels of the profiles it covered
-    h1 = {}
-    timings = {}
-    for g in dict.fromkeys(grids):
-        profs, covered = family, labels
-        if g in (g_lo, g_hi):
-            profs, covered = family + [div], labels + [div_label]
-        start = time.perf_counter()
-        h1[g] = eval_h1(profs, g)
-        timings[_point_key(("grid",), (g,))] = {"eval_s": time.perf_counter() - start,
-                                                "profiles": covered}
-
-    ratios_at = {}
-    for p, (prof, label) in enumerate(zip(family, labels)):
-        denom = prof.c0 + prof.c2
-        for g in grids:
-            res = h1[g][p]
-            rows.append({"profile": label, "admissible": prof.admissible, "grid": g,
-                         "h1": res.value, "c0": prof.c0, "c2": prof.c2,
-                         "ratio": res.value / denom,
-                         "min_denominator": res.min_denominator})
-            ratios_at[(label, g)] = res.value / denom
-        if len(stab_pair) == 2:
-            r1 = ratios_at[(label, stab_pair[0])]
-            r2 = ratios_at[(label, stab_pair[1])]
+    order = {label: i for i, label in enumerate(labels)}
+    rows.sort(key=lambda r: order.get(r["profile"], len(labels)))
+    ratios_at = {(r["profile"], r["grid"]): r["ratio"] for r in rows[:-2]}
+    checks = []
+    stab_pair = [g for g in grids if g >= 1024][:2]
+    if len(stab_pair) == 2:
+        for label in labels:
+            r1, r2 = (ratios_at[(label, g)] for g in stab_pair)
             drift = abs(r2 - r1) / r1
             checks.append((f"h1 ratio stable {label} grids {stab_pair[0]}->{stab_pair[1]}: "
                            f"drift {drift:.3%} <= {THRESHOLDS['h1_stability']:.0%}",
                            drift <= THRESHOLDS["h1_stability"]))
-    ref = stab_pair[0] if stab_pair else g_hi
+    ref = stab_pair[0] if stab_pair else grids[-1]
     family_const = max(v for (_, g), v in ratios_at.items() if g == ref)
     checks.append((f"family-wide constant on {ref}-grid: "
                    f"max h1/(c0+c2) = {family_const:.3f} finite", math.isfinite(family_const)))
-
-    res_lo, res_hi = h1[g_lo][-1], h1[g_hi][-1]
-    for g, res in ((g_lo, res_lo), (g_hi, res_hi)):
-        rows.append({"profile": div_label, "admissible": div.admissible, "grid": g,
-                     "h1": res.value, "c0": div.c0, "c2": div.c2, "ratio": math.nan,
-                     "min_denominator": res.min_denominator})
-    growth = res_hi.value / res_lo.value
-    checks.append((f"divergence for g'(0) != 0: h1({g_hi})/h1({g_lo}) = {growth:.2f} "
+    growth = rows[-1]["h1"] / rows[-2]["h1"]
+    checks.append((f"divergence for g'(0) != 0: h1({grids[-1]})/h1({grids[0]}) = {growth:.2f} "
                    f">= {THRESHOLDS['h1_divergence']}",
                    growth >= THRESHOLDS["h1_divergence"]))
     return rows, checks, {"family_constant": family_const, "grids": timings}
@@ -874,6 +892,16 @@ def _run_sampler_validation(cfg: ExperimentConfig, threads: int):
     return rows, checks, diags
 
 
+def _sampler_joint(cfg):
+    for check, keys in (("moments", ("n_samples", "moments_N")),
+                        ("slab", ("slab_N", "slab_samples")),
+                        ("lemma5", ("lemma5_N", "lemma5_samples"))):
+        unread = [key for key in keys if key in cfg.raw and check not in cfg.checks]
+        if unread:
+            raise ConfigError(f"field {unread[0]!r}: unread, since only the {check!r} check "
+                              f"reads it and 'checks' leaves that out")
+
+
 # -------------------------------------------------------------------- registry
 
 EXPERIMENTS: dict[str, ExperimentSpec] = {
@@ -940,7 +968,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
     "theorem2-h1": ExperimentSpec(
         "h1/(c0+c2) bounded on the admissible family, divergent for g(x)=x",
         {"grid_sizes": Key([256, 1024, 2048, 4096], _h1_grids),
-         "profiles": Key(THEOREM2_FAMILY, _list(_h1_bounded)),
+         "profiles": Key(THEOREM2_FAMILY, _h1_family),
          "divergence_profile": Key({"kind": "linear"}, _divergent)},
         ("profile", "admissible", "grid", "h1", "c0", "c2", "ratio", "min_denominator"),
         _run_theorem2),
@@ -954,7 +982,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
          "checks": Key(["moments", "slab", "lemma5"],
                        _list(_one_of("moments", "slab", "lemma5"), repeats=False))},
         ("check", "N", "beta", "quantity", "value", "stderr", "reference", "z"),
-        _run_sampler_validation),
+        _run_sampler_validation, _sampler_joint),
 }
 
 

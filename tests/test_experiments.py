@@ -136,12 +136,38 @@ def test_every_key_is_validated(tmp_path, experiment, key):
     ("theorem2-h1", "grid_sizes", [1024, 1024, 2048]),
     # a check twice, which would run it once
     ("sampler-validation", "checks", ["slab", "slab"]),
+    # a family profile twice in another key order, which wrote its rows and
+    # its stability line twice under one CSV label
+    ("theorem2-h1", "profiles", [{"kind": "cosine", "amplitude": 1.0},
+                                 {"amplitude": 1.0, "kind": "cosine"}]),
 ])
 def test_rejects_bad_or_vacuous_values(tmp_path, experiment, key, value):
     body = {"experiment": experiment, "seed": 1, key: value}
     with pytest.raises(ConfigError, match=f"field '{key}'"):
         validate_config(json.dumps(body))
     assert _exit_codes(tmp_path, body) == (2, 2)
+
+
+@pytest.mark.parametrize("body, key", [
+    # t_grid replaces the default grid up to horizon_factor * beta
+    ({"experiment": "autocorrelation", "seed": 1, "t_grid": [0.0, 1.0],
+      "horizon_factor": 50.0}, "horizon_factor"),
+    # only the moments check reads n_samples and moments_N
+    ({"experiment": "sampler-validation", "seed": 1, "checks": ["slab"], "n_samples": 5,
+      "moments_N": 999}, "n_samples"),
+    ({"experiment": "sampler-validation", "seed": 1, "checks": ["slab"], "moments_N": 999},
+     "moments_N"),
+    ({"experiment": "sampler-validation", "seed": 1, "checks": ["moments", "lemma5"],
+      "slab_samples": 20}, "slab_samples"),
+    ({"experiment": "sampler-validation", "seed": 1, "checks": ["moments"],
+      "lemma5_N": [8, 16]}, "lemma5_N"),
+], ids=["horizon-under-t-grid", "moments-keys-without-moments", "moments-n-without-moments",
+        "slab-key-without-slab", "lemma5-key-without-lemma5"])
+def test_refuses_a_key_its_own_values_leave_unread(tmp_path, body, key):
+    with pytest.raises(ConfigError, match=f"field '{key}': unread"):
+        validate_config(json.dumps(body))
+    assert _exit_codes(tmp_path, body) == (2, 2)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("body", [
@@ -342,6 +368,27 @@ def test_grid_pool_has_at_most_one_worker_per_cell(tmp_path, monkeypatch):
     assert asked == [2, 3]
     assert (tmp_path / "serial" / "homological_results.csv").read_bytes() == \
         (tmp_path / "wide" / "homological_results.csv").read_bytes()
+
+
+def test_theorem2_shares_its_grids_among_threads(tmp_path, monkeypatch):
+    # one cell per grid size, whatever the order of grid_sizes
+    body = {"experiment": "theorem2-h1", "seed": 5, "grid_sizes": [64, 16, 32]}
+    cfg = validate_config(json.dumps(body))
+    outputs = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        code = run(cfg, out, threads=threads)
+        grids = json.loads((out / "theorem2-h1_metadata.json").read_text())["diagnostics"]["grids"]
+        outputs.append((code, (out / "theorem2-h1_results.csv").read_bytes(),
+                        (out / "theorem2-h1_summary.txt").read_bytes(),
+                        {key: diag["profiles"] for key, diag in grids.items()}))
+    assert outputs[0] == outputs[1]
+    assert list(outputs[0][3]) == ["grid=16", "grid=32", "grid=64"]
+    asked = _serial_pool(monkeypatch)
+    run(cfg, tmp_path / "wide", threads=8)
+    run(cfg, tmp_path / "narrow", threads=2)
+    assert asked == [3, 2]
+    assert (tmp_path / "wide" / "theorem2-h1_results.csv").read_bytes() == outputs[0][1]
 
 
 def test_sampler_validation_shares_its_cells_among_threads(tmp_path, monkeypatch):
@@ -847,7 +894,9 @@ def test_sampler_validation_solves_theta_once_per_beta(tmp_path, monkeypatch):
     # still one solve
     gibbs._tilted_density.cache_clear()
     body = dict(GOLDEN_CONFIGS["sampler-validation"], experiment="sampler-validation", seed=7)
-    run(validate_config(json.dumps(dict(body, checks=["lemma5"]))), tmp_path / "lemma5")
+    lemma5 = {key: v for key, v in body.items() if key not in ("n_samples", "moments_N",
+                                                                "slab_samples")}
+    run(validate_config(json.dumps(dict(lemma5, checks=["lemma5"]))), tmp_path / "lemma5")
     assert len(calls) == 1
     calls.clear()
     gibbs._tilted_density.cache_clear()

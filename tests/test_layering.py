@@ -129,7 +129,10 @@ ONE_WORKER_UNUSED = {"scipy", "concurrent", "multiprocessing", "numpy.ma"}
     ({"experiment": "sampler-validation", "seed": 3, "n_samples": 200, "moments_N": 8,
       "slab_samples": 200, "lemma5_N": [8, 16], "lemma5_samples": 200},
      ONE_WORKER_UNUSED | {"numpy.polynomial"}),
-], ids=["autocorrelation", "sampler-validation"])
+    # its cells draw nothing, so none builds a SeedSequence
+    ({"experiment": "theorem2-h1", "seed": 3, "grid_sizes": [32, 64]},
+     ONE_WORKER_UNUSED | {"numpy.random"}),
+], ids=["autocorrelation", "sampler-validation", "theorem2-h1"])
 def test_one_worker_run_loads_only_what_it_executes(tmp_path, body, unused):
     code = (f"import sys, json; sys.path.insert(0, {str(SRC.parent)!r})\n"
             "from fpu_packets import experiments\n"
@@ -182,7 +185,7 @@ def test_h1_is_evaluated_once_per_grid(tmp_path, monkeypatch):
     from fpu_packets import experiments
 
     source = (SRC / "experiments.py").read_text()
-    assert callers(source, "eval_h1") == {"_run_theorem2"}
+    assert callers(source, "eval_h1") == {"_h1_cell"}
     calls = []
     real = experiments.eval_h1
 
